@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 DEFAULT_MONOID_CAP = 20_000
 
@@ -70,9 +70,6 @@ class Dfa:
     def _accepting_indices(self) -> frozenset[int]:
         return frozenset(self._index[q] for q in self.accepting)
 
-    def step(self, state: str, symbol: str) -> str:
-        return self.transitions[(state, symbol)]
-
     def run(self, word: str, start: str | None = None) -> str:
         """State reached from `start` (default: the initial state) on `word`."""
         i = self._index[start if start is not None else self.start]
@@ -117,6 +114,8 @@ def parse_dfa(text: str, complete_with_sink: bool = False) -> tuple[Dfa, ParseRe
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DfaParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise DfaParseError("JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise DfaParseError("top-level value must be an object")
     for key in ("alphabet", "states", "start", "accept", "delta"):
@@ -137,7 +136,7 @@ def parse_dfa(text: str, complete_with_sink: bool = False) -> tuple[Dfa, ParseRe
         raise DfaParseError("at least one state is required")
 
     accept = obj["accept"]
-    if not isinstance(accept, list) or not set(accept) <= set(states):
+    if not isinstance(accept, list) or not all(q in states for q in accept):
         raise DfaParseError("accept must be a list of known state names")
     start = obj["start"]
     if start not in states:
@@ -146,6 +145,9 @@ def parse_dfa(text: str, complete_with_sink: bool = False) -> tuple[Dfa, ParseRe
     delta = obj["delta"]
     if not isinstance(delta, dict):
         raise DfaParseError("delta must be an object")
+    unknown = [q for q in delta if q not in states]
+    if unknown:
+        raise DfaParseError(f"delta has a row for unknown state {unknown[0]!r}")
     transitions: dict[tuple[str, str], str] = {}
     missing: list[tuple[str, str]] = []
     for q in states:
@@ -204,21 +206,40 @@ def dfa_to_json(dfa: Dfa) -> str:
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 
-def _reachable_indices(dfa: Dfa) -> list[int]:
-    """Indices of reachable states in BFS discovery order (alphabet order tiebreak)."""
-    table = dfa._table
-    start = dfa._index[dfa.start]
-    order = [start]
-    seen = {start}
-    queue = deque([start])
+def bfs(
+    sources: Iterable[Hashable], successors: Callable[[Hashable], Iterable[tuple[str, Hashable]]]
+) -> Iterator[tuple[Hashable, str]]:
+    """Breadth-first walk yielding `(node, word)` in discovery order.
+
+    `successors(node)` gives `(symbol, next_node)` pairs; each node is
+    yielded once, with the word of the first path that discovered it.  When
+    successors come in alphabet order, nodes are yielded in shortlex order of
+    their words, so the first yielded node that meets a goal carries the
+    shortlex-least word reaching any goal node.
+    """
+    queue = deque((node, "") for node in dict.fromkeys(sources))
+    seen = {node for node, _ in queue}
     while queue:
-        i = queue.popleft()
-        for j in table[i]:
-            if j not in seen:
-                seen.add(j)
-                order.append(j)
-                queue.append(j)
-    return order
+        node, word = queue.popleft()
+        yield node, word
+        for ch, nxt in successors(node):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, word + ch))
+
+
+def letter_steps(dfa: Dfa) -> Callable[[int], Iterable[tuple[str, int]]]:
+    """`bfs` successors over state indices, in alphabet order."""
+    table, alphabet = dfa._table, dfa.alphabet
+    return lambda i: zip(alphabet, table[i])
+
+
+def pair_steps(d1: Dfa, d2: Dfa) -> Callable[[tuple[int, int]], Iterable[tuple[str, tuple[int, int]]]]:
+    """`bfs` successors over pairs of state indices of the product d1 x d2."""
+    if d1.alphabet != d2.alphabet:
+        raise ValueError("alphabet mismatch")
+    t1, t2, alphabet = d1._table, d2._table, d1.alphabet
+    return lambda pair: zip(alphabet, zip(t1[pair[0]], t2[pair[1]]))
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -228,7 +249,7 @@ def minimize(dfa: Dfa) -> Dfa:
     is renamed s0, s1, ... by BFS discovery order from the start state with
     alphabet order as tiebreak, so equal languages give equal values.
     """
-    reach = _reachable_indices(dfa)
+    reach = [i for i, _ in bfs([dfa._index[dfa.start]], letter_steps(dfa))]
     reach_set = set(reach)
     table = dfa._table
     acc = dfa._accepting_indices
@@ -268,26 +289,17 @@ def minimize(dfa: Dfa) -> Dfa:
     block_of = {i: b for b in partition for i in b}
 
     # canonical BFS order over the quotient
-    start_block = block_of[dfa._index[dfa.start]]
-    order: list[frozenset[int]] = [start_block]
-    number = {start_block: 0}
-    queue = deque([start_block])
-    while queue:
-        b = queue.popleft()
-        rep = min(b)
-        for s in range(nsym):
-            t = block_of[table[rep][s]]
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-                queue.append(t)
+    def quotient_steps(block):
+        return zip(dfa.alphabet, (block_of[j] for j in table[min(block)]))
+
+    order = [b for b, _ in bfs([block_of[dfa._index[dfa.start]]], quotient_steps)]
+    number = {b: k for k, b in enumerate(order)}
 
     names = [f"s{k}" for k in range(len(order))]
     transitions = {}
     for k, b in enumerate(order):
-        rep = min(b)
-        for s, a in enumerate(dfa.alphabet):
-            transitions[(names[k], a)] = names[number[block_of[table[rep][s]]]]
+        for a, t in quotient_steps(b):
+            transitions[(names[k], a)] = names[number[t]]
     accepting = frozenset(names[k] for k, b in enumerate(order) if min(b) in acc)
     return Dfa(
         states=tuple(names),
@@ -303,23 +315,10 @@ def separating_word(d1: Dfa, s1: str, d2: Dfa, s2: str) -> str | None:
 
     Searched by BFS over the product automaton, so "no word" is exact.
     """
-    if d1.alphabet != d2.alphabet:
-        raise ValueError("alphabet mismatch")
-    i1, i2 = d1._index[s1], d2._index[s2]
+    steps = pair_steps(d1, d2)
     acc1, acc2 = d1._accepting_indices, d2._accepting_indices
-    t1, t2 = d1._table, d2._table
-    seen = {(i1, i2)}
-    queue: deque[tuple[int, int, str]] = deque([(i1, i2, "")])
-    while queue:
-        a1, a2, word = queue.popleft()
-        if a1 in acc1 and a2 not in acc2:
-            return word
-        for s, ch in enumerate(d1.alphabet):
-            nxt = (t1[a1][s], t2[a2][s])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt[0], nxt[1], word + ch))
-    return None
+    walk = bfs([(d1._index[s1], d2._index[s2])], steps)
+    return next((word for (a1, a2), word in walk if a1 in acc1 and a2 not in acc2), None)
 
 
 def language_contains(d1: Dfa, s1: str, d2: Dfa, s2: str) -> bool:
@@ -327,39 +326,11 @@ def language_contains(d1: Dfa, s1: str, d2: Dfa, s2: str) -> bool:
     return separating_word(d1, s1, d2, s2) is None
 
 
-def reachable_states(dfa: Dfa, source: str) -> frozenset[str]:
-    idx = dfa._index[source]
-    table = dfa._table
-    seen = {idx}
-    queue = deque([idx])
-    while queue:
-        i = queue.popleft()
-        for j in table[i]:
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    return frozenset(dfa.states[i] for i in seen)
-
-
 def shortest_word_between(dfa: Dfa, source: str, targets: Iterable[str]) -> str | None:
     """Shortest word leading from `source` into `targets` (BFS, alphabet order)."""
     goal = {dfa._index[t] for t in targets}
-    i = dfa._index[source]
-    if i in goal:
-        return ""
-    table = dfa._table
-    seen = {i}
-    queue: deque[tuple[int, str]] = deque([(i, "")])
-    while queue:
-        j, word = queue.popleft()
-        for s, ch in enumerate(dfa.alphabet):
-            k = table[j][s]
-            if k in goal:
-                return word + ch
-            if k not in seen:
-                seen.add(k)
-                queue.append((k, word + ch))
-    return None
+    walk = bfs([dfa._index[source]], letter_steps(dfa))
+    return next((word for i, word in walk if i in goal), None)
 
 
 def closed_sccs(dfa: Dfa) -> list[frozenset[str]]:
@@ -432,9 +403,6 @@ class MonoidElement:
     mapping: tuple[int, ...]
     witness_word: str
 
-    def apply(self, state_index: int) -> int:
-        return self.mapping[state_index]
-
 
 @dataclass(frozen=True)
 class Monoid:
@@ -448,9 +416,6 @@ class Monoid:
     states: tuple[str, ...]
     elements: tuple[MonoidElement, ...]
     complete: bool
-    index_of: Mapping[tuple[int, ...], int] | None = field(
-        repr=False, hash=False, compare=False, default=None
-    )
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -488,9 +453,4 @@ def transition_monoid(dfa: Dfa, cap: int = DEFAULT_MONOID_CAP) -> Monoid:
             index_of[composed] = len(elements)
             elements.append(MonoidElement(composed, elem.witness_word + ch))
             queue.append(len(elements) - 1)
-    return Monoid(
-        states=dfa.states,
-        elements=tuple(elements),
-        complete=complete,
-        index_of=index_of,
-    )
+    return Monoid(states=dfa.states, elements=tuple(elements), complete=complete)

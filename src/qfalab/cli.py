@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -28,6 +27,7 @@ from qfalab.fixtures import (
     qfa_fixture_names,
 )
 from qfalab.qfa import (
+    USER_UNITARITY_TOL,
     Qfa,
     QfaParseError,
     parse_qfa,
@@ -41,6 +41,8 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 EXIT_INCONCLUSIVE = 3
+# each subcommand returns one of these statuses with its payload
+EXIT_CODES = {"pass": EXIT_OK, "fail": EXIT_DOMAIN, "inconclusive": EXIT_INCONCLUSIVE}
 
 
 def _fmt(x: float) -> str:
@@ -58,33 +60,19 @@ def _round_floats(obj: Any) -> Any:
     return obj
 
 
-@dataclass
-class CommandReport:
-    command: str
-    status: str  # pass | fail | inconclusive
-    payload: dict
-    timing_s: float
-    quiet: bool = False  # raw output already written; skip the report
-
-    def exit_code(self) -> int:
-        return {"pass": EXIT_OK, "fail": EXIT_DOMAIN, "inconclusive": EXIT_INCONCLUSIVE}[self.status]
-
-
-def _emit(report: CommandReport, fmt: str) -> None:
-    if report.quiet:
-        return
+def _emit(command: str, status: str, payload: dict, timing_s: float, fmt: str) -> None:
     if fmt == "structured":
         doc = {
-            "command": report.command,
-            "status": report.status,
-            "payload": _round_floats(report.payload),
-            "timing_s": round(report.timing_s, 6),
+            "command": command,
+            "status": status,
+            "payload": _round_floats(payload),
+            "timing_s": round(timing_s, 6),
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
         return
-    print(f"[{report.status}] {report.command}")
-    _print_table(report.payload, indent="  ")
-    print(f"  (took {report.timing_s:.3f}s)")
+    print(f"[{status}] {command}")
+    _print_table(payload, indent="  ")
+    print(f"  (took {timing_s:.3f}s)")
 
 
 def _print_table(obj: Any, indent: str = "") -> None:
@@ -124,18 +112,11 @@ def _read_qfa(path: str, tol: float) -> Qfa:
         return parse_qfa(fh.read(), validate_tol=tol)
 
 
-def _witness_payload(witness: fragments.FragmentWitness | None, dfa, verification=None) -> Any:
+def _witness_payload(witness: fragments.FragmentWitness | None, verification=None) -> Any:
     if witness is None:
         return None
-    doc: dict[str, Any] = {"kind": witness.kind}
-    if witness.states:
-        doc["states"] = dict(witness.states)
-    if witness.words:
-        doc["words"] = dict(witness.words)
-    if witness.levels:
-        doc["levels"] = [
-            {"states": list(lv.states), "words": list(lv.words)} for lv in witness.levels
-        ]
+    doc = fragments.witness_to_dict(witness)
+    doc.pop("monoid_elements", None)
     if verification is not None:
         doc["verification"] = [
             {"condition": c.label, "passed": c.passed, **({"detail": c.detail} if c.detail else {})}
@@ -163,8 +144,7 @@ def _plan_payload(plan: synthesis.SynthesisPlan | None) -> Any:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_classify(args) -> CommandReport:
-    started = time.perf_counter()
+def _cmd_classify(args) -> tuple[str, dict | None]:
     dfa, note = _read_dfa(args.dfa, args.complete_with_sink)
     verdict = fragments.classify(dfa, monoid_cap=args.monoid_cap)
     verification = None
@@ -174,7 +154,7 @@ def _cmd_classify(args) -> CommandReport:
         "classification": verdict.classification,
         "minimal_states": len(verdict.minimal_dfa.states),
         "monoid": {"size": verdict.monoid_size, "complete": verdict.monoid_complete},
-        "witness": _witness_payload(verdict.witness, verdict.minimal_dfa, verification),
+        "witness": _witness_payload(verdict.witness, verification),
         "plan": _plan_payload(verdict.plan),
     }
     if verdict.reason:
@@ -182,11 +162,10 @@ def _cmd_classify(args) -> CommandReport:
     if note:
         payload["parse_report"] = note
     status = "inconclusive" if verdict.classification == fragments.INCONCLUSIVE else "pass"
-    return CommandReport("classify", status, payload, time.perf_counter() - started)
+    return status, payload
 
 
-def _cmd_simulate(args) -> CommandReport:
-    started = time.perf_counter()
+def _cmd_simulate(args) -> tuple[str, dict | None]:
     qfa = _read_qfa(args.qfa, args.tol)
     if args.all_up_to is None:
         if args.word is None:
@@ -210,7 +189,7 @@ def _cmd_simulate(args) -> CommandReport:
                 }
                 for rec in outcome.trace
             ]
-        return CommandReport("simulate", "pass", payload, time.perf_counter() - started)
+        return "pass", payload
 
     if args.oracle is None or args.p is None:
         raise ValueError("--all-up-to needs --oracle and --p")
@@ -228,22 +207,14 @@ def _cmd_simulate(args) -> CommandReport:
         ],
         "residual_flagged": report.residual_flagged,
     }
-    return CommandReport(
-        "simulate", "pass" if report.passed else "fail", payload, time.perf_counter() - started
-    )
+    return "pass" if report.passed else "fail", payload
 
 
-def _cmd_synthesize(args) -> CommandReport:
-    started = time.perf_counter()
+def _cmd_synthesize(args) -> tuple[str, dict | None]:
     dfa, note = _read_dfa(args.dfa, args.complete_with_sink)
     verdict = fragments.classify(dfa, monoid_cap=args.monoid_cap)
     if verdict.classification == fragments.INCONCLUSIVE:
-        return CommandReport(
-            "synthesize",
-            "inconclusive",
-            {"reason": verdict.reason},
-            time.perf_counter() - started,
-        )
+        return "inconclusive", {"reason": verdict.reason}
     if verdict.classification != fragments.CONSTRUCTIBLE:
         raise ValueError(
             f"input is {verdict.classification}; only constructible languages can be compiled"
@@ -260,11 +231,10 @@ def _cmd_synthesize(args) -> CommandReport:
     }
     if note:
         payload["parse_report"] = note
-    return CommandReport("synthesize", "pass", payload, time.perf_counter() - started)
+    return "pass", payload
 
 
-def _cmd_union(args) -> CommandReport:
-    started = time.perf_counter()
+def _cmd_union(args) -> tuple[str, dict | None]:
     q1 = _read_qfa(args.qfa1, args.tol)
     q2 = _read_qfa(args.qfa2, args.tol)
     machine, p = combinators.union(q1, args.p1, q2, args.p2)
@@ -277,21 +247,19 @@ def _cmd_union(args) -> CommandReport:
         "p2": args.p2,
         "combined_probability": p,
     }
-    return CommandReport("union", "pass", payload, time.perf_counter() - started)
+    return "pass", payload
 
 
-def _cmd_complement(args) -> CommandReport:
-    started = time.perf_counter()
+def _cmd_complement(args) -> tuple[str, dict | None]:
     qfa = _read_qfa(args.qfa, args.tol)
     comp = combinators.complement(qfa)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(qfa_to_json(comp))
     payload = {"out": args.out, "dimension": comp.dimension}
-    return CommandReport("complement", "pass", payload, time.perf_counter() - started)
+    return "pass", payload
 
 
-def _cmd_decompose(args) -> CommandReport:
-    started = time.perf_counter()
+def _cmd_decompose(args) -> tuple[str, dict | None]:
     qfa = _read_qfa(args.qfa, args.tol)
     if args.word2 is None:
         dec = spectral.decompose_word(qfa, args.word)
@@ -322,11 +290,10 @@ def _cmd_decompose(args) -> CommandReport:
         ],
         "note": "bounded search cannot certify shrinkage failure, only report budget exhaustion",
     }
-    return CommandReport("decompose", "pass", payload, time.perf_counter() - started)
+    return "pass", payload
 
 
-def _cmd_separability(args) -> CommandReport:
-    started = time.perf_counter()
+def _cmd_separability(args) -> tuple[str, dict | None]:
     q1 = _read_qfa(args.qfa1, args.tol)
     q2 = _read_qfa(args.qfa2, args.tol)
     lang = oracle(args.oracle)
@@ -343,18 +310,17 @@ def _cmd_separability(args) -> CommandReport:
             for p in result.cloud
         ],
     }
-    return CommandReport("separability", "pass", payload, time.perf_counter() - started)
+    return "pass", payload
 
 
-def _cmd_fixtures(args) -> CommandReport:
-    started = time.perf_counter()
+def _cmd_fixtures(args) -> tuple[str, dict | None]:
     if args.action == "list":
         payload = {
             "dfa": list(dfa_fixture_names()),
             "qfa": list(qfa_fixture_names()),
             "oracle": list(oracle_names()),
         }
-        return CommandReport("fixtures", "pass", payload, time.perf_counter() - started)
+        return "pass", payload
     name = args.name
     if name in dfa_fixture_names():
         text = dfa_to_json(dfa_fixture(name))
@@ -365,12 +331,10 @@ def _cmd_fixtures(args) -> CommandReport:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        return CommandReport(
-            "fixtures", "pass", {"name": name, "out": args.out}, time.perf_counter() - started
-        )
+        return "pass", {"name": name, "out": args.out}
     # bare emit: the fixture text is the whole output
     sys.stdout.write(text)
-    return CommandReport("fixtures", "pass", {"name": name}, time.perf_counter() - started, quiet=True)
+    return "pass", None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -385,8 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
         # subcommand position wins when both are given
         kw = {"default": argparse.SUPPRESS} if suppress else {}
         target.add_argument(
-            "--tol", type=float, help="numeric tolerance (default 1e-9)",
-            **({"default": 1e-9} if not suppress else kw),
+            "--tol", type=float, help=f"numeric tolerance (default {USER_UNITARITY_TOL:g})",
+            **({"default": USER_UNITARITY_TOL} if not suppress else kw),
         )
         target.add_argument(
             "--monoid-cap", type=int,
@@ -462,16 +426,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        report = args.func(args)
+        status, payload = args.func(args)
     except (DfaParseError, QfaParseError, json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    _emit(report, args.format)
-    return report.exit_code()
+    if payload is not None:  # None: the command wrote its whole output itself
+        _emit(args.command, status, payload, time.perf_counter() - started, args.format)
+    return EXIT_CODES[status]
 
 
 if __name__ == "__main__":

@@ -223,20 +223,6 @@ def _axes(h1: Sequence[Point], h2: Sequence[Point]) -> list[tuple[Fraction, Frac
     return axes
 
 
-def _segment_distance_sq(p: Point, a: Point, b: Point) -> Fraction:
-    ab = (b[0] - a[0], b[1] - a[1])
-    ap = (p[0] - a[0], p[1] - a[1])
-    denom = ab[0] * ab[0] + ab[1] * ab[1]
-    if denom == 0:
-        dx, dy = ap
-        return dx * dx + dy * dy
-    t = (ap[0] * ab[0] + ap[1] * ab[1]) / denom
-    t = min(Fraction(1), max(Fraction(0), t))
-    dx = p[0] - (a[0] + t * ab[0])
-    dy = p[1] - (a[1] + t * ab[1])
-    return dx * dx + dy * dy
-
-
 def _closest_pair(h1: Sequence[Point], h2: Sequence[Point]) -> tuple[Fraction, Point, Point]:
     """Min squared distance between two convex hulls plus a realizing pair."""
     best: tuple[Fraction, Point, Point] | None = None

@@ -24,7 +24,6 @@ Witness kinds:
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -32,7 +31,11 @@ from qfalab.automata import (
     DEFAULT_MONOID_CAP,
     Dfa,
     Monoid,
+    bfs,
+    letter_steps,
     minimize,
+    separating_word,
+    shortest_word_between,
     transition_monoid,
 )
 
@@ -103,7 +106,8 @@ class VerificationReport:
         return tuple(c.label for c in self.conditions if not c.passed)
 
 
-def witness_to_json(witness: FragmentWitness) -> str:
+def witness_to_dict(witness: FragmentWitness) -> dict:
+    """The witness as plain JSON data; empty bindings are left out."""
     obj: dict = {"kind": witness.kind}
     if witness.states:
         obj["states"] = dict(witness.states)
@@ -115,24 +119,54 @@ def witness_to_json(witness: FragmentWitness) -> str:
         obj["levels"] = [
             {"states": list(lv.states), "words": list(lv.words)} for lv in witness.levels
         ]
-    return json.dumps({"witness": obj}, indent=2, sort_keys=True) + "\n"
+    return obj
+
+
+def witness_to_json(witness: FragmentWitness) -> str:
+    return json.dumps({"witness": witness_to_dict(witness)}, indent=2, sort_keys=True) + "\n"
+
+
+def _string_map(value, what: str) -> dict[str, str]:
+    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+        raise ValueError(f"{what} must be an object of strings")
+    return dict(value)
+
+
+def _string_list(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what} must be a list of strings")
+    return tuple(value)
 
 
 def parse_witness(text: str) -> FragmentWitness:
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or "witness" not in obj:
-        raise ValueError('expected an object with a "witness" key')
-    body = obj["witness"]
-    levels = tuple(
-        WitnessLevel(tuple(lv["states"]), tuple(lv.get("words", ())))
-        for lv in body.get("levels", ())
-    )
+    """Read the `witness_to_json` format; every malformed input raises ValueError."""
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    body = obj.get("witness") if isinstance(obj, dict) else None
+    if not isinstance(body, dict) or not isinstance(body.get("kind"), str):
+        raise ValueError('expected an object with a "witness" object naming its "kind"')
+    elements = body.get("monoid_elements", {})
+    if not isinstance(elements, dict):
+        raise ValueError("witness monoid_elements must be an object")
+    levels = body.get("levels", [])
+    if not isinstance(levels, list) or not all(isinstance(lv, dict) for lv in levels):
+        raise ValueError("witness levels must be a list of objects")
     return FragmentWitness(
         kind=body["kind"],
-        states=dict(body.get("states", {})),
-        words=dict(body.get("words", {})),
-        monoid_elements={k: dict(v) for k, v in body.get("monoid_elements", {}).items()},
-        levels=levels,
+        states=_string_map(body.get("states", {}), "witness states"),
+        words=_string_map(body.get("words", {}), "witness words"),
+        monoid_elements={
+            k: _string_map(v, f"monoid element {k!r}") for k, v in elements.items()
+        },
+        levels=tuple(
+            WitnessLevel(
+                _string_list(lv.get("states"), "level states"),
+                _string_list(lv.get("words", []), "level words"),
+            )
+            for lv in levels
+        ),
     )
 
 
@@ -157,97 +191,36 @@ def _word_mapping(dfa: Dfa, word: str) -> list[int]:
 def _recurrent_from(n: int, edge_maps: Sequence[Sequence[int]], source: int) -> bool:
     """In the graph with edges i -> m[i] per map, can every state reachable
     from `source` reach `source` back?"""
-    forward = set()
-    queue = deque([source])
-    forward.add(source)
-    while queue:
-        i = queue.popleft()
-        for m in edge_maps:
-            j = m[i]
-            if j not in forward:
-                forward.add(j)
-                queue.append(j)
     reverse: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
         for m in edge_maps:
             reverse[m[i]].append(i)
-    can_reach = {source}
-    queue = deque([source])
-    while queue:
-        i = queue.popleft()
-        for j in reverse[i]:
-            if j not in can_reach:
-                can_reach.add(j)
-                queue.append(j)
+    forward = {i for i, _ in bfs([source], lambda i: (("", m[i]) for m in edge_maps))}
+    can_reach = {i for i, _ in bfs([source], lambda i: (("", j) for j in reverse[i]))}
     return forward <= can_reach
 
 
-def _separability_table(dfa: Dfa) -> list[list[bool]]:
-    """table[s][t]: exists z with delta(s,z) accepting and delta(t,z) rejecting.
+def _separability_table(dfa: Dfa) -> set[tuple[int, int]]:
+    """Ordered pairs (s, t) with some z sending s to accepting and t to rejecting.
 
-    Computed for all ordered pairs at once by backward closure over the
-    product graph, so the answer is exact.
+    Computed for all pairs at once by backward closure over the product
+    graph, so the answer is exact.
     """
     n = len(dfa.states)
     table = dfa._table
     acc = dfa._accepting_indices
-    marked = [[False] * n for _ in range(n)]
-    queue: deque[tuple[int, int]] = deque()
+    reverse: dict[tuple[int, int], list[tuple[str, tuple[int, int]]]] = {}
     for s in range(n):
         for t in range(n):
-            if s in acc and t not in acc:
-                marked[s][t] = True
-                queue.append((s, t))
-    reverse: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for s in range(n):
-        for t in range(n):
-            for a in range(len(dfa.alphabet)):
-                reverse.setdefault((table[s][a], table[t][a]), []).append((s, t))
-    while queue:
-        pair = queue.popleft()
-        for prev in reverse.get(pair, ()):
-            if not marked[prev[0]][prev[1]]:
-                marked[prev[0]][prev[1]] = True
-                queue.append(prev)
-    return marked
+            for a, ch in enumerate(dfa.alphabet):
+                reverse.setdefault((table[s][a], table[t][a]), []).append((ch, (s, t)))
+    sources = [(s, t) for s in acc for t in range(n) if t not in acc]
+    return {pair for pair, _ in bfs(sources, lambda pair: reverse.get(pair, ()))}
 
 
 def _separating_suffix(dfa: Dfa, s: int, t: int) -> str | None:
     """Shortest z with delta(s,z) accepting and delta(t,z) rejecting."""
-    table = dfa._table
-    acc = dfa._accepting_indices
-    if s in acc and t not in acc:
-        return ""
-    seen = {(s, t)}
-    queue: deque[tuple[int, int, str]] = deque([(s, t, "")])
-    while queue:
-        a, b, word = queue.popleft()
-        for j, ch in enumerate(dfa.alphabet):
-            na, nb = table[a][j], table[b][j]
-            if na in acc and nb not in acc:
-                return word + ch
-            if (na, nb) not in seen:
-                seen.add((na, nb))
-                queue.append((na, nb, word + ch))
-    return None
-
-
-def _shortest_path_word(dfa: Dfa, source: int, target: int) -> str | None:
-    table = dfa._table
-    if source == target:
-        return ""
-    seen = {source}
-    queue: deque[tuple[int, str]] = deque([(source, "")])
-    while queue:
-        i, word = queue.popleft()
-        for j, ch in enumerate(dfa.alphabet):
-            k = table[i][j]
-            if k == target:
-                return word + ch
-            if k not in seen:
-                seen.add(k)
-                queue.append((k, word + ch))
-    return None
+    return separating_word(dfa, dfa.states[s], dfa, dfa.states[t])
 
 
 def _mapping_dict(dfa: Dfa, mapping: Sequence[int]) -> dict[str, str]:
@@ -264,18 +237,8 @@ def detect_order_violation(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
     is meaningful only when the monoid is complete.
     """
     n = len(dfa.states)
-    table = dfa._table
-    reach: list[set[int]] = []
-    for i in range(n):
-        seen = {i}
-        queue = deque([i])
-        while queue:
-            j = queue.popleft()
-            for k in table[j]:
-                if k not in seen:
-                    seen.add(k)
-                    queue.append(k)
-        reach.append(seen)
+    steps = letter_steps(dfa)
+    reach = [{j for j, _ in bfs([i], steps)} for i in range(n)]
     for elem in monoid.elements[1:]:
         m = elem.mapping
         for q1 in range(n):
@@ -283,7 +246,7 @@ def detect_order_violation(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
             if q2 == q1 or m[q2] != q2:
                 continue
             if q1 in reach[q2]:
-                y = _shortest_path_word(dfa, q2, q1)
+                y = shortest_word_between(dfa, dfa.states[q2], [dfa.states[q1]])
                 return FragmentWitness(
                     kind=ORDER_VIOLATION,
                     states={"q1": dfa.states[q1], "q2": dfa.states[q2]},
@@ -346,8 +309,8 @@ def detect_fork(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
     n = len(dfa.states)
     sep = _separability_table(dfa)
     elements = monoid.elements
-    pair_feasible = [[sep[s][t] and sep[t][s] for t in range(n)] for s in range(n)]
-    if not any(pair_feasible[s][t] for s in range(n) for t in range(n)):
+    separable_both_ways = {(s, t) for s, t in sep if (t, s) in sep}
+    if not separable_both_ways:
         return None
     recurrence_memo: dict[tuple[int, int, int], bool] = {}
 
@@ -370,7 +333,7 @@ def detect_fork(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
                 q3 = g[q1]
                 if g[q3] != q3 or q3 == q2:
                     continue
-                if not pair_feasible[q2][q3]:
+                if (q2, q3) not in separable_both_ways:
                     continue
                 if not recurrent(fi, gi, q2) or not recurrent(fi, gi, q3):
                     continue
@@ -474,7 +437,7 @@ def _level2_scan(dfa, monoid, sep, qa, qb, qc, budget, ledger):
                 q21, q23 = md[qb], mf[qb]
                 q32, q33 = me[qc], mf[qc]
                 # suffix outcomes: s1 separates (q11, q33), s2 (q23, q12), s3 (q32, q21)
-                if not (sep[q11][q33] and sep[q23][q12] and sep[q32][q21]):
+                if (q11, q33) not in sep or (q23, q12) not in sep or (q32, q21) not in sep:
                     continue
                 maps2 = (md, me, mf)
                 stage_states = (q11, q12, q21, q23, q32, q33)
@@ -658,7 +621,6 @@ def _verify_multilevel(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
         raise ValueError("multilevel witness carries no levels")
     n = len(dfa.states)
     acc = dfa._accepting_indices
-    table = dfa._table
     levels = w.levels
     notes: list[str] = []
     checks: list[ConditionCheck] = []
@@ -703,17 +665,10 @@ def _verify_multilevel(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
 
     all_level_states = {q for lv in idx_levels for q in lv}
     final = set(idx_levels[-1])
+    steps = letter_steps(dfa)
     for j in range(len(levels) - 1):
         for wi, m in enumerate(word_maps[j]):
-            entry = {m[q] for q in idx_levels[j]}
-            seen = set(entry)
-            queue = deque(entry)
-            while queue:
-                i = queue.popleft()
-                for k in table[i]:
-                    if k not in seen:
-                        seen.add(k)
-                        queue.append(k)
+            seen = {i for i, _ in bfs((m[q] for q in idx_levels[j]), steps)}
             if not seen <= all_level_states:
                 notes.append(
                     f"reachable set of word {levels[j].words[wi]!r} at level {j + 1} "

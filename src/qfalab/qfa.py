@@ -19,8 +19,13 @@ import numpy as np
 KAPPA = "^"
 DOLLAR = "$"
 
-USER_UNITARITY_TOL = 1e-9
+# Tolerances, set here only.  The CLI's --tol defaults to USER_UNITARITY_TOL
+# and serves as both the unitarity and the recognition-margin tolerance.
+USER_UNITARITY_TOL = 1e-9  # max |U^dag U - I| entry for matrices read from files
 INTERNAL_UNITARITY_TOL = 1e-12
+RECOGNITION_TOL = 1e-9  # slack below p that verify_recognition still accepts
+RESIDUAL_TOL = 1e-9  # non-halting mass after "$" above which a run is flagged
+UNIT_COLUMN_TOL = 1e-9  # |norm^2 - 1| allowed for a column given to complete_unitary
 
 
 class SymbolError(ValueError):
@@ -144,7 +149,7 @@ class RunOutcome:
     @property
     def residual_flagged(self) -> bool:
         """True when non-halting mass survives past the right endmarker."""
-        return self.p_residual > 1e-9
+        return self.p_residual > RESIDUAL_TOL
 
 
 def run(qfa: Qfa, word: str, with_trace: bool = False) -> RunOutcome:
@@ -223,7 +228,7 @@ def verify_recognition(
     oracle: Callable[[str], bool],
     p: float,
     max_len: int,
-    tol: float = 1e-9,
+    tol: float = RECOGNITION_TOL,
     alphabet: Iterable[str] | None = None,
 ) -> RecognitionReport:
     """Exhaustively check recognition with probability p on all words up to max_len.
@@ -281,7 +286,7 @@ def complete_unitary(columns: Mapping[int, np.ndarray], dimension: int) -> np.nd
         mat[:, j] = vec
         filled.append(vec)
     for vec in filled:
-        if abs(np.vdot(vec, vec).real - 1.0) > 1e-9:
+        if abs(np.vdot(vec, vec).real - 1.0) > UNIT_COLUMN_TOL:
             raise ValueError("prescribed column is not a unit vector")
     candidate = 0
     for j in range(dimension):
@@ -331,25 +336,38 @@ def qfa_to_json(qfa: Qfa) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_qfa(text: str, validate_tol: float | None = USER_UNITARITY_TOL) -> Qfa:
     """Parse the structured-text QFA format; validates unitarity unless tol is None."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise QfaParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise QfaParseError("JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise QfaParseError("top-level value must be an object")
     for key in ("dimension", "alphabet", "start", "acc", "rej", "unitaries"):
         if key not in obj:
             raise QfaParseError(f"missing key {key!r}")
     dim = obj["dimension"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise QfaParseError("dimension must be a positive integer")
     alphabet = obj["alphabet"]
     if not isinstance(alphabet, list) or not all(isinstance(a, str) and len(a) == 1 for a in alphabet):
         raise QfaParseError("alphabet must be a list of single-character strings")
+    if len(set(alphabet)) != len(alphabet):
+        raise QfaParseError("duplicate alphabet symbols")
     if KAPPA in alphabet or DOLLAR in alphabet:
         raise QfaParseError('input alphabet must not contain the endmarkers "^" or "$"')
+    if not _is_int(obj["start"]):
+        raise QfaParseError("start must be a basis index")
+    for key in ("acc", "rej"):
+        if not isinstance(obj[key], list) or not all(_is_int(i) for i in obj[key]):
+            raise QfaParseError(f"{key} must be a list of basis indices")
 
     unitaries = {}
     raw = obj["unitaries"]
@@ -360,8 +378,8 @@ def parse_qfa(text: str, validate_tol: float | None = USER_UNITARITY_TOL) -> Qfa
             raise QfaParseError(f"matrix for {sym!r} must have {dim * dim} entries")
         try:
             flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-        except (TypeError, ValueError):
-            raise QfaParseError(f"matrix entries for {sym!r} must be [re, im] pairs") from None
+        except (TypeError, ValueError, OverflowError):
+            raise QfaParseError(f"matrix entries for {sym!r} must be [re, im] pairs of numbers") from None
         unitaries[sym] = flat.reshape(dim, dim)
     try:
         qfa = Qfa(

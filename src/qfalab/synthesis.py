@@ -24,7 +24,6 @@ an equivalent reversible automaton is out of scope here.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,8 +31,10 @@ import numpy as np
 
 from qfalab.automata import (
     Dfa,
+    bfs,
     closed_sccs,
     language_contains,
+    pair_steps,
     shortest_word_between,
 )
 from qfalab.qfa import DOLLAR, KAPPA, Qfa, complete_unitary, freeze
@@ -149,20 +150,13 @@ def _certified_entry_state(dfa: Dfa, comp: tuple[str, ...], ci: int) -> str:
         )
     candidate = images[target]
 
-    comp_set = set(comp)
-    seen = {(dfa.start, candidate)}
-    queue = deque(seen)
-    while queue:
-        s, t = queue.popleft()
+    comp_set = {dfa._index[q] for q in comp}
+    start = (dfa._index[dfa.start], dfa._index[candidate])
+    for (s, t), _ in bfs([start], pair_steps(dfa, dfa)):
         if s in comp_set and s != t:
             raise EntryStateAmbiguous(
-                f"component {ci}: entry through {s!r} disagrees with candidate {candidate!r}"
+                f"component {ci}: entry through {dfa.states[s]!r} disagrees with candidate {candidate!r}"
             )
-        for a in dfa.alphabet:
-            nxt = (dfa.transitions[(s, a)], dfa.transitions[(t, a)])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
     return candidate
 
 

@@ -1,9 +1,14 @@
 """End-to-end command-line workflows, exit codes, and payload determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qfalab
 from qfalab.cli import main
 from qfalab.fixtures import dfa_fixture, qfa_fixture
 from qfalab.automata import dfa_to_json, parse_dfa
@@ -81,6 +86,22 @@ class TestClassifyCommand:
         code, out, err = run_cli(capsys, "classify", str(bad))
         assert code == 2
         assert "parse error" in err
+
+    def test_malformed_accept_list_is_a_parse_error(self, paths):
+        # a list where a state name belongs once escaped the parser as a TypeError
+        doc = json.loads(dfa_to_json(dfa_fixture("odd_tail")))
+        doc["accept"] = [["x"]]
+        bad = paths["tmp"] / "bad_accept.dfa"
+        bad.write_text(json.dumps(doc))
+        src = str(Path(qfalab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfalab.cli", "classify", str(bad)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert "parse error" in proc.stderr
+        assert "Traceback" not in proc.stderr + proc.stdout
 
     def test_sink_completion_note(self, capsys, paths):
         partial = paths["tmp"] / "partial.dfa"
