@@ -10,7 +10,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_MONOID_CAP = 20_000
 
@@ -333,67 +333,72 @@ def shortest_word_between(dfa: Dfa, source: str, targets: Iterable[str]) -> str 
     return next((word for i, word in walk if i in goal), None)
 
 
+def strongly_connected(successors: Iterable[Sequence[int]]) -> list[int]:
+    """SCC id of each node of the graph with edges i -> j for j in successors[i].
+
+    Nodes are 0..n-1, one successor row per node: `dfa._table` passes as is,
+    and a tuple of state maps as `zip(*maps)`.  Iterative Tarjan; ids count
+    components in the order they complete.
+    """
+    adj = list(successors)
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n  # -1 while a visited node is still on the Tarjan stack
+    stack: list[int] = []
+    counter = n_comps = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if comp[w] == -1 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = n_comps
+                        if w == v:
+                            break
+                    n_comps += 1
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return comp
+
+
+def recurrent_states(successors: Iterable[Sequence[int]]) -> set[int]:
+    """Members of the closed SCCs: the nodes q such that every node reachable
+    from q reaches q back."""
+    adj = list(successors)
+    scc = strongly_connected(adj)
+    leaving = {scc[v] for v, row in enumerate(adj) for w in row if scc[w] != scc[v]}
+    return {v for v in range(len(adj)) if scc[v] not in leaving}
+
+
 def closed_sccs(dfa: Dfa) -> list[frozenset[str]]:
     """Bottom strongly connected components: SCCs with no outgoing edge.
 
     A state q lies in one iff every state reachable from q can reach q back.
     Components are returned with a canonical order (by smallest member index).
     """
-    n = len(dfa.states)
-    table = dfa._table
-
-    # Tarjan, iterative
-    index_counter = 0
-    indices = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comp_of = [-1] * n
-    comps: list[list[int]] = []
-
-    for root in range(n):
-        if indices[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                indices[v] = lowlink[v] = index_counter
-                index_counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for s in range(pi, len(table[v])):
-                w = table[v][s]
-                if indices[w] == -1:
-                    work.append((v, s + 1))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], indices[w])
-            if recurse:
-                continue
-            if lowlink[v] == indices[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = len(comps)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-
-    closed = []
-    for ci, comp in enumerate(comps):
-        if all(comp_of[table[v][s]] == ci for v in comp for s in range(len(dfa.alphabet))):
-            closed.append(frozenset(dfa.states[v] for v in sorted(comp)))
-    closed.sort(key=lambda c: min(dfa._index[q] for q in c))
-    return closed
+    scc = strongly_connected(dfa._table)
+    groups: dict[int, list[str]] = {}
+    for i in sorted(recurrent_states(dfa._table)):
+        groups.setdefault(scc[i], []).append(dfa.states[i])
+    return [frozenset(g) for g in groups.values()]
 
 
 @dataclass(frozen=True)
@@ -413,7 +418,6 @@ class Monoid:
     exist, in which case downstream detectors may only report inconclusively.
     """
 
-    states: tuple[str, ...]
     elements: tuple[MonoidElement, ...]
     complete: bool
 
@@ -453,4 +457,4 @@ def transition_monoid(dfa: Dfa, cap: int = DEFAULT_MONOID_CAP) -> Monoid:
             index_of[composed] = len(elements)
             elements.append(MonoidElement(composed, elem.witness_word + ch))
             queue.append(len(elements) - 1)
-    return Monoid(states=dfa.states, elements=tuple(elements), complete=complete)
+    return Monoid(elements=tuple(elements), complete=complete)

@@ -116,7 +116,6 @@ def _witness_payload(witness: fragments.FragmentWitness | None, verification=Non
     if witness is None:
         return None
     doc = fragments.witness_to_dict(witness)
-    doc.pop("monoid_elements", None)
     if verification is not None:
         doc["verification"] = [
             {"condition": c.label, "passed": c.passed, **({"detail": c.detail} if c.detail else {})}

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from qfalab.qfa import DOLLAR, KAPPA, Qfa, all_words, complete_unitary, freeze, run
+from qfalab.qfa import DOLLAR, KAPPA, MIXTURE_WEIGHT_TOL, Qfa, all_words, complete_unitary, freeze, run
 
 COORDINATE_SNAP_DENOMINATOR = 10**9
 
@@ -77,7 +77,7 @@ def mix(spec: MixtureSpec) -> Qfa:
     rejection).
     """
     total = sum(w for _, w in spec.parts) + spec.accept_bias + spec.reject_bias
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > MIXTURE_WEIGHT_TOL:
         raise MixtureError(f"weights and biases sum to {total!r}, expected 1")
     if any(w < 0 for _, w in spec.parts) or spec.accept_bias < 0 or spec.reject_bias < 0:
         raise MixtureError("weights and biases must be non-negative")

@@ -34,8 +34,10 @@ from qfalab.automata import (
     bfs,
     letter_steps,
     minimize,
+    recurrent_states,
     separating_word,
     shortest_word_between,
+    strongly_connected,
     transition_monoid,
 )
 
@@ -80,7 +82,6 @@ class FragmentWitness:
     kind: str
     states: Mapping[str, str] = field(default_factory=dict)
     words: Mapping[str, str] = field(default_factory=dict)
-    monoid_elements: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
     levels: tuple[WitnessLevel, ...] = ()
 
     def __post_init__(self):
@@ -113,8 +114,6 @@ def witness_to_dict(witness: FragmentWitness) -> dict:
         obj["states"] = dict(witness.states)
     if witness.words:
         obj["words"] = dict(witness.words)
-    if witness.monoid_elements:
-        obj["monoid_elements"] = {k: dict(v) for k, v in witness.monoid_elements.items()}
     if witness.levels:
         obj["levels"] = [
             {"states": list(lv.states), "words": list(lv.words)} for lv in witness.levels
@@ -147,9 +146,6 @@ def parse_witness(text: str) -> FragmentWitness:
     body = obj.get("witness") if isinstance(obj, dict) else None
     if not isinstance(body, dict) or not isinstance(body.get("kind"), str):
         raise ValueError('expected an object with a "witness" object naming its "kind"')
-    elements = body.get("monoid_elements", {})
-    if not isinstance(elements, dict):
-        raise ValueError("witness monoid_elements must be an object")
     levels = body.get("levels", [])
     if not isinstance(levels, list) or not all(isinstance(lv, dict) for lv in levels):
         raise ValueError("witness levels must be a list of objects")
@@ -157,9 +153,6 @@ def parse_witness(text: str) -> FragmentWitness:
         kind=body["kind"],
         states=_string_map(body.get("states", {}), "witness states"),
         words=_string_map(body.get("words", {}), "witness words"),
-        monoid_elements={
-            k: _string_map(v, f"monoid element {k!r}") for k, v in elements.items()
-        },
         levels=tuple(
             WitnessLevel(
                 _string_list(lv.get("states"), "level states"),
@@ -188,18 +181,6 @@ def _word_mapping(dfa: Dfa, word: str) -> list[int]:
     return out
 
 
-def _recurrent_from(n: int, edge_maps: Sequence[Sequence[int]], source: int) -> bool:
-    """In the graph with edges i -> m[i] per map, can every state reachable
-    from `source` reach `source` back?"""
-    reverse: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for m in edge_maps:
-            reverse[m[i]].append(i)
-    forward = {i for i, _ in bfs([source], lambda i: (("", m[i]) for m in edge_maps))}
-    can_reach = {i for i, _ in bfs([source], lambda i: (("", j) for j in reverse[i]))}
-    return forward <= can_reach
-
-
 def _separability_table(dfa: Dfa) -> set[tuple[int, int]]:
     """Ordered pairs (s, t) with some z sending s to accepting and t to rejecting.
 
@@ -223,38 +204,30 @@ def _separating_suffix(dfa: Dfa, s: int, t: int) -> str | None:
     return separating_word(dfa, dfa.states[s], dfa, dfa.states[t])
 
 
-def _mapping_dict(dfa: Dfa, mapping: Sequence[int]) -> dict[str, str]:
-    return {dfa.states[i]: dfa.states[mapping[i]] for i in range(len(dfa.states))}
-
-
 # ---------------------------------------------------------------------------
 # detectors
 
 def detect_order_violation(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
     """Element f and states q1 != q2 with f(q1) = q2 = f(q2) and q2 ~> q1.
 
-    Search order is lexicographic over (element index, state index); absence
-    is meaningful only when the monoid is complete.
+    f already takes q1 to q2, so q2 reaches q1 back exactly when both lie in
+    one SCC.  Search order is lexicographic over (element index, state
+    index); absence is meaningful only when the monoid is complete.
     """
     n = len(dfa.states)
-    steps = letter_steps(dfa)
-    reach = [{j for j, _ in bfs([i], steps)} for i in range(n)]
+    scc = strongly_connected(dfa._table)
     for elem in monoid.elements[1:]:
         m = elem.mapping
         for q1 in range(n):
             q2 = m[q1]
             if q2 == q1 or m[q2] != q2:
                 continue
-            if q1 in reach[q2]:
+            if scc[q1] == scc[q2]:
                 y = shortest_word_between(dfa, dfa.states[q2], [dfa.states[q1]])
                 return FragmentWitness(
                     kind=ORDER_VIOLATION,
                     states={"q1": dfa.states[q1], "q2": dfa.states[q2]},
                     words={"x": elem.witness_word, "y": y},
-                    monoid_elements={
-                        "x": _mapping_dict(dfa, m),
-                        "y": _mapping_dict(dfa, _word_mapping(dfa, y)),
-                    },
                 )
     return None
 
@@ -290,10 +263,6 @@ def detect_two_cycles(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
                 kind=TWO_CYCLES,
                 states={"q1": dfa.states[q1], "q2": dfa.states[q2], "q3": dfa.states[q3]},
                 words={"x": elem.witness_word, "y": gelem.witness_word},
-                monoid_elements={
-                    "x": _mapping_dict(dfa, f),
-                    "y": _mapping_dict(dfa, gelem.mapping),
-                },
             )
     return None
 
@@ -312,16 +281,6 @@ def detect_fork(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
     separable_both_ways = {(s, t) for s, t in sep if (t, s) in sep}
     if not separable_both_ways:
         return None
-    recurrence_memo: dict[tuple[int, int, int], bool] = {}
-
-    def recurrent(fi: int, gi: int, q: int) -> bool:
-        key = (fi, gi, q)
-        if key not in recurrence_memo:
-            recurrence_memo[key] = _recurrent_from(
-                n, (elements[fi].mapping, elements[gi].mapping), q
-            )
-        return recurrence_memo[key]
-
     for fi in range(1, len(elements)):
         f = elements[fi].mapping
         pairs = [(q1, f[q1]) for q1 in range(n) if f[f[q1]] == f[q1]]
@@ -329,13 +288,16 @@ def detect_fork(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
             continue
         for gi in range(1, len(elements)):
             g = elements[gi].mapping
+            rec = None  # recurrent states under {f, g}, computed once per pair on first need
             for q1, q2 in pairs:
                 q3 = g[q1]
                 if g[q3] != q3 or q3 == q2:
                     continue
                 if (q2, q3) not in separable_both_ways:
                     continue
-                if not recurrent(fi, gi, q2) or not recurrent(fi, gi, q3):
+                if rec is None:
+                    rec = recurrent_states(zip(f, g))
+                if q2 not in rec or q3 not in rec:
                     continue
                 z1 = _separating_suffix(dfa, q2, q3)
                 z2 = _separating_suffix(dfa, q3, q2)
@@ -351,10 +313,6 @@ def detect_fork(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
                         "y": elements[gi].witness_word,
                         "z1": z1,
                         "z2": z2,
-                    },
-                    monoid_elements={
-                        "x": _mapping_dict(dfa, f),
-                        "y": _mapping_dict(dfa, g),
                     },
                 )
     return None
@@ -389,8 +347,10 @@ def search_two_level_fork(
                     ledger[0] += 1
                     if ledger[0] > budget:
                         return None
-                    maps1 = (elements[ai].mapping, elements[bi].mapping, elements[ci].mapping)
-                    if not all(_recurrent_from(n, maps1, q) for q in (qa, qb, qc)):
+                    rec = recurrent_states(
+                        zip(elements[ai].mapping, elements[bi].mapping, elements[ci].mapping)
+                    )
+                    if not {qa, qb, qc} <= rec:
                         continue
                     key = (qa, qb, qc)
                     if key in level2_failures:
@@ -403,14 +363,13 @@ def search_two_level_fork(
                         continue
                     di, ei2, fi, q_stage = found
                     return _assemble_two_level_fork(
-                        dfa, monoid, q0, (ai, bi, ci), (di, ei2, fi), (qa, qb, qc), q_stage
+                        dfa, monoid, q0, (ai, bi, ci), (di, ei2, fi), q_stage
                     )
     return None
 
 
 def _level2_scan(dfa, monoid, sep, qa, qb, qc, budget, ledger):
     """Scan stage-element triples for the branch targets (qa, qb, qc)."""
-    n = len(dfa.states)
     elements = monoid.elements
 
     def cands(first_q, second_q):
@@ -439,15 +398,14 @@ def _level2_scan(dfa, monoid, sep, qa, qb, qc, budget, ledger):
                 # suffix outcomes: s1 separates (q11, q33), s2 (q23, q12), s3 (q32, q21)
                 if (q11, q33) not in sep or (q23, q12) not in sep or (q32, q21) not in sep:
                     continue
-                maps2 = (md, me, mf)
                 stage_states = (q11, q12, q21, q23, q32, q33)
-                if not all(_recurrent_from(n, maps2, q) for q in set(stage_states)):
+                if not set(stage_states) <= recurrent_states(zip(md, me, mf)):
                     continue
                 return (di, ei, fi, stage_states)
     return None
 
 
-def _assemble_two_level_fork(dfa, monoid, q0, branch_ids, stage_ids, branch_states, stage_states):
+def _assemble_two_level_fork(dfa, monoid, q0, branch_ids, stage_ids, stage_states):
     elements = monoid.elements
     q11, q12, q21, q23, q32, q33 = stage_states
     s1 = _separating_suffix(dfa, q11, q33)
@@ -464,17 +422,7 @@ def _assemble_two_level_fork(dfa, monoid, q0, branch_ids, stage_ids, branch_stat
         "s2": s2,
         "s3": s3,
     }
-    mappings = {}
-    for name, idx in zip(("u1", "u2", "u3"), branch_ids):
-        mappings[name] = _mapping_dict(dfa, elements[idx].mapping)
-    for name, idx in zip(("v1", "v2", "v3"), stage_ids):
-        mappings[name] = _mapping_dict(dfa, elements[idx].mapping)
-    return FragmentWitness(
-        kind=TWO_LEVEL_FORK,
-        states={"q0": dfa.states[q0]},
-        words=words,
-        monoid_elements=mappings,
-    )
+    return FragmentWitness(kind=TWO_LEVEL_FORK, states={"q0": dfa.states[q0]}, words=words)
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +439,8 @@ def verify_witness(dfa: Dfa, witness: FragmentWitness) -> VerificationReport:
     """Replay every condition of the witness kind literally against the DFA.
 
     State equations are checked by word replay, recurrence conditions by
-    graph reachability, and outcome conditions by membership of the reached
-    state in the accepting set.
+    the closed SCCs of the words' graph, and outcome conditions by
+    membership of the reached state in the accepting set.
     """
     if witness.kind == ORDER_VIOLATION:
         return _verify_order_violation(dfa, witness)
@@ -547,25 +495,21 @@ def _verify_two_cycles(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
 
 def _verify_fork(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
     _require(w, ("q1", "q2", "q3"), ("x", "y", "z1", "z2"))
-    n = len(dfa.states)
     q1, q2, q3 = (_state_index(dfa, w.states[k]) for k in ("q1", "q2", "q3"))
     mx = _word_mapping(dfa, w.words["x"])
     my = _word_mapping(dfa, w.words["y"])
     mz1 = _word_mapping(dfa, w.words["z1"])
     mz2 = _word_mapping(dfa, w.words["z2"])
     acc = dfa._accepting_indices
+    rec = recurrent_states(zip(mx, my))
     checks = (
         ConditionCheck("1: q2 != q3", q2 != q3),
         ConditionCheck("2: x sends q1 to q2", mx[q1] == q2),
         ConditionCheck("3: x fixes q2", mx[q2] == q2),
         ConditionCheck("4: y sends q1 to q3", my[q1] == q3),
         ConditionCheck("5: y fixes q3", my[q3] == q3),
-        ConditionCheck(
-            "6: q2 recurrent under {x, y}", _recurrent_from(n, (mx, my), q2)
-        ),
-        ConditionCheck(
-            "7: q3 recurrent under {x, y}", _recurrent_from(n, (mx, my), q3)
-        ),
+        ConditionCheck("6: q2 recurrent under {x, y}", q2 in rec),
+        ConditionCheck("7: q3 recurrent under {x, y}", q3 in rec),
         ConditionCheck("8: z1 accepts from q2", mz1[q2] in acc),
         ConditionCheck("9: z2 rejects from q2", mz2[q2] not in acc),
         ConditionCheck("10: z1 rejects from q3", mz1[q3] not in acc),
@@ -577,7 +521,6 @@ def _verify_fork(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
 def _verify_two_level_fork(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
     word_names = ("u1", "u2", "u3", "v1", "v2", "v3", "s1", "s2", "s3")
     _require(w, ("q0",), word_names)
-    n = len(dfa.states)
     q0 = _state_index(dfa, w.states["q0"])
     maps = {name: _word_mapping(dfa, w.words[name]) for name in word_names}
     acc = dfa._accepting_indices
@@ -588,8 +531,8 @@ def _verify_two_level_fork(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
     bad2 = [k for k in (1, 2, 3) if maps[f"u{k}"][branch[k]] != branch[k]]
     c2 = ConditionCheck("2: each branch word fixes its branch state", not bad2,
                         detail=f"violated for u{bad2}" if bad2 else "")
-    maps1 = tuple(maps[f"u{k}"] for k in (1, 2, 3))
-    bad3 = [k for k in (1, 2, 3) if not _recurrent_from(n, maps1, branch[k])]
+    rec1 = recurrent_states(zip(*(maps[f"u{k}"] for k in (1, 2, 3))))
+    bad3 = [k for k in (1, 2, 3) if branch[k] not in rec1]
     c3 = ConditionCheck("3: branch states recurrent under the branch words", not bad3,
                         detail=f"violated for branch {bad3}" if bad3 else "")
 
@@ -599,8 +542,8 @@ def _verify_two_level_fork(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
     bad5 = [(k, m) for (k, m) in _FORK2_PAIRS if maps[f"v{m}"][stage[(k, m)]] != stage[(k, m)]]
     c5 = ConditionCheck("5: each stage word fixes its stage state", not bad5,
                         detail=f"violated for {bad5}" if bad5 else "")
-    maps2 = tuple(maps[f"v{m}"] for m in (1, 2, 3))
-    bad6 = sorted({(k, m) for (k, m) in _FORK2_PAIRS if not _recurrent_from(n, maps2, stage[(k, m)])})
+    rec2 = recurrent_states(zip(*(maps[f"v{m}"] for m in (1, 2, 3))))
+    bad6 = sorted({(k, m) for (k, m) in _FORK2_PAIRS if stage[(k, m)] not in rec2})
     c6 = ConditionCheck("6: stage states recurrent under the stage words", not bad6,
                         detail=f"violated for {bad6}" if bad6 else "")
 
@@ -619,7 +562,6 @@ def _verify_two_level_fork(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
 def _verify_multilevel(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
     if not w.levels:
         raise ValueError("multilevel witness carries no levels")
-    n = len(dfa.states)
     acc = dfa._accepting_indices
     levels = w.levels
     notes: list[str] = []
@@ -654,7 +596,8 @@ def _verify_multilevel(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
         if not word_maps[j - 1]:
             checks.append(ConditionCheck(f"level {j + 1} recurrence", False, "previous level has no words"))
             continue
-        bad = [dfa.states[q] for q in idx_levels[j] if not _recurrent_from(n, word_maps[j - 1], q)]
+        rec = recurrent_states(zip(*word_maps[j - 1]))
+        bad = [dfa.states[q] for q in idx_levels[j] if q not in rec]
         checks.append(
             ConditionCheck(
                 f"level {j + 1} states recurrent under level {j} words",
@@ -718,38 +661,20 @@ def classify(dfa: Dfa, monoid_cap: int = DEFAULT_MONOID_CAP) -> Verdict:
     minimal = minimize(dfa)
     monoid = transition_monoid(minimal, monoid_cap)
 
+    def verdict(classification: str, **found) -> Verdict:
+        return Verdict(classification, minimal, monoid.complete, len(monoid), **found)
+
     witness = detect_two_cycles(minimal, monoid)
     if witness is not None:
-        return Verdict(
-            classification=OUTSIDE_CHARACTERIZED_CLASS,
-            minimal_dfa=minimal,
-            monoid_complete=monoid.complete,
-            monoid_size=len(monoid),
-            witness=witness,
-        )
+        return verdict(OUTSIDE_CHARACTERIZED_CLASS, witness=witness)
     witness = detect_order_violation(minimal, monoid) or detect_fork(minimal, monoid)
     if witness is not None:
-        return Verdict(
-            classification=NOT_RECOGNIZABLE,
-            minimal_dfa=minimal,
-            monoid_complete=monoid.complete,
-            monoid_size=len(monoid),
-            witness=witness,
-        )
+        return verdict(NOT_RECOGNIZABLE, witness=witness)
     if not monoid.complete:
-        return Verdict(
-            classification=INCONCLUSIVE,
-            minimal_dfa=minimal,
-            monoid_complete=False,
-            monoid_size=len(monoid),
+        return verdict(
+            INCONCLUSIVE,
             reason=f"monoid enumeration hit the cap ({monoid_cap}); no fragment found so far",
         )
     from qfalab.synthesis import plan as _plan
 
-    return Verdict(
-        classification=CONSTRUCTIBLE,
-        minimal_dfa=minimal,
-        monoid_complete=True,
-        monoid_size=len(monoid),
-        plan=_plan(minimal),
-    )
+    return verdict(CONSTRUCTIBLE, plan=_plan(minimal))

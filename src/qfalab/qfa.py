@@ -22,10 +22,10 @@ DOLLAR = "$"
 # Tolerances, set here only.  The CLI's --tol defaults to USER_UNITARITY_TOL
 # and serves as both the unitarity and the recognition-margin tolerance.
 USER_UNITARITY_TOL = 1e-9  # max |U^dag U - I| entry for matrices read from files
-INTERNAL_UNITARITY_TOL = 1e-12
 RECOGNITION_TOL = 1e-9  # slack below p that verify_recognition still accepts
 RESIDUAL_TOL = 1e-9  # non-halting mass after "$" above which a run is flagged
 UNIT_COLUMN_TOL = 1e-9  # |norm^2 - 1| allowed for a column given to complete_unitary
+MIXTURE_WEIGHT_TOL = 1e-12  # |sum - 1| allowed for the weights and biases of a mixture
 
 
 class SymbolError(ValueError):

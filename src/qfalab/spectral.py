@@ -122,14 +122,7 @@ def decompose_pair(qfa: Qfa, x: str, y: str, tol: float = EIGENVALUE_CUTOFF) -> 
     # intersection of the two isometric parts: the complement (within the
     # non-halting coordinates) of the union of the two transient parts
     embed = _coordinate_basis(qfa.dimension, qfa.non_halting)
-    transient_union = _orthonormal_columns(
-        np.hstack(
-            [
-                _complement_within(dx.isometric_basis, embed),
-                _complement_within(dy.isometric_basis, embed),
-            ]
-        )
-    )
+    transient_union = _orthonormal_columns(np.hstack([dx.transient_basis, dy.transient_basis]))
     basis = _complement_within(transient_union, embed)
 
     for _ in range(qfa.dimension + 1):
@@ -147,7 +140,6 @@ def decompose_pair(qfa: Qfa, x: str, y: str, tol: float = EIGENVALUE_CUTOFF) -> 
             break
         basis = new_basis
 
-    embed = _coordinate_basis(qfa.dimension, qfa.non_halting)
     transient = _complement_within(basis, embed)
     return Decomposition(
         isometric_basis=basis,

@@ -19,7 +19,9 @@ from qfalab.automata import (
     language_contains,
     minimize,
     parse_dfa,
+    recurrent_states,
     separating_word,
+    strongly_connected,
     transition_monoid,
 )
 from qfalab.fixtures import dfa_fixture
@@ -210,3 +212,34 @@ class TestClosedSccs:
     @settings(max_examples=150)
     def test_matches_definitional_oracle(self, dfa):
         assert set().union(*closed_sccs(dfa), frozenset()) == definitionally_closed_states(dfa)
+
+
+@st.composite
+def successor_lists(draw):
+    n = draw(st.integers(1, 9))
+    return [draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)) for _ in range(n)]
+
+
+def brute_force_reach(adj):
+    """reach[i]: nodes reachable from i (i included), by Warshall's closure."""
+    reach = [{i, *adj[i]} for i in range(len(adj))]
+    for k in range(len(adj)):
+        for i in range(len(adj)):
+            if k in reach[i]:
+                reach[i] |= reach[k]
+    return reach
+
+
+class TestStronglyConnected:
+    @given(successor_lists())
+    @settings(max_examples=300)
+    def test_matches_brute_force_reachability(self, adj):
+        n = len(adj)
+        reach = brute_force_reach(adj)
+        back = [{j for j in range(n) if i in reach[j]} for i in range(n)]
+        scc = strongly_connected(adj)
+        for i in range(n):
+            for j in range(n):
+                assert (scc[i] == scc[j]) == (j in reach[i] and i in reach[j]), (adj, i, j)
+        assert recurrent_states(adj) == {i for i in range(n) if reach[i] <= back[i]}
+        assert recurrent_states(tuple(row) for row in adj) == recurrent_states(adj)

@@ -1,5 +1,6 @@
 """Fragment detectors, witness verification, and the classification verdict."""
 
+import json
 from itertools import product
 
 import pytest
@@ -375,6 +376,19 @@ class TestWitnessSerialization:
         assert again.kind == witness.kind
         assert dict(again.states) == dict(witness.states)
         assert dict(again.words) == dict(witness.words)
+        assert verify_witness(dfa, again).passed
+
+    def test_witness_words_only_and_old_documents_still_parse(self):
+        dfa = dfa_fixture("odd_tail")
+        witness = detect_fork(dfa, monoid_of(dfa))
+        doc = json.loads(witness_to_json(witness))
+        assert "monoid_elements" not in doc["witness"]
+        # documents written with the word mappings alongside the words
+        doc["witness"]["monoid_elements"] = {
+            k: {q: dfa.run(witness.words[k], q) for q in dfa.states} for k in ("x", "y")
+        }
+        again = parse_witness(json.dumps(doc))
+        assert again == witness
         assert verify_witness(dfa, again).passed
 
     def test_round_trip_multilevel(self):
