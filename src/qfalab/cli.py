@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -50,9 +51,12 @@ def _fmt(x: float) -> str:
 
 
 def _round_floats(obj: Any) -> Any:
-    """Round every float to 12 significant digits for stable payloads."""
+    """Round every float to 12 significant digits for stable payloads.
+
+    JSON has no infinity, so an infinite float becomes the string "inf".
+    """
     if isinstance(obj, float):
-        return float(_fmt(obj))
+        return _fmt(obj) if math.isinf(obj) else float(_fmt(obj))
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -68,7 +72,7 @@ def _emit(command: str, status: str, payload: dict, timing_s: float, fmt: str) -
             "payload": _round_floats(payload),
             "timing_s": round(timing_s, 6),
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
         return
     print(f"[{status}] {command}")
     _print_table(payload, indent="  ")
@@ -302,7 +306,7 @@ def _cmd_separability(args) -> tuple[str, dict | None]:
         "max_len": args.max_len,
         "separable": result.separable,
         "limit_case": result.limit_case,
-        "margin": result.margin if result.margin != float("inf") else "inf",
+        "margin": result.margin,
         "line": list(result.line) if result.line else None,
         "cloud": [
             {"word": p.word, "p1": p.p1, "p2": p.p2, "label": "in" if p.in_language else "out"}

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from qfalab.qfa import DOLLAR, KAPPA, MIXTURE_WEIGHT_TOL, Qfa, all_words, complete_unitary, freeze, run
+from qfalab.qfa import DOLLAR, KAPPA, MIXTURE_WEIGHT_TOL, Qfa, complete_unitary, freeze, sweep
 
 COORDINATE_SNAP_DENOMINATOR = 10**9
 
@@ -269,19 +269,23 @@ def separability(
     if q1.alphabet != q2.alphabet:
         raise ValueError("machines must share an alphabet")
     cloud = []
+    for lvl1, lvl2 in zip(sweep(q1, max_len), sweep(q2, max_len)):
+        for w, a1, a2 in zip(lvl1.words, lvl1.p_accept.tolist(), lvl2.p_accept.tolist()):
+            cloud.append(CloudPoint(w, a1, a2, bool(oracle(w))))
+    # clouds repeat few probabilities: snap each distinct one once
+    snapped = {v: _snap(v) for v in {v for pt in cloud for v in (pt.p1, pt.p2)}}
     inside: list[Point] = []
     outside: list[Point] = []
-    for w in all_words(q1.alphabet, max_len):
-        a1 = run(q1, w).p_accept
-        a2 = run(q2, w).p_accept
-        label = bool(oracle(w))
-        cloud.append(CloudPoint(w, a1, a2, label))
-        (inside if label else outside).append((_snap(a1), _snap(a2)))
+    for pt in cloud:
+        (inside if pt.in_language else outside).append((snapped[pt.p1], snapped[pt.p2]))
+    return _max_margin_line(tuple(cloud), inside, outside)
 
-    cloud_t = tuple(cloud)
+
+def _max_margin_line(cloud: tuple[CloudPoint, ...], inside: list[Point], outside: list[Point]) -> SeparabilityResult:
+    """The exact hull geometry of `separability` on the snapped in/out points."""
     if not inside or not outside:
         return SeparabilityResult(
-            cloud=cloud_t, separable=True, line=None, margin=math.inf
+            cloud=cloud, separable=True, line=None, margin=math.inf
         )
 
     hull_in = _convex_hull(inside)
@@ -300,7 +304,7 @@ def separability(
             break
     if separating_axis is None:
         return SeparabilityResult(
-            cloud=cloud_t, separable=False, line=None, margin=0.0
+            cloud=cloud, separable=False, line=None, margin=0.0
         )
 
     d2, pt_in, pt_out = _closest_pair(hull_in, hull_out)
@@ -309,7 +313,7 @@ def separability(
         norm = math.hypot(float(axis[0]), float(axis[1]))
         line = (float(axis[0]) / norm, float(axis[1]) / norm, float((out_hi + in_lo) / 2) / norm)
         return SeparabilityResult(
-            cloud=cloud_t, separable=True, line=line, margin=0.0, limit_case=True
+            cloud=cloud, separable=True, line=line, margin=0.0, limit_case=True
         )
 
     direction = (pt_in[0] - pt_out[0], pt_in[1] - pt_out[1])
@@ -319,5 +323,5 @@ def separability(
     line = (float(direction[0]) / norm, float(direction[1]) / norm, float(c_exact) / norm)
     margin = math.sqrt(float(d2)) / 2
     return SeparabilityResult(
-        cloud=cloud_t, separable=True, line=line, margin=margin
+        cloud=cloud, separable=True, line=line, margin=margin
     )

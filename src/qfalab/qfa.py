@@ -6,6 +6,23 @@ unitary and then measures against the accept/reject/non-halting subspaces;
 the run folds this over ^ word $ starting from the basis state `start`.
 Residual non-halting mass left after "$" counts as neither accept nor
 reject.
+
+`sweep` simulates every word up to a length at once, one length per step.
+Its frontier holds the non-halting state after ^w for every word w of the
+current length, one row of `dimension` amplitudes per word, rows in
+`all_words` order.  The next length's frontier has one row per (w, letter),
+w-major and letter-minor, so its order is `all_words` order again; each
+level also reads "$" once for all its words.  Every state is multiplied by
+its unitary as its own BLAS matrix-vector product, as `run` does, because
+a matrix-matrix product rounds a column differently depending on where it
+falls in the kernel's tiles; with `_measure` shared too, `sweep` gives
+bitwise the accept and reject probabilities of `run`.  Products and
+measurements go through the frontier in blocks of `FRONTIER_BLOCK` words,
+so the "$" read and the measurement temporaries never exceed one block.
+Memory peaks while the last length is built: two frontiers, one row of
+16 * dimension bytes per word of each of the last two lengths, plus those
+words' strings.  At dimension 15 over two letters up to length 16 the
+frontiers take 24 MB; each further length doubles that.
 """
 
 from __future__ import annotations
@@ -26,6 +43,7 @@ RECOGNITION_TOL = 1e-9  # slack below p that verify_recognition still accepts
 RESIDUAL_TOL = 1e-9  # non-halting mass after "$" above which a run is flagged
 UNIT_COLUMN_TOL = 1e-9  # |norm^2 - 1| allowed for a column given to complete_unitary
 MIXTURE_WEIGHT_TOL = 1e-12  # |sum - 1| allowed for the weights and biases of a mixture
+FRONTIER_BLOCK = 1024  # words per block of a sweep: bounds the "$" read and measurement temporaries
 
 
 class SymbolError(ValueError):
@@ -106,28 +124,30 @@ def validate(qfa: Qfa, tol: float = USER_UNITARITY_TOL) -> UnitarityReport:
     )
 
 
-def _measure(qfa: Qfa, psi: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Project onto non-halting; return (projection, accept mass, reject mass)."""
-    acc_inc = float(sum(abs(psi[i]) ** 2 for i in qfa.acc))
-    rej_inc = float(sum(abs(psi[i]) ** 2 for i in qfa.rej))
-    post = psi.copy()
-    for i in qfa.acc:
-        post[i] = 0.0
-    for i in qfa.rej:
-        post[i] = 0.0
-    return post, acc_inc, rej_inc
+def _measure(qfa: Qfa, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measure each row of `states` in place; return the accept and reject masses.
 
-
-def step(qfa: Qfa, state: np.ndarray, symbol: str) -> tuple[np.ndarray, float, float]:
-    """Read one symbol: apply its unitary, then measure.
-
-    Returns the unnormalized non-halting projection together with the accept
-    and reject probability increments of the measurement.
+    The accept and reject amplitudes are zeroed, leaving the non-halting
+    projection.  Each mass adds the terms |psi_i|**2 of its set one at a
+    time, in the set's iteration order, each term being hypot then C pow as
+    `abs(z) ** 2` gives for one amplitude: the masses are bitwise those of
+    a scalar sum over the set.
     """
-    mat = qfa.unitaries.get(symbol)
-    if mat is None:
-        raise SymbolError(f"symbol {symbol!r} is not in the working alphabet")
-    return _measure(qfa, mat @ state)
+    halting = [*qfa.acc, *qfa.rej]
+    picked = states[:, halting]
+    states[:, halting] = 0.0
+    terms = np.float_power(np.hypot(picked.real, picked.imag), 2.0).T  # one row per index
+    start = np.zeros(len(states))
+    n_acc = len(qfa.acc)
+    return sum(terms[:n_acc], start), sum(terms[n_acc:], start)
+
+
+def _apply(mat: np.ndarray, states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`mat @ row` for each row of `states`, one matrix-vector product per row."""
+    if out is None:
+        out = np.empty_like(states)
+    np.matmul(mat, states[:, :, None], out=out[:, :, None])
+    return out
 
 
 @dataclass(frozen=True)
@@ -152,22 +172,32 @@ class RunOutcome:
         return self.p_residual > RESIDUAL_TOL
 
 
-def run(qfa: Qfa, word: str, with_trace: bool = False) -> RunOutcome:
-    """Exact acceptance/rejection probabilities of `word` (endmarkers implied)."""
+def _check_letters(qfa: Qfa, word: Iterable[str]) -> None:
     for pos, ch in enumerate(word):
         if ch not in qfa.alphabet:
             raise SymbolError(f"symbol {ch!r} at position {pos} is not in the input alphabet")
-    psi = qfa.initial_state()
+
+
+def run(qfa: Qfa, word: str, with_trace: bool = False) -> RunOutcome:
+    """Exact acceptance/rejection probabilities of `word` (endmarkers implied).
+
+    This is the one-word reference path of `sweep`: the same product and
+    `_measure` on a frontier of one row.
+    """
+    _check_letters(qfa, word)
+    psi = qfa.initial_state()[None, :]
     p_acc = 0.0
     p_rej = 0.0
     records: list[StepRecord] = []
     for sym in (KAPPA, *word, DOLLAR):
-        pre = qfa.unitaries[sym] @ psi
-        psi, acc_inc, rej_inc = _measure(qfa, pre)
+        pre = _apply(qfa.unitaries[sym], psi)
+        psi = pre.copy()
+        acc, rej = _measure(qfa, psi)
+        acc_inc, rej_inc = float(acc[0]), float(rej[0])
         p_acc += acc_inc
         p_rej += rej_inc
         if with_trace:
-            records.append(StepRecord(sym, pre, acc_inc, rej_inc, psi.copy()))
+            records.append(StepRecord(sym, pre[0], acc_inc, rej_inc, psi[0].copy()))
     residual = float(np.vdot(psi, psi).real)
     return RunOutcome(
         p_accept=p_acc,
@@ -200,14 +230,71 @@ def nonhalting_operator(qfa: Qfa, word: str) -> np.ndarray:
     return op
 
 
-def all_words(letters: Iterable[str], max_len: int):
-    """All words over `letters` of length 0..max_len, shortest first."""
-    letters = tuple(letters)
+def _word_levels(letters: tuple[str, ...], max_len: int):
+    """The words of each length 0..max_len, each level w-major, letter-minor."""
     words = [""]
     for n in range(max_len + 1):
-        yield from words
+        yield words
         if n < max_len:
             words = [w + ch for w in words for ch in letters]
+
+
+def all_words(letters: Iterable[str], max_len: int):
+    """All words over `letters` of length 0..max_len, shortest first."""
+    for words in _word_levels(tuple(letters), max_len):
+        yield from words
+
+
+@dataclass(frozen=True)
+class LevelOutcome:
+    """The outcomes of every word of one length, in `all_words` order."""
+
+    words: list[str]
+    p_accept: np.ndarray
+    p_reject: np.ndarray
+    p_residual: np.ndarray
+
+
+def sweep(qfa: Qfa, max_len: int, letters: Iterable[str] | None = None):
+    """Yield a LevelOutcome for each length 0..max_len: every word over `letters`.
+
+    `letters` defaults to the machine's alphabet.  Accept and reject
+    probabilities are bitwise those of `run`; residuals agree to rounding.
+    """
+    if max_len < 0:
+        raise ValueError(f"maximum word length must be non-negative, got {max_len}")
+    letters = qfa.alphabet if letters is None else tuple(letters)
+    _check_letters(qfa, letters)
+    mats = [qfa.unitaries[ch] for ch in letters]
+    end = qfa.unitaries[DOLLAR]
+    k = len(letters)
+    states = _apply(qfa.unitaries[KAPPA], qfa.initial_state()[None, :])
+    p_acc, p_rej = _measure(qfa, states)
+    for n, words in enumerate(_word_levels(letters, max_len)):
+        width = len(words)
+        grow = n < max_len
+        acc, rej, residual = np.empty(width), np.empty(width), np.empty(width)
+        if grow:
+            children = np.empty((width * k, qfa.dimension), dtype=np.complex128)
+            child_acc, child_rej = np.empty(width * k), np.empty(width * k)
+        for lo in range(0, width, FRONTIER_BLOCK):
+            hi = min(lo + FRONTIER_BLOCK, width)
+            block = states[lo:hi]
+            post = _apply(end, block)
+            acc_inc, rej_inc = _measure(qfa, post)
+            acc[lo:hi] = p_acc[lo:hi] + acc_inc
+            rej[lo:hi] = p_rej[lo:hi] + rej_inc
+            residual[lo:hi] = np.einsum("ij,ij->i", post.conj(), post).real
+            if grow:
+                kids = children[lo * k : hi * k]
+                for j, mat in enumerate(mats):
+                    _apply(mat, block, out=kids[j::k])
+                acc_inc, rej_inc = _measure(qfa, kids)
+                child_acc[lo * k : hi * k] = np.repeat(p_acc[lo:hi], k) + acc_inc
+                child_rej[lo * k : hi * k] = np.repeat(p_rej[lo:hi], k) + rej_inc
+        yield LevelOutcome(words, acc, rej, residual)
+        if grow:
+            states, p_acc, p_rej = children, child_acc, child_rej
 
 
 @dataclass(frozen=True)
@@ -239,24 +326,22 @@ def verify_recognition(
     """
     if not p > 0.5:
         raise ValueError("recognition probability must exceed 1/2")
-    letters = tuple(alphabet) if alphabet is not None else qfa.alphabet
     worst_acc = float("inf")
     worst_rej = float("inf")
     counterexamples: list[tuple[str, float]] = []
     residual_seen = False
     count = 0
-    for w in all_words(letters, max_len):
-        outcome = run(qfa, w)
-        count += 1
-        residual_seen = residual_seen or outcome.residual_flagged
-        if oracle(w):
-            margin = outcome.p_accept - p
-            worst_acc = min(worst_acc, margin)
-        else:
-            margin = outcome.p_reject - p
-            worst_rej = min(worst_rej, margin)
-        if margin < -tol and len(counterexamples) < 5:
-            counterexamples.append((w, margin + p))
+    for level in sweep(qfa, max_len, alphabet):
+        labels = np.fromiter((bool(oracle(w)) for w in level.words), dtype=bool, count=len(level.words))
+        margins = np.where(labels, level.p_accept, level.p_reject) - p
+        if labels.any():
+            worst_acc = min(worst_acc, float(margins[labels].min()))
+        if not labels.all():
+            worst_rej = min(worst_rej, float(margins[~labels].min()))
+        for j in np.flatnonzero(margins < -tol)[: 5 - len(counterexamples)]:
+            counterexamples.append((level.words[j], float(margins[j] + p)))
+        residual_seen = residual_seen or bool((level.p_residual > RESIDUAL_TOL).any())
+        count += len(level.words)
     passed = worst_acc >= -tol and worst_rej >= -tol
     return RecognitionReport(
         passed=passed,

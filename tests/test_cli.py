@@ -159,6 +159,31 @@ class TestSimulateCommand:
         assert code == 0
         assert len(doc["payload"]["trace"]) == 4  # ^, b, a, $
 
+    def test_negative_length_is_an_error(self, capsys, paths):
+        code, out, err = run_cli(
+            capsys, "simulate", paths["even_head_odd_tail_qfa"],
+            "--all-up-to", "-1", "--oracle", "even_head_odd_tail", "--p", "0.6",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ValueError")
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "even_head_odd_tail_qfa", "--all-up-to", "0", "--oracle", "even_head_odd_tail", "--p", "0.6"),
+        ("separability", "even_head_odd_tail_qfa", "odd_head_odd_tail_qfa", "--oracle", "odd_tail", "--max-len", "0"),
+    ])
+    def test_infinite_margin_is_strict_json(self, capsys, paths, argv):
+        # one word only, so some margin is a minimum over no words
+        argv = [paths[arg] if arg.endswith("_qfa") else arg for arg in argv]
+        code, out, _ = run_cli(capsys, *argv, "--format", "structured")
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(out, parse_constant=reject)["payload"]
+        assert code == 0
+        assert "inf" in payload.values()
+
 
 class TestSynthesizeCommand:
     def test_compile_then_simulate(self, capsys, paths):

@@ -1,0 +1,194 @@
+"""The batched simulation engine `sweep` against the per-word reference path.
+
+`sweep` must list the words of each length in `all_words` order and give
+bitwise the accept and reject probabilities of `run(..., with_trace=True)`.
+`verify_recognition` and `separability`, which consume it, must equal the
+per-word loops kept here.  Blocks are shrunk so that short sweeps cross
+block boundaries; one sweep also crosses the real `FRONTIER_BLOCK`.
+"""
+
+import zlib
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_qfa
+from qfalab import qfa as qfa_module
+from qfalab.combinators import CloudPoint, _max_margin_line, _snap, separability
+from qfalab.fixtures import oracle, qfa_fixture
+from qfalab.qfa import (
+    FRONTIER_BLOCK,
+    RECOGNITION_TOL,
+    RecognitionReport,
+    _measure,
+    all_words,
+    run,
+    sweep,
+    verify_recognition,
+)
+
+# longest words per alphabet size, so that a sweep stays near 100 words
+MAX_LEN = {1: 12, 2: 6, 3: 4}
+
+
+def reference_verify(qfa, oracle_fn, p, max_len, tol=RECOGNITION_TOL, alphabet=None):
+    """`verify_recognition` as one `run` per word."""
+    letters = tuple(alphabet) if alphabet is not None else qfa.alphabet
+    worst_acc = float("inf")
+    worst_rej = float("inf")
+    counterexamples = []
+    residual_seen = False
+    count = 0
+    for w in all_words(letters, max_len):
+        outcome = run(qfa, w)
+        count += 1
+        residual_seen = residual_seen or outcome.residual_flagged
+        if oracle_fn(w):
+            margin = outcome.p_accept - p
+            worst_acc = min(worst_acc, margin)
+        else:
+            margin = outcome.p_reject - p
+            worst_rej = min(worst_rej, margin)
+        if margin < -tol and len(counterexamples) < 5:
+            counterexamples.append((w, margin + p))
+    return RecognitionReport(
+        passed=worst_acc >= -tol and worst_rej >= -tol,
+        probability=p,
+        tol=tol,
+        max_len=max_len,
+        words_checked=count,
+        worst_accept_margin=worst_acc,
+        worst_reject_margin=worst_rej,
+        counterexamples=tuple(counterexamples),
+        residual_flagged=residual_seen,
+    )
+
+
+def reference_separability(q1, q2, oracle_fn, max_len):
+    """`separability` with one `run` per word and machine and one snap per point."""
+    cloud, inside, outside = [], [], []
+    for w in all_words(q1.alphabet, max_len):
+        a1 = run(q1, w).p_accept
+        a2 = run(q2, w).p_accept
+        label = bool(oracle_fn(w))
+        cloud.append(CloudPoint(w, a1, a2, label))
+        (inside if label else outside).append((_snap(a1), _snap(a2)))
+    return _max_margin_line(tuple(cloud), inside, outside)
+
+
+def hashed_oracle(salt: int):
+    """A fixed pseudo-random language: about one word in three is in it."""
+    return lambda w: zlib.crc32(f"{salt}:{w}".encode()) % 3 == 0
+
+
+@st.composite
+def machines(draw):
+    k = draw(st.integers(1, 3))
+    dim = draw(st.integers(3, 8))
+    n_acc = draw(st.integers(1, dim - 2))
+    n_rej = draw(st.integers(1, dim - 1 - n_acc))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    return random_qfa(rng, dim=dim, alphabet=tuple("abc"[:k]), n_acc=n_acc, n_rej=n_rej)
+
+
+@given(machines(), st.integers(1, 40), st.integers(0, 2**31 - 1))
+@settings(max_examples=40)
+def test_measure_is_the_scalar_sum_over_each_set(qfa, width, seed):
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(width, qfa.dimension)) + 1j * rng.normal(size=(width, qfa.dimension))
+    states *= rng.choice([1e-8, 1e-3, 0.3, 1.0], size=(width, 1))
+    before = states.copy()
+    acc, rej = _measure(qfa, states)
+    for row, psi in enumerate(before):
+        assert acc[row] == float(sum(abs(psi[i]) ** 2 for i in qfa.acc))
+        assert rej[row] == float(sum(abs(psi[i]) ** 2 for i in qfa.rej))
+        kept = list(qfa.non_halting)
+        assert np.array_equal(states[row, kept], psi[kept])
+        assert not states[row, [*qfa.acc, *qfa.rej]].any()
+
+
+def assert_sweep_matches_run(qfa, max_len):
+    words = []
+    for level in sweep(qfa, max_len):
+        assert len(level.words) == len(level.p_accept) == len(level.p_reject) == len(level.p_residual)
+        for w, acc, rej, residual in zip(level.words, level.p_accept, level.p_reject, level.p_residual):
+            reference = run(qfa, w, with_trace=True)
+            assert acc == reference.p_accept, w
+            assert rej == reference.p_reject, w
+            assert abs(residual - reference.p_residual) <= 1e-15, w
+        words.extend(level.words)
+    assert words == list(all_words(qfa.alphabet, max_len))
+
+
+@given(machines(), st.integers(1, 5), st.integers(0, 12))
+@settings(max_examples=40)
+def test_sweep_is_run_on_every_word(qfa, block, max_len):
+    with mock.patch.object(qfa_module, "FRONTIER_BLOCK", block):
+        assert_sweep_matches_run(qfa, min(max_len, MAX_LEN[len(qfa.alphabet)]))
+
+
+def test_sweep_crosses_the_real_block():
+    qfa = random_qfa(np.random.default_rng(7), dim=5)
+    max_len = 11  # 2**11 words at the last length: two blocks
+    assert 2**max_len > FRONTIER_BLOCK
+    assert_sweep_matches_run(qfa, max_len)
+
+
+@given(
+    machines(),
+    st.integers(1, 5),
+    st.integers(0, 12),
+    st.floats(0.51, 0.99),
+    st.integers(0, 1000),
+    st.booleans(),
+)
+@settings(max_examples=40)
+def test_verify_recognition_equals_the_per_word_loop(qfa, block, max_len, p, salt, first_letter_only):
+    max_len = min(max_len, MAX_LEN[len(qfa.alphabet)])
+    alphabet = qfa.alphabet[:1] if first_letter_only else None
+    with mock.patch.object(qfa_module, "FRONTIER_BLOCK", block):
+        got = verify_recognition(qfa, hashed_oracle(salt), p, max_len, alphabet=alphabet)
+    assert got == reference_verify(qfa, hashed_oracle(salt), p, max_len, alphabet=alphabet)
+
+
+@pytest.mark.parametrize("p", [2 / 3 - 1e-9, 0.7, 0.95])
+def test_verify_recognition_on_the_fixture_equals_the_per_word_loop(p):
+    # 2/3 passes; 0.7 and 0.95 fail, so the first five shortlex counterexamples are compared
+    qfa = qfa_fixture("even_head_odd_tail_qfa")
+    lang = oracle("even_head_odd_tail")
+    with mock.patch.object(qfa_module, "FRONTIER_BLOCK", 3):
+        got = verify_recognition(qfa, lang, p, 8)
+    assert got == reference_verify(qfa, lang, p, 8)
+    assert got.passed == (p < 2 / 3)
+    assert len(got.counterexamples) == (0 if got.passed else 5)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 3), st.integers(1, 5), st.integers(0, 12), st.integers(0, 1000))
+@settings(max_examples=25)
+def test_separability_equals_the_per_word_loop(seed, k, block, max_len, salt):
+    rng = np.random.default_rng(seed)
+    letters = tuple("abc"[:k])
+    q1, q2 = random_qfa(rng, dim=4, alphabet=letters), random_qfa(rng, dim=5, alphabet=letters)
+    max_len = min(max_len, MAX_LEN[k])
+    with mock.patch.object(qfa_module, "FRONTIER_BLOCK", block):
+        got = separability(q1, q2, hashed_oracle(salt), max_len)
+    assert got == reference_separability(q1, q2, hashed_oracle(salt), max_len)
+
+
+def test_separability_of_the_fixture_pair_equals_the_per_word_loop():
+    k2, k3 = qfa_fixture("even_head_odd_tail_qfa"), qfa_fixture("odd_head_odd_tail_qfa")
+    for name in ("odd_tail", "even_head_odd_tail"):
+        assert separability(k2, k3, oracle(name), 7) == reference_separability(k2, k3, oracle(name), 7)
+
+
+def test_negative_length_is_rejected():
+    k2, k3 = qfa_fixture("even_head_odd_tail_qfa"), qfa_fixture("odd_head_odd_tail_qfa")
+    lang = oracle("even_head_odd_tail")
+    with pytest.raises(ValueError, match="non-negative"):
+        next(sweep(k2, -1))
+    with pytest.raises(ValueError, match="non-negative"):
+        verify_recognition(k2, lang, 0.6, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        separability(k2, k3, lang, -1)

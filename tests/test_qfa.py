@@ -14,6 +14,7 @@ from qfalab.qfa import (
     Qfa,
     QfaParseError,
     SymbolError,
+    _measure,
     all_words,
     complete_unitary,
     nonhalting_operator,
@@ -21,7 +22,7 @@ from qfalab.qfa import (
     parse_qfa,
     qfa_to_json,
     run,
-    step,
+    sweep,
     validate,
     verify_recognition,
 )
@@ -66,6 +67,13 @@ class TestValidate:
         assert validate(qfa, 1e-12).passed
 
 
+def step(qfa, psi, symbol):
+    """One read of `symbol` from `psi`: its unitary, then `_measure` on one row."""
+    states = (qfa.unitaries[symbol] @ psi)[None, :]
+    acc_inc, rej_inc = _measure(qfa, states)
+    return states[0], acc_inc[0], rej_inc[0]
+
+
 class TestStep:
     def test_branch_split_on_b(self, k2):
         psi1 = np.zeros(8, dtype=np.complex128)
@@ -93,8 +101,8 @@ class TestStep:
         assert not post.any()
 
     def test_unknown_symbol(self, k2):
-        with pytest.raises(SymbolError):
-            step(k2, k2.initial_state(), "z")
+        with pytest.raises(SymbolError, match="position 1"):
+            next(sweep(k2, 2, letters="az"))
 
 
 class TestRun:
