@@ -7,9 +7,9 @@ query this one for the combinatorial structure of the input language.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_MONOID_CAP = 20_000
@@ -212,20 +212,25 @@ def bfs(
     """Breadth-first walk yielding `(node, word)` in discovery order.
 
     `successors(node)` gives `(symbol, next_node)` pairs; each node is
-    yielded once, with the word of the first path that discovered it.  When
-    successors come in alphabet order, nodes are yielded in shortlex order of
-    their words, so the first yielded node that meets a goal carries the
-    shortlex-least word reaching any goal node.
+    yielded once, with the word of the first path that discovered it, as soon
+    as it is discovered: a caller that stops early leaves the frontier
+    unexpanded.  When successors come in alphabet order, nodes are yielded in
+    shortlex order of their words, so the first yielded node that meets a goal
+    carries the shortlex-least word reaching any goal node.
     """
-    queue = deque((node, "") for node in dict.fromkeys(sources))
-    seen = {node for node, _ in queue}
+    from collections import deque  # the one queue in src/, see tests/test_one_bfs.py
+
+    words = dict.fromkeys(sources, "")
+    queue = deque(words)
+    yield from words.items()
     while queue:
-        node, word = queue.popleft()
-        yield node, word
+        node = queue.popleft()
+        word = words[node]
         for ch, nxt in successors(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, word + ch))
+            if nxt not in words:
+                words[nxt] = found = word + ch
+                queue.append(nxt)
+                yield nxt, found
 
 
 def letter_steps(dfa: Dfa) -> Callable[[int], Iterable[tuple[str, int]]]:
@@ -424,37 +429,31 @@ class Monoid:
     def __len__(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def pumps(self) -> tuple[dict[int, int], ...]:
+        """`pumps[q][t]`: index of the first element f with f(q) = t = f(t) and
+        t != q; each row's insertion order is element order."""
+        pumps: tuple[dict[int, int], ...] = tuple({} for _ in self.elements[0].mapping)
+        for index, elem in enumerate(self.elements):
+            f = elem.mapping
+            for q, t in enumerate(f):
+                if t != q and f[t] == t:
+                    pumps[q].setdefault(t, index)
+        return pumps
+
 
 def transition_monoid(dfa: Dfa, cap: int = DEFAULT_MONOID_CAP) -> Monoid:
-    """BFS closure of the letter mappings under composition.
-
-    Elements are discovered in order of shortest witness word (alphabet order
-    tiebreak), so element indices are deterministic.
+    """The first `cap` mappings of a `bfs` walk from the identity that composes
+    with each letter in alphabet order: elements come in order of shortest
+    witness word (alphabet order tiebreak), so their indices are deterministic.
     """
     if cap < len(dfa.alphabet) + 1:
         raise ValueError(f"cap must be at least |alphabet|+1 = {len(dfa.alphabet) + 1}")
-    n = len(dfa.states)
-    table = dfa._table
-    letters = [tuple(table[i][s] for i in range(n)) for s in range(len(dfa.alphabet))]
+    letters = [(ch, letter.__getitem__) for ch, letter in zip(dfa.alphabet, zip(*dfa._table))]
 
-    identity = tuple(range(n))
-    elements = [MonoidElement(identity, "")]
-    index_of = {identity: 0}
-    queue = deque([0])
-    complete = True
-    while queue:
-        ei = queue.popleft()
-        elem = elements[ei]
-        for s, ch in enumerate(dfa.alphabet):
-            letter = letters[s]
-            composed = tuple(letter[elem.mapping[i]] for i in range(n))
-            if composed in index_of:
-                continue
-            if len(elements) >= cap:
-                complete = False
-                queue.clear()
-                break
-            index_of[composed] = len(elements)
-            elements.append(MonoidElement(composed, elem.witness_word + ch))
-            queue.append(len(elements) - 1)
-    return Monoid(elements=tuple(elements), complete=complete)
+    def compose(mapping: tuple[int, ...]):
+        return [(ch, tuple(map(letter, mapping))) for ch, letter in letters]
+
+    walk = bfs([tuple(range(len(dfa.states)))], compose)
+    elements = tuple(MonoidElement(mapping, word) for mapping, word in islice(walk, cap))
+    return Monoid(elements=elements, complete=next(walk, None) is None)

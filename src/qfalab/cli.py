@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from typing import Any
@@ -345,8 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qfalab",
         description="Recognizability analysis, compilation and exact simulation of 1-way QFAs.",
     )
-    default_cap = int(os.environ.get("QFALAB_MONOID_CAP", DEFAULT_MONOID_CAP))
-
     def add_globals(target, suppress: bool):
         # the same flags parse before or after the subcommand; the
         # subcommand position wins when both are given
@@ -357,8 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         target.add_argument(
             "--monoid-cap", type=int,
-            help="transition monoid enumeration cap (env QFALAB_MONOID_CAP overrides the default)",
-            **({"default": default_cap} if not suppress else kw),
+            help=f"transition monoid enumeration cap (default {DEFAULT_MONOID_CAP})",
+            **({"default": DEFAULT_MONOID_CAP} if not suppress else kw),
         )
         target.add_argument(
             "--format", choices=("table", "structured"), help="output format",

@@ -6,7 +6,11 @@ two-cycles pattern, moves the language outside the class on which the
 fragment conditions are an exact characterization).  Detectors quantify
 over transition-monoid elements instead of raw words, which turns the
 unbounded word quantifiers into finite exact searches; witness words are
-recovered from the elements' shortest witness words.
+the elements' shortest witness words.  The order violation closes a pump
+q1 -x-> q2 (x fixing q2) back to q1 and two-cycles chains two pumps; their
+conditions on (q1, q2) do not depend on x, so both read the first pumping
+element from `Monoid.pumps`.  The fork searches constrain elements jointly
+and scan them.
 
 Witness kinds:
 
@@ -207,29 +211,34 @@ def _separating_suffix(dfa: Dfa, s: int, t: int) -> str | None:
 # ---------------------------------------------------------------------------
 # detectors
 
+def _first_pump(monoid: Monoid, condition) -> tuple[int, int, int] | None:
+    """Least (element index, q1, q2) over the pumps q1 -> q2 meeting condition(q1, q2).
+
+    Such a pump's least element is its first pump index, as the condition
+    ignores the element; an element sends q1 to one q2 only.
+    """
+    hits = [(i, q1, q2) for q1, row in enumerate(monoid.pumps) for q2, i in row.items() if condition(q1, q2)]
+    return min(hits, default=None)
+
+
 def detect_order_violation(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
     """Element f and states q1 != q2 with f(q1) = q2 = f(q2) and q2 ~> q1.
 
     f already takes q1 to q2, so q2 reaches q1 back exactly when both lie in
-    one SCC.  Search order is lexicographic over (element index, state
-    index); absence is meaningful only when the monoid is complete.
+    one SCC.  The witness is the least (element index, q1) among the pumps;
+    absence is meaningful only when the monoid is complete.
     """
-    n = len(dfa.states)
     scc = strongly_connected(dfa._table)
-    for elem in monoid.elements[1:]:
-        m = elem.mapping
-        for q1 in range(n):
-            q2 = m[q1]
-            if q2 == q1 or m[q2] != q2:
-                continue
-            if scc[q1] == scc[q2]:
-                y = shortest_word_between(dfa, dfa.states[q2], [dfa.states[q1]])
-                return FragmentWitness(
-                    kind=ORDER_VIOLATION,
-                    states={"q1": dfa.states[q1], "q2": dfa.states[q2]},
-                    words={"x": elem.witness_word, "y": y},
-                )
-    return None
+    hit = _first_pump(monoid, lambda q1, q2: scc[q1] == scc[q2])
+    if hit is None:
+        return None
+    index, q1, q2 = hit
+    y = shortest_word_between(dfa, dfa.states[q2], [dfa.states[q1]])
+    return FragmentWitness(
+        kind=ORDER_VIOLATION,
+        states={"q1": dfa.states[q1], "q2": dfa.states[q2]},
+        words={"x": monoid.elements[index].witness_word, "y": y},
+    )
 
 
 def detect_two_cycles(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
@@ -237,34 +246,20 @@ def detect_two_cycles(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
 
     Pairwise distinctness matters: with q3 = q1 the pattern degenerates to a
     partial-order violation, which carries a different (stronger) verdict.
+    f is the least (element index, q1) among the pumps whose target pumps on
+    to a third state; g is the first such onward pump of q2.
     """
-    n = len(dfa.states)
-    # per state q, the first elements g (by index) with g(q) != q fixed by g,
-    # keyed by the target so distinctness from q1 can be enforced later
-    second: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for gi, elem in enumerate(monoid.elements[1:], start=1):
-        g = elem.mapping
-        for q in range(n):
-            q3 = g[q]
-            if q3 != q and g[q3] == q3 and all(t != q3 for _, t in second[q]):
-                second[q].append((gi, q3))
-    for elem in monoid.elements[1:]:
-        f = elem.mapping
-        for q1 in range(n):
-            q2 = f[q1]
-            if q2 == q1 or f[q2] != q2:
-                continue
-            hit = next(((gi, q3) for gi, q3 in second[q2] if q3 != q1), None)
-            if hit is None:
-                continue
-            gi, q3 = hit
-            gelem = monoid.elements[gi]
-            return FragmentWitness(
-                kind=TWO_CYCLES,
-                states={"q1": dfa.states[q1], "q2": dfa.states[q2], "q3": dfa.states[q3]},
-                words={"x": elem.witness_word, "y": gelem.witness_word},
-            )
-    return None
+    pumps = monoid.pumps
+    hit = _first_pump(monoid, lambda q1, q2: any(q3 != q1 for q3 in pumps[q2]))
+    if hit is None:
+        return None
+    index, q1, q2 = hit
+    q3, gi = next((q3, gi) for q3, gi in pumps[q2].items() if q3 != q1)
+    return FragmentWitness(
+        kind=TWO_CYCLES,
+        states={"q1": dfa.states[q1], "q2": dfa.states[q2], "q3": dfa.states[q3]},
+        words={"x": monoid.elements[index].witness_word, "y": monoid.elements[gi].witness_word},
+    )
 
 
 def detect_fork(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:

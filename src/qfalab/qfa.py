@@ -28,6 +28,7 @@ frontiers take 24 MB; each further length doubles that.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -109,12 +110,12 @@ class UnitarityReport:
 
 
 def validate(qfa: Qfa, tol: float = USER_UNITARITY_TOL) -> UnitarityReport:
-    """Check every matrix for unitarity: max entry of |U^dag U - I| <= tol."""
+    """Check every matrix for unitarity: max entry of |U^dag U - I| <= tol; NaN ranks worst."""
     deviations = {}
     for sym, mat in qfa.unitaries.items():
         gram = mat.conj().T @ mat
         deviations[sym] = float(np.max(np.abs(gram - np.eye(qfa.dimension))))
-    worst = max(deviations, key=deviations.get)
+    worst = max(deviations, key=lambda sym: (math.isnan(deviations[sym]), deviations[sym]))
     return UnitarityReport(
         passed=deviations[worst] <= tol,
         tol=tol,
@@ -322,7 +323,8 @@ def verify_recognition(
 
     In-language words must accept with probability >= p - tol and all other
     words must reject with probability >= p - tol.  The report carries the
-    worst margins and the offending words, if any.
+    worst margins and the offending words, if any.  A NaN probability fails:
+    it becomes the worst margin and a counterexample.
     """
     if not p > 0.5:
         raise ValueError("recognition probability must exceed 1/2")
@@ -334,11 +336,12 @@ def verify_recognition(
     for level in sweep(qfa, max_len, alphabet):
         labels = np.fromiter((bool(oracle(w)) for w in level.words), dtype=bool, count=len(level.words))
         margins = np.where(labels, level.p_accept, level.p_reject) - p
+        # np.minimum and ndarray.min propagate NaN where the builtin min drops it
         if labels.any():
-            worst_acc = min(worst_acc, float(margins[labels].min()))
+            worst_acc = float(np.minimum(worst_acc, margins[labels].min()))
         if not labels.all():
-            worst_rej = min(worst_rej, float(margins[~labels].min()))
-        for j in np.flatnonzero(margins < -tol)[: 5 - len(counterexamples)]:
+            worst_rej = float(np.minimum(worst_rej, margins[~labels].min()))
+        for j in np.flatnonzero(~(margins >= -tol))[: 5 - len(counterexamples)]:
             counterexamples.append((level.words[j], float(margins[j] + p)))
         residual_seen = residual_seen or bool((level.p_residual > RESIDUAL_TOL).any())
         count += len(level.words)
@@ -465,6 +468,8 @@ def parse_qfa(text: str, validate_tol: float | None = USER_UNITARITY_TOL) -> Qfa
             flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
         except (TypeError, ValueError, OverflowError):
             raise QfaParseError(f"matrix entries for {sym!r} must be [re, im] pairs of numbers") from None
+        if not np.isfinite(flat).all():
+            raise QfaParseError(f"matrix entries for {sym!r} must be finite")
         unitaries[sym] = flat.reshape(dim, dim)
     try:
         qfa = Qfa(

@@ -103,6 +103,18 @@ class TestClassifyCommand:
         assert "parse error" in proc.stderr
         assert "Traceback" not in proc.stderr + proc.stdout
 
+    def test_non_finite_matrix_entry_is_a_parse_error(self, capsys, paths):
+        # a NaN entry once passed validation and then every recognition check
+        doc = json.loads(qfa_to_json(qfa_fixture("even_head_odd_tail_qfa")))
+        doc["unitaries"]["b"][9] = [float("nan"), 0.0]
+        bad = paths["tmp"] / "nan.qfa"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "simulate", str(bad), "--all-up-to", "4", "--oracle", "even_head_odd_tail", "--p", "0.66"
+        )
+        assert code == 2
+        assert "must be finite" in err
+
     def test_sink_completion_note(self, capsys, paths):
         partial = paths["tmp"] / "partial.dfa"
         partial.write_text(json.dumps({
@@ -276,29 +288,6 @@ class TestOtherCommands:
     def test_unknown_fixture(self, capsys, paths):
         code, out, err = run_cli(capsys, "fixtures", "emit", "nope")
         assert code == 1
-
-
-class TestEnvironment:
-    def test_monoid_cap_env_override(self, capsys, paths, monkeypatch):
-        text = {
-            "alphabet": ["a", "b"],
-            "states": [f"q{i}" for i in range(6)],
-            "start": "q0",
-            "accept": ["q0"],
-            "delta": {
-                f"q{i}": {"a": f"q{(i + 1) % 6}", "b": f"q{1 - i}" if i < 2 else f"q{i}"}
-                for i in range(6)
-            },
-        }
-        path = paths["tmp"] / "perm_env.dfa"
-        path.write_text(json.dumps(text))
-        monkeypatch.setenv("QFALAB_MONOID_CAP", "50")
-        code, doc, _ = run_json(capsys, "classify", str(path))
-        assert code == 3
-        monkeypatch.delenv("QFALAB_MONOID_CAP")
-        code, doc, _ = run_json(capsys, "classify", str(path))
-        assert code == 0
-        assert doc["payload"]["classification"] == "constructible"
 
 
 class TestDeterminism:

@@ -108,6 +108,7 @@ def test_parse_qfa_returns_a_qfa_or_raises_its_parse_error(text, tol):
     assert len(set(qfa.alphabet)) == len(qfa.alphabet)
     for mat in qfa.unitaries.values():
         assert mat.dtype == np.complex128 and mat.shape == (qfa.dimension, qfa.dimension)
+        assert np.isfinite(mat).all()
     run(qfa, qfa.alphabet[0] if qfa.alphabet else "")
 
 
@@ -127,6 +128,12 @@ def _with(doc: dict, **changes) -> str:
     return json.dumps({**doc, **changes})
 
 
+def _with_entry(symbol: str, k: int, value: float) -> str:
+    unitaries = copy.deepcopy(QFA_DOC["unitaries"])
+    unitaries[symbol][k] = [value, 0.0]
+    return _with(QFA_DOC, unitaries=unitaries)
+
+
 @pytest.mark.parametrize(
     "parse, error, text",
     [
@@ -136,6 +143,8 @@ def _with(doc: dict, **changes) -> str:
         (parse_qfa, QfaParseError, _with(QFA_DOC, start=0.0)),
         (parse_qfa, QfaParseError, _with(ONE_DIM_QFA_DOC, dimension=True)),
         (parse_qfa, QfaParseError, _with(QFA_DOC, rej=[True])),
+        (parse_qfa, QfaParseError, _with_entry("b", 9, float("nan"))),
+        (parse_qfa, QfaParseError, _with_entry("^", 0, float("inf"))),
         (parse_witness, ValueError, '{"witness": 3}'),
         (parse_witness, ValueError, '{"witness": {}}'),
         (parse_witness, ValueError, '{"witness": {"kind": "fork", "states": [1]}}'),

@@ -66,6 +66,19 @@ class TestValidate:
         )
         assert validate(qfa, 1e-12).passed
 
+    def test_nan_entry_fails_and_ranks_worst(self, k2):
+        report = validate(with_nan_entry(k2, "b", 1, 1))
+        assert not report.passed
+        assert report.worst_symbol == "b"
+        assert math.isnan(report.worst_deviation)
+
+
+def with_nan_entry(qfa, symbol, row, col):
+    """A copy of `qfa` with one NaN matrix entry; the constructor does not check values."""
+    unitaries = {sym: mat.copy() for sym, mat in qfa.unitaries.items()}
+    unitaries[symbol][row, col] = complex(math.nan, 0.0)
+    return Qfa(qfa.dimension, qfa.alphabet, unitaries, qfa.start, qfa.acc, qfa.rej)
+
 
 def step(qfa, psi, symbol):
     """One read of `symbol` from `psi`: its unitary, then `_measure` on one row."""
@@ -230,6 +243,12 @@ class TestVerifyRecognition:
         lang = oracle("even_head_odd_tail")
         report = verify_recognition(complement(k2), lambda w: not lang(w), 2 / 3 - 1e-9, 6)
         assert report.passed
+
+    def test_nan_probability_never_passes(self, k2):
+        report = verify_recognition(with_nan_entry(k2, "b", 1, 1), oracle("even_head_odd_tail"), 0.66, 4)
+        assert not report.passed
+        assert math.isnan(report.worst_reject_margin) or math.isnan(report.worst_accept_margin)
+        assert report.counterexamples and all(math.isnan(p) for _, p in report.counterexamples)
 
     def test_requires_p_above_one_half(self, k2):
         with pytest.raises(ValueError):
