@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Output-identity check: one digest per group of `classify` results.
+
+    python3 scripts/identity_hashes.py
+
+Each digest covers, per DFA: classification, reason, minimal DFA, plan,
+`witness_to_json`, the `verify_witness` report, monoid size and
+completeness.  The groups are the first 436 `classify-random` DFAs of seeds
+11 and 12 (the benchmark's generator, imported read only), every DFA
+fixture, and `qfalab --format structured classify` on every DFA fixture with
+`timing_s` removed.  The library and the generator are imported from the
+checkout that holds this script, so running it in two checkouts and
+comparing the outputs with `diff` shows whether a change moved any output.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from qfalab.automata import dfa_to_json, parse_dfa  # noqa: E402
+from qfalab.cli import main as cli_main  # noqa: E402
+from qfalab.fixtures import dfa_fixture, dfa_fixture_names  # noqa: E402
+from qfalab.fragments import classify, verify_witness, witness_to_json  # noqa: E402
+
+import classify_random  # noqa: E402
+
+RANDOM_SEEDS = (11, 12)
+RANDOM_DFAS = 436  # four cycles of the classify-random mix
+
+
+def verdict_record(dfa) -> str:
+    verdict = classify(dfa)
+    witness = verdict.witness
+    return repr((
+        verdict.classification,
+        verdict.reason,
+        dfa_to_json(verdict.minimal_dfa),
+        repr(verdict.plan),
+        witness_to_json(witness) if witness is not None else None,
+        repr(verify_witness(verdict.minimal_dfa, witness)) if witness is not None else None,
+        verdict.monoid_size,
+        verdict.monoid_complete,
+    ))
+
+
+def digest(records) -> str:
+    h = hashlib.sha256()
+    for record in records:
+        h.update(record.encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def cli_record(path: Path) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(["--format", "structured", "classify", str(path)])
+    doc = json.loads(out.getvalue())
+    doc.pop("timing_s")
+    return repr((code, json.dumps(doc, sort_keys=True)))
+
+
+def main() -> None:
+    for seed in RANDOM_SEEDS:
+        texts = classify_random.build(seed, None).texts[:RANDOM_DFAS]
+        records = (verdict_record(parse_dfa(text)[0]) for text in texts)
+        print(f"classify-random seed {seed} ({RANDOM_DFAS} DFAs): {digest(records)}")
+    names = dfa_fixture_names()
+    print(f"dfa fixtures ({len(names)}): {digest(verdict_record(dfa_fixture(n)) for n in names)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name in names:
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(dfa_to_json(dfa_fixture(name)), encoding="utf-8")
+            paths.append(path)
+        print(f"cli structured classify ({len(names)}): {digest(cli_record(p) for p in paths)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -10,7 +10,6 @@ from qfalab.automata import (
     Dfa,
     DfaParseError,
     Monoid,
-    MonoidElement,
     closed_sccs,
     language_contains,
     minimize,
@@ -27,7 +26,6 @@ __all__ = [
     "Dfa",
     "DfaParseError",
     "Monoid",
-    "MonoidElement",
     "closed_sccs",
     "language_contains",
     "minimize",

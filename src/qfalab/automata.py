@@ -7,6 +7,7 @@ query this one for the combinatorial structure of the input language.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -220,17 +221,17 @@ def bfs(
     """
     from collections import deque  # the one queue in src/, see tests/test_one_bfs.py
 
-    words = dict.fromkeys(sources, "")
-    queue = deque(words)
-    yield from words.items()
+    seen = dict.fromkeys(sources)
+    queue = deque((node, "") for node in seen)  # (node, word) pairs, yielded as queued
+    yield from queue
     while queue:
-        node = queue.popleft()
-        word = words[node]
+        node, word = queue.popleft()
         for ch, nxt in successors(node):
-            if nxt not in words:
-                words[nxt] = found = word + ch
-                queue.append(nxt)
-                yield nxt, found
+            if nxt not in seen:
+                seen[nxt] = None
+                found = nxt, word + ch
+                queue.append(found)
+                yield found
 
 
 def letter_steps(dfa: Dfa) -> Callable[[int], Iterable[tuple[str, int]]]:
@@ -300,7 +301,7 @@ def minimize(dfa: Dfa) -> Dfa:
     order = [b for b, _ in bfs([block_of[dfa._index[dfa.start]]], quotient_steps)]
     number = {b: k for k, b in enumerate(order)}
 
-    names = [f"s{k}" for k in range(len(order))]
+    names = [sys.intern(f"s{k}") for k in range(len(order))]  # one shared string per name
     transitions = {}
     for k, b in enumerate(order):
         for a, t in quotient_steps(b):
@@ -407,35 +408,30 @@ def closed_sccs(dfa: Dfa) -> list[frozenset[str]]:
 
 
 @dataclass(frozen=True)
-class MonoidElement:
-    """The state mapping induced by some word, with one shortest witness word."""
-
-    mapping: tuple[int, ...]
-    witness_word: str
-
-
-@dataclass(frozen=True)
 class Monoid:
     """Transition monoid of a DFA, enumerated up to a cap.
 
-    `elements[0]` is the identity; the generators (letter mappings) follow in
-    BFS order.  `complete` is False iff more than `cap` distinct mappings
-    exist, in which case downstream detectors may only report inconclusively.
+    `mappings[i]` is the state map of element i (`bytes`, one byte per state,
+    or a tuple of ints above 256 states) and `words[i]` its shortest witness
+    word.  `mappings[0]` is the identity; the generators (letter mappings)
+    follow in BFS order.  `complete` is False iff more than `cap` distinct
+    mappings exist, in which case downstream detectors may only report
+    inconclusively.
     """
 
-    elements: tuple[MonoidElement, ...]
+    mappings: tuple[Sequence[int], ...]
+    words: tuple[str, ...]
     complete: bool
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.mappings)
 
     @cached_property
     def pumps(self) -> tuple[dict[int, int], ...]:
         """`pumps[q][t]`: index of the first element f with f(q) = t = f(t) and
         t != q; each row's insertion order is element order."""
-        pumps: tuple[dict[int, int], ...] = tuple({} for _ in self.elements[0].mapping)
-        for index, elem in enumerate(self.elements):
-            f = elem.mapping
+        pumps: tuple[dict[int, int], ...] = tuple({} for _ in self.mappings[0])
+        for index, f in enumerate(self.mappings):
             for q, t in enumerate(f):
                 if t != q and f[t] == t:
                     pumps[q].setdefault(t, index)
@@ -446,14 +442,20 @@ def transition_monoid(dfa: Dfa, cap: int = DEFAULT_MONOID_CAP) -> Monoid:
     """The first `cap` mappings of a `bfs` walk from the identity that composes
     with each letter in alphabet order: elements come in order of shortest
     witness word (alphabet order tiebreak), so their indices are deterministic.
+
+    A mapping is a `bytes` string, and composing it with a letter is one
+    `bytes.translate` through that letter's 256-byte table; a DFA with more
+    than 256 states keeps tuples of ints.
     """
     if cap < len(dfa.alphabet) + 1:
         raise ValueError(f"cap must be at least |alphabet|+1 = {len(dfa.alphabet) + 1}")
-    letters = [(ch, letter.__getitem__) for ch, letter in zip(dfa.alphabet, zip(*dfa._table))]
-
-    def compose(mapping: tuple[int, ...]):
-        return [(ch, tuple(map(letter, mapping))) for ch, letter in letters]
-
-    walk = bfs([tuple(range(len(dfa.states)))], compose)
-    elements = tuple(MonoidElement(mapping, word) for mapping, word in islice(walk, cap))
-    return Monoid(elements=elements, complete=next(walk, None) is None)
+    n, alphabet, columns = len(dfa.states), dfa.alphabet, list(zip(*dfa._table))
+    if n <= 256:
+        tables = [bytes(column).ljust(256, b"\0") for column in columns]
+        identity, steps = bytes(range(n)), lambda m: zip(alphabet, map(m.translate, tables))
+    else:
+        letters = [column.__getitem__ for column in columns]
+        identity, steps = tuple(range(n)), lambda m: zip(alphabet, (tuple(map(f, m)) for f in letters))
+    walk = bfs([identity], steps)
+    mappings, words = zip(*islice(walk, cap))
+    return Monoid(mappings=mappings, words=words, complete=next(walk, None) is None)

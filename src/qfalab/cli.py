@@ -339,6 +339,17 @@ def _cmd_fixtures(args) -> tuple[str, dict | None]:
     return "pass", None
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of `--tol`: a finite, non-negative float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite, non-negative number, not {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfalab",
@@ -349,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
         # subcommand position wins when both are given
         kw = {"default": argparse.SUPPRESS} if suppress else {}
         target.add_argument(
-            "--tol", type=float, help=f"numeric tolerance (default {USER_UNITARITY_TOL:g})",
+            "--tol", type=_tolerance, help=f"numeric tolerance (default {USER_UNITARITY_TOL:g})",
             **({"default": USER_UNITARITY_TOL} if not suppress else kw),
         )
         target.add_argument(

@@ -9,8 +9,9 @@ unbounded word quantifiers into finite exact searches; witness words are
 the elements' shortest witness words.  The order violation closes a pump
 q1 -x-> q2 (x fixing q2) back to q1 and two-cycles chains two pumps; their
 conditions on (q1, q2) do not depend on x, so both read the first pumping
-element from `Monoid.pumps`.  The fork searches constrain elements jointly
-and scan them.
+element from `Monoid.pumps`.  The fork constrains two elements jointly and
+reads them from an index of the pumps each element makes; the two-level
+fork scans element triples.
 
 Witness kinds:
 
@@ -29,6 +30,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from heapq import merge
+from itertools import repeat
 from typing import Mapping, Sequence
 
 from qfalab.automata import (
@@ -73,13 +76,13 @@ _FORK2_OUTCOMES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WitnessLevel:
     states: tuple[str, ...]
     words: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FragmentWitness:
     """States and words instantiating one forbidden construction."""
 
@@ -237,7 +240,7 @@ def detect_order_violation(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
     return FragmentWitness(
         kind=ORDER_VIOLATION,
         states={"q1": dfa.states[q1], "q2": dfa.states[q2]},
-        words={"x": monoid.elements[index].witness_word, "y": y},
+        words={"x": monoid.words[index], "y": y},
     )
 
 
@@ -258,7 +261,7 @@ def detect_two_cycles(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
     return FragmentWitness(
         kind=TWO_CYCLES,
         states={"q1": dfa.states[q1], "q2": dfa.states[q2], "q3": dfa.states[q3]},
-        words={"x": monoid.elements[index].witness_word, "y": monoid.elements[gi].witness_word},
+        words={"x": monoid.words[index], "y": monoid.words[gi]},
     )
 
 
@@ -268,48 +271,49 @@ def detect_fork(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
     Conditions on (f, g, q1): q2 = f(q1) fixed by f, q3 = g(q1) fixed by g,
     q2 != q3; every state reachable from q2 (resp. q3) in the two-edge graph
     {f, g} can return to it; and suffixes z1, z2 separate (q2, q3) both ways.
-    The separability prefilter is exact, so surviving pairs are rare.
+    The separability prefilter is exact.  The elements g are indexed by the
+    (q1, q3) they pump; for each f, the g's of its fixed-point pairs (q1, q2)
+    and of q2's separable partners q3 are visited in (g, q1) order, so the
+    witness is the least (f, g, q1), the one a scan of all pairs would find.
     """
-    n = len(dfa.states)
     sep = _separability_table(dfa)
-    elements = monoid.elements
-    separable_both_ways = {(s, t) for s, t in sep if (t, s) in sep}
-    if not separable_both_ways:
+    partners: dict[int, list[int]] = {}
+    for s, t in sep:
+        if (t, s) in sep:
+            partners.setdefault(s, []).append(t)
+    if not partners:
         return None
-    for fi in range(1, len(elements)):
-        f = elements[fi].mapping
-        pairs = [(q1, f[q1]) for q1 in range(n) if f[f[q1]] == f[q1]]
-        if not pairs:
-            continue
-        for gi in range(1, len(elements)):
-            g = elements[gi].mapping
-            rec = None  # recurrent states under {f, g}, computed once per pair on first need
-            for q1, q2 in pairs:
-                q3 = g[q1]
-                if g[q3] != q3 or q3 == q2:
-                    continue
-                if (q2, q3) not in separable_both_ways:
-                    continue
-                if rec is None:
-                    rec = recurrent_states(zip(f, g))
-                if q2 not in rec or q3 not in rec:
-                    continue
-                z1 = _separating_suffix(dfa, q2, q3)
-                z2 = _separating_suffix(dfa, q3, q2)
-                return FragmentWitness(
-                    kind=FORK,
-                    states={
-                        "q1": dfa.states[q1],
-                        "q2": dfa.states[q2],
-                        "q3": dfa.states[q3],
-                    },
-                    words={
-                        "x": elements[fi].witness_word,
-                        "y": elements[gi].witness_word,
-                        "z1": z1,
-                        "z2": z2,
-                    },
-                )
+    mappings = monoid.mappings
+    pumped_by: dict[tuple[int, int], list[int]] = {}
+    for gi in range(1, len(mappings)):
+        g = mappings[gi]
+        for q1, q3 in enumerate(g):
+            if g[q3] == q3 and q3 in partners:
+                pumped_by.setdefault((q1, q3), []).append(gi)
+    for fi in range(1, len(mappings)):
+        f = mappings[fi]
+        runs = [
+            zip(pumped_by[q1, q3], repeat(q1), repeat(q3))
+            for q1, q2 in enumerate(f) if f[q2] == q2
+            for q3 in partners.get(q2, ()) if (q1, q3) in pumped_by
+        ]
+        rec_gi, rec = 0, set()
+        for gi, q1, q3 in merge(*runs):
+            if gi != rec_gi:  # recurrent states under {f, g}, once per pair
+                rec, rec_gi = recurrent_states(zip(f, mappings[gi])), gi
+            q2 = f[q1]
+            if q2 not in rec or q3 not in rec:
+                continue
+            return FragmentWitness(
+                kind=FORK,
+                states={"q1": dfa.states[q1], "q2": dfa.states[q2], "q3": dfa.states[q3]},
+                words={
+                    "x": monoid.words[fi],
+                    "y": monoid.words[gi],
+                    "z1": _separating_suffix(dfa, q2, q3),
+                    "z2": _separating_suffix(dfa, q3, q2),
+                },
+            )
     return None
 
 
@@ -325,14 +329,14 @@ def search_two_level_fork(
     """
     n = len(dfa.states)
     sep = _separability_table(dfa)
-    elements = monoid.elements
+    mappings = monoid.mappings
     ledger = [0]  # budget units spent so far
     level2_failures: set[tuple[int, int, int]] = set()
 
     for q0 in range(n):
         cand1 = []
-        for ei in range(1, len(elements)):
-            m = elements[ei].mapping
+        for ei in range(1, len(mappings)):
+            m = mappings[ei]
             qx = m[q0]
             if m[qx] == qx:
                 cand1.append((ei, qx))
@@ -342,9 +346,7 @@ def search_two_level_fork(
                     ledger[0] += 1
                     if ledger[0] > budget:
                         return None
-                    rec = recurrent_states(
-                        zip(elements[ai].mapping, elements[bi].mapping, elements[ci].mapping)
-                    )
+                    rec = recurrent_states(zip(mappings[ai], mappings[bi], mappings[ci]))
                     if not {qa, qb, qc} <= rec:
                         continue
                     key = (qa, qb, qc)
@@ -365,12 +367,12 @@ def search_two_level_fork(
 
 def _level2_scan(dfa, monoid, sep, qa, qb, qc, budget, ledger):
     """Scan stage-element triples for the branch targets (qa, qb, qc)."""
-    elements = monoid.elements
+    mappings = monoid.mappings
 
     def cands(first_q, second_q):
         out = []
-        for ei in range(1, len(elements)):
-            m = elements[ei].mapping
+        for ei in range(1, len(mappings)):
+            m = mappings[ei]
             if m[m[first_q]] == m[first_q] and m[m[second_q]] == m[second_q]:
                 out.append(ei)
         return out
@@ -379,14 +381,14 @@ def _level2_scan(dfa, monoid, sep, qa, qb, qc, budget, ledger):
     cand_e = cands(qa, qc)
     cand_f = cands(qb, qc)
     for di in cand_d:
-        md = elements[di].mapping
+        md = mappings[di]
         for ei in cand_e:
-            me = elements[ei].mapping
+            me = mappings[ei]
             for fi in cand_f:
                 ledger[0] += 1
                 if ledger[0] > budget:
                     return None
-                mf = elements[fi].mapping
+                mf = mappings[fi]
                 q11, q12 = md[qa], me[qa]
                 q21, q23 = md[qb], mf[qb]
                 q32, q33 = me[qc], mf[qc]
@@ -401,18 +403,17 @@ def _level2_scan(dfa, monoid, sep, qa, qb, qc, budget, ledger):
 
 
 def _assemble_two_level_fork(dfa, monoid, q0, branch_ids, stage_ids, stage_states):
-    elements = monoid.elements
     q11, q12, q21, q23, q32, q33 = stage_states
     s1 = _separating_suffix(dfa, q11, q33)
     s2 = _separating_suffix(dfa, q23, q12)
     s3 = _separating_suffix(dfa, q32, q21)
     words = {
-        "u1": elements[branch_ids[0]].witness_word,
-        "u2": elements[branch_ids[1]].witness_word,
-        "u3": elements[branch_ids[2]].witness_word,
-        "v1": elements[stage_ids[0]].witness_word,
-        "v2": elements[stage_ids[1]].witness_word,
-        "v3": elements[stage_ids[2]].witness_word,
+        "u1": monoid.words[branch_ids[0]],
+        "u2": monoid.words[branch_ids[1]],
+        "u3": monoid.words[branch_ids[2]],
+        "v1": monoid.words[stage_ids[0]],
+        "v2": monoid.words[stage_ids[1]],
+        "v3": monoid.words[stage_ids[2]],
         "s1": s1,
         "s2": s2,
         "s3": s3,

@@ -205,7 +205,7 @@ def test_criterion_8_oracle_equivalences():
             dfa = random_dfa(np.random.default_rng(8300 + i), int(2 + (i % 3)))
             monoid = transition_monoid(dfa)
             assert monoid.complete
-            assert {e.mapping for e in monoid.elements} == set(monoid_by_word_replay(dfa)), i
+            assert {tuple(m) for m in monoid.mappings} == set(monoid_by_word_replay(dfa)), i
 
         # closed components vs the definitional reach/return check
         for i in range(200):
@@ -225,8 +225,8 @@ def test_criterion_8_oracle_equivalences():
                 continue
             n = len(dfa.states)
             for _ in range(2):
-                f = monoid.elements[int(rng.integers(0, len(monoid)))].mapping
-                g = monoid.elements[int(rng.integers(0, len(monoid)))].mapping
+                f = monoid.mappings[int(rng.integers(0, len(monoid)))]
+                g = monoid.mappings[int(rng.integers(0, len(monoid)))]
                 q = int(rng.integers(0, n))
                 expected = recurrence_by_word_quantification(n, f, g, q, 6)
                 assert (q in recurrent_states(zip(f, g))) == expected, (seed, f, g, q)

@@ -113,15 +113,14 @@ class TestTransitionMonoid:
         monoid = transition_monoid(dfa)
         assert len(monoid) == 2
         assert monoid.complete
-        mappings = {e.mapping for e in monoid.elements}
-        assert mappings == {(0, 1), (1, 0)}
+        assert set(monoid.mappings) == {bytes([0, 1]), bytes([1, 0])}
 
     def test_fixture_monoid_matches_word_enumeration(self):
         dfa = dfa_fixture("even_head_odd_tail")
         monoid = transition_monoid(dfa)
         enumerated = monoid_by_word_replay(dfa)
         assert monoid.complete
-        assert {e.mapping for e in monoid.elements} == set(enumerated)
+        assert {tuple(m) for m in monoid.mappings} == set(enumerated)
 
     def test_full_transformation_monoid_hits_cap(self):
         # cycle + transposition + a rank-3 merge generate all 256 self-maps of 4 states
@@ -149,17 +148,15 @@ class TestTransitionMonoid:
     @given(dfas(max_states=4))
     def test_witness_words_replay_to_their_mappings(self, dfa):
         monoid = transition_monoid(dfa)
-        for elem in monoid.elements:
-            replayed = tuple(
-                dfa.states.index(dfa.run(elem.witness_word, start=q)) for q in dfa.states
-            )
-            assert replayed == elem.mapping
+        for mapping, word in zip(monoid.mappings, monoid.words):
+            replayed = tuple(dfa.states.index(dfa.run(word, start=q)) for q in dfa.states)
+            assert replayed == tuple(mapping)
 
     @given(dfas(max_states=4))
     def test_complete_monoid_equals_word_enumeration(self, dfa):
         monoid = transition_monoid(dfa)
         assert monoid.complete
-        assert {e.mapping for e in monoid.elements} == set(monoid_by_word_replay(dfa))
+        assert {tuple(m) for m in monoid.mappings} == set(monoid_by_word_replay(dfa))
 
 
 class TestLanguageContains:

@@ -180,6 +180,19 @@ class TestSimulateCommand:
         assert out == ""
         assert err.startswith("error: ValueError")
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("position", ["global", "subcommand"])
+    def test_tolerance_out_of_range_is_a_usage_error(self, capsys, paths, tol, position):
+        sweep = ["simulate", paths["even_head_odd_tail_qfa"], "--all-up-to", "3",
+                 "--oracle", "even_head_odd_tail", "--p", "0.66"]
+        argv = ["--tol", tol, *sweep] if position == "global" else [*sweep, "--tol", tol]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert f"argument --tol: must be a finite, non-negative number, not '{tol}'" in err
+
     @pytest.mark.parametrize("argv", [
         ("simulate", "even_head_odd_tail_qfa", "--all-up-to", "0", "--oracle", "even_head_odd_tail", "--p", "0.6"),
         ("separability", "even_head_odd_tail_qfa", "odd_head_odd_tail_qfa", "--oracle", "odd_tail", "--max-len", "0"),

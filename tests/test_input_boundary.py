@@ -152,6 +152,22 @@ def _with_entry(symbol: str, k: int, value: float) -> str:
         (parse_qfa, QfaParseError, "[" * 100_000),
         (parse_witness, ValueError, "[" * 100_000),
     ],
+    ids=[
+        "dfa-accept-nested-list",
+        "dfa-delta-unknown-row",
+        "qfa-acc-float",
+        "qfa-start-float",
+        "qfa-dimension-bool",
+        "qfa-rej-bool",
+        "qfa-entry-nan",
+        "qfa-entry-inf",
+        "witness-number",
+        "witness-no-kind",
+        "witness-states-list",
+        "dfa-deep-nesting",
+        "qfa-deep-nesting",
+        "witness-deep-nesting",
+    ],
 )
 def test_known_malformed_inputs_are_parse_errors(parse, error, text):
     with pytest.raises(error):

@@ -1,22 +1,42 @@
-"""The monoid walk and the pump relation against the scans they replace.
+"""The monoid walk, the pump relation and the fork index against the scans
+they replace.
 
-`transition_monoid` is a `bfs` walk that yields each node when it is
-discovered, and `detect_order_violation` and `detect_two_cycles` read
-`Monoid.pumps` instead of scanning elements.  The dequeue-time walk and the
-two element scans are kept here as references: walks, witnesses and pumps
-must equal them, on capped monoids too.
+`transition_monoid` is a `bfs` walk over byte-string mappings that yields
+each node when it is discovered, `detect_order_violation` and
+`detect_two_cycles` read `Monoid.pumps` instead of scanning elements, and
+`detect_fork` visits only the element pairs its index of pumps offers.  The
+dequeue-time walk over tuple mappings, the two element scans and the fork's
+scan of all element pairs are kept here as references: walks, witnesses and
+pumps must equal them, on capped monoids too.
 """
 
 from collections import deque
+from itertools import islice
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dfas
-from qfalab.automata import bfs, shortest_word_between, strongly_connected, transition_monoid
+from qfalab.automata import (
+    Dfa,
+    bfs,
+    minimize,
+    recurrent_states,
+    separating_word,
+    shortest_word_between,
+    strongly_connected,
+    transition_monoid,
+)
 from qfalab.fragments import (
+    CONSTRUCTIBLE,
+    FORK,
+    INCONCLUSIVE,
     ORDER_VIOLATION,
     TWO_CYCLES,
     FragmentWitness,
+    _separability_table,
+    classify,
+    detect_fork,
     detect_order_violation,
     detect_two_cycles,
 )
@@ -41,8 +61,7 @@ def reference_order_violation(dfa, monoid):
     """The first (element index, q1) whose pump closes back into q1's SCC."""
     n = len(dfa.states)
     scc = strongly_connected(dfa._table)
-    for elem in monoid.elements[1:]:
-        m = elem.mapping
+    for m, word in zip(monoid.mappings[1:], monoid.words[1:]):
         for q1 in range(n):
             q2 = m[q1]
             if q2 == q1 or m[q2] != q2:
@@ -52,7 +71,7 @@ def reference_order_violation(dfa, monoid):
                 return FragmentWitness(
                     kind=ORDER_VIOLATION,
                     states={"q1": dfa.states[q1], "q2": dfa.states[q2]},
-                    words={"x": elem.witness_word, "y": y},
+                    words={"x": word, "y": y},
                 )
     return None
 
@@ -61,14 +80,12 @@ def reference_two_cycles(dfa, monoid):
     """The first (element index, q1) whose pump chains into a second pump."""
     n = len(dfa.states)
     second = [[] for _ in range(n)]
-    for gi, elem in enumerate(monoid.elements[1:], start=1):
-        g = elem.mapping
+    for gi, g in enumerate(monoid.mappings[1:], start=1):
         for q in range(n):
             q3 = g[q]
             if q3 != q and g[q3] == q3 and all(t != q3 for _, t in second[q]):
                 second[q].append((gi, q3))
-    for elem in monoid.elements[1:]:
-        f = elem.mapping
+    for f, word in zip(monoid.mappings[1:], monoid.words[1:]):
         for q1 in range(n):
             q2 = f[q1]
             if q2 == q1 or f[q2] != q2:
@@ -80,21 +97,21 @@ def reference_two_cycles(dfa, monoid):
             return FragmentWitness(
                 kind=TWO_CYCLES,
                 states={"q1": dfa.states[q1], "q2": dfa.states[q2], "q3": dfa.states[q3]},
-                words={"x": elem.witness_word, "y": monoid.elements[gi].witness_word},
+                words={"x": word, "y": monoid.words[gi]},
             )
     return None
 
 
 def brute_pumps(monoid):
     """Per state q, the (target, least element index) pumps in element order."""
-    n = len(monoid.elements[0].mapping)
+    n = len(monoid.mappings[0])
     rows = []
     for q in range(n):
         row = {}
         for t in range(n):
             hits = [
-                i for i, e in enumerate(monoid.elements)
-                if t != q and e.mapping[q] == t and e.mapping[t] == t
+                i for i, m in enumerate(monoid.mappings)
+                if t != q and m[q] == t and m[t] == t
             ]
             if hits:
                 row[t] = min(hits)
@@ -134,14 +151,131 @@ def test_capped_monoid_is_a_prefix_of_the_walk(case):
     dfa, cap = case
     full = transition_monoid(dfa, WALK_LIMIT)
     capped = transition_monoid(dfa, cap)
-    assert capped.elements == full.elements[:cap]
+    assert capped.mappings == full.mappings[:cap] and capped.words == full.words[:cap]
     assert capped.complete == (full.complete and len(full) <= cap)
     size, least_cap = len(full), len(dfa.alphabet) + 1
     if full.complete and size >= least_cap:
         assert transition_monoid(dfa, size) == full
         if size - 1 >= least_cap:
             below = transition_monoid(dfa, size - 1)
-            assert not below.complete and below.elements == full.elements[:-1]
+            assert not below.complete
+            assert below.mappings == full.mappings[:-1] and below.words == full.words[:-1]
+
+
+def reference_walk(dfa, cap):
+    """The first `cap` tuple mappings and words of the dequeue-time walk that
+    composes with each letter in alphabet order, and whether that is all."""
+    letters = list(zip(dfa.alphabet, zip(*dfa._table)))
+
+    def compose(m):
+        return [(ch, tuple(letter[q] for q in m)) for ch, letter in letters]
+
+    head = list(islice(reference_bfs([tuple(range(len(dfa.states)))], compose), cap + 1))
+    return [m for m, _ in head[:cap]], [w for _, w in head[:cap]], len(head) <= cap
+
+
+@settings(max_examples=150)
+@given(dfas_and_caps())
+def test_walk_equals_the_reference_walk(case):
+    dfa, cap = case
+    monoid = transition_monoid(dfa, cap)
+    assert all(isinstance(m, bytes) for m in monoid.mappings)
+    mappings = [tuple(m) for m in monoid.mappings]
+    assert (mappings, list(monoid.words), monoid.complete) == reference_walk(dfa, cap)
+
+
+def cycle_with_reset(n):
+    """`a` steps round an n-cycle, `r` resets to its accepting start: n minimal
+    states, and a monoid of the n rotations and the n constant maps."""
+    states = tuple(f"c{i}" for i in range(n))
+    transitions = {}
+    for i, q in enumerate(states):
+        transitions[q, "a"] = states[(i + 1) % n]
+        transitions[q, "r"] = states[0]
+    return Dfa(states, ("a", "r"), states[0], frozenset(states[:1]), transitions)
+
+
+@pytest.mark.parametrize("n", [256, 257, 300])
+@pytest.mark.parametrize("cap", [3, 300, 600])
+def test_walk_above_256_states_keeps_tuples(n, cap):
+    dfa = minimize(cycle_with_reset(n))
+    assert len(dfa.states) == n
+    monoid = transition_monoid(dfa, cap)
+    assert all(isinstance(m, bytes if n <= 256 else tuple) for m in monoid.mappings)
+    mappings = [tuple(m) for m in monoid.mappings]
+    assert (mappings, list(monoid.words), monoid.complete) == reference_walk(dfa, cap)
+    assert len(monoid) == min(cap, 2 * n) and monoid.complete == (cap >= 2 * n)
+
+
+def reference_fork(dfa, monoid):
+    """The first (f, g, q1) in element order that meets the fork's conditions,
+    by a scan of all element pairs."""
+    n = len(dfa.states)
+    sep = _separability_table(dfa)
+    mappings = monoid.mappings
+    separable_both_ways = {(s, t) for s, t in sep if (t, s) in sep}
+    if not separable_both_ways:
+        return None
+    for fi in range(1, len(mappings)):
+        f = mappings[fi]
+        pairs = [(q1, f[q1]) for q1 in range(n) if f[f[q1]] == f[q1]]
+        for gi in range(1, len(mappings)):
+            g = mappings[gi]
+            for q1, q2 in pairs:
+                q3 = g[q1]
+                if g[q3] != q3 or q3 == q2 or (q2, q3) not in separable_both_ways:
+                    continue
+                rec = recurrent_states(zip(f, g))
+                if q2 not in rec or q3 not in rec:
+                    continue
+                s2, s3 = dfa.states[q2], dfa.states[q3]
+                return FragmentWitness(
+                    kind=FORK,
+                    states={"q1": dfa.states[q1], "q2": s2, "q3": s3},
+                    words={
+                        "x": monoid.words[fi],
+                        "y": monoid.words[gi],
+                        "z1": separating_word(dfa, s2, dfa, s3),
+                        "z2": separating_word(dfa, s3, dfa, s2),
+                    },
+                )
+    return None
+
+
+@st.composite
+def fork_cases(draw):
+    """Random DFAs with 2-7 states over 1-3 letters, with a cap that is often
+    below the monoid's size."""
+    alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    cap = draw(st.one_of(st.integers(len(alphabet) + 1, 12), st.integers(len(alphabet) + 1, 300)))
+    return draw(dfas(min_states=2, max_states=7, alphabet=alphabet)), cap
+
+
+@settings(max_examples=300)
+@given(fork_cases())
+def test_fork_index_equals_the_pair_scan(case):
+    dfa, cap = case
+    monoid = transition_monoid(dfa, cap)
+    assert detect_fork(dfa, monoid) == reference_fork(dfa, monoid)
+
+
+def symmetric_group_dfa(n):
+    """An n-cycle and a transposition generate S_n; accepting {p0}."""
+    states = tuple(f"p{i}" for i in range(n))
+    transitions = {}
+    for i, q in enumerate(states):
+        transitions[q, "a"] = states[(i + 1) % n]
+        transitions[q, "b"] = states[{0: 1, 1: 0}.get(i, i)]
+    return Dfa(states, ("a", "b"), states[0], frozenset(states[:1]), transitions)
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [(7, (CONSTRUCTIBLE, 5040, True)), (8, (INCONCLUSIVE, 20_000, False))],
+)
+def test_symmetric_group_verdicts(n, expected):
+    verdict = classify(symmetric_group_dfa(n))
+    assert (verdict.classification, verdict.monoid_size, verdict.monoid_complete) == expected
 
 
 @st.composite
