@@ -416,7 +416,8 @@ class Monoid:
     word.  `mappings[0]` is the identity; the generators (letter mappings)
     follow in BFS order.  `complete` is False iff more than `cap` distinct
     mappings exist, in which case downstream detectors may only report
-    inconclusively.
+    inconclusively.  `pumps` is the one index of which elements pump which
+    state into which fixed point; every fragment search reads it.
     """
 
     mappings: tuple[Sequence[int], ...]
@@ -427,15 +428,17 @@ class Monoid:
         return len(self.mappings)
 
     @cached_property
-    def pumps(self) -> tuple[dict[int, int], ...]:
-        """`pumps[q][t]`: index of the first element f with f(q) = t = f(t) and
-        t != q; each row's insertion order is element order."""
-        pumps: tuple[dict[int, int], ...] = tuple({} for _ in self.mappings[0])
-        for index, f in enumerate(self.mappings):
+    def pumps(self) -> tuple[dict[int, list[int]], ...]:
+        """`pumps[q][t]`: the ascending indices i >= 1 of the elements f_i with
+        f_i(q) = t = f_i(t), t = q included; targets with no such element are
+        left out."""
+        n = len(self.mappings[0])
+        grid: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
+        for index, f in enumerate(self.mappings[1:], 1):
             for q, t in enumerate(f):
-                if t != q and f[t] == t:
-                    pumps[q].setdefault(t, index)
-        return pumps
+                if f[t] == t:
+                    grid[q][t].append(index)
+        return tuple({t: hits for t, hits in enumerate(row) if hits} for row in grid)
 
 
 def transition_monoid(dfa: Dfa, cap: int = DEFAULT_MONOID_CAP) -> Monoid:

@@ -6,12 +6,12 @@ two-cycles pattern, moves the language outside the class on which the
 fragment conditions are an exact characterization).  Detectors quantify
 over transition-monoid elements instead of raw words, which turns the
 unbounded word quantifiers into finite exact searches; witness words are
-the elements' shortest witness words.  The order violation closes a pump
-q1 -x-> q2 (x fixing q2) back to q1 and two-cycles chains two pumps; their
-conditions on (q1, q2) do not depend on x, so both read the first pumping
-element from `Monoid.pumps`.  The fork constrains two elements jointly and
-reads them from an index of the pumps each element makes; the two-level
-fork scans element triples.
+the elements' shortest witness words.  Every pattern is built from pumps
+q -x-> t with x fixing t, and every detector reads them from one index,
+`Monoid.pumps`.  The order violation closes one pump back to q1 and
+two-cycles chains two; their conditions on (q1, q2) do not depend on x, so
+both take the first pumping element.  The fork takes two pumps of one state
+into separable targets, and the two-level fork chains pumps over two levels.
 
 Witness kinds:
 
@@ -215,12 +215,16 @@ def _separating_suffix(dfa: Dfa, s: int, t: int) -> str | None:
 # detectors
 
 def _first_pump(monoid: Monoid, condition) -> tuple[int, int, int] | None:
-    """Least (element index, q1, q2) over the pumps q1 -> q2 meeting condition(q1, q2).
+    """Least (element index, q1, q2) over the pumps q1 -> q2 != q1 meeting
+    condition(q1, q2).
 
-    Such a pump's least element is its first pump index, as the condition
-    ignores the element; an element sends q1 to one q2 only.
+    Such a pump's least element is the head of its index list, as the
+    condition ignores the element; an element sends q1 to one q2 only.
     """
-    hits = [(i, q1, q2) for q1, row in enumerate(monoid.pumps) for q2, i in row.items() if condition(q1, q2)]
+    hits = [
+        (elements[0], q1, q2) for q1, row in enumerate(monoid.pumps)
+        for q2, elements in row.items() if q2 != q1 and condition(q1, q2)
+    ]
     return min(hits, default=None)
 
 
@@ -253,11 +257,11 @@ def detect_two_cycles(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
     to a third state; g is the first such onward pump of q2.
     """
     pumps = monoid.pumps
-    hit = _first_pump(monoid, lambda q1, q2: any(q3 != q1 for q3 in pumps[q2]))
+    hit = _first_pump(monoid, lambda q1, q2: any(q3 not in (q1, q2) for q3 in pumps[q2]))
     if hit is None:
         return None
     index, q1, q2 = hit
-    q3, gi = next((q3, gi) for q3, gi in pumps[q2].items() if q3 != q1)
+    gi, q3 = min((elements[0], q3) for q3, elements in pumps[q2].items() if q3 not in (q1, q2))
     return FragmentWitness(
         kind=TWO_CYCLES,
         states={"q1": dfa.states[q1], "q2": dfa.states[q2], "q3": dfa.states[q3]},
@@ -271,9 +275,9 @@ def detect_fork(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
     Conditions on (f, g, q1): q2 = f(q1) fixed by f, q3 = g(q1) fixed by g,
     q2 != q3; every state reachable from q2 (resp. q3) in the two-edge graph
     {f, g} can return to it; and suffixes z1, z2 separate (q2, q3) both ways.
-    The separability prefilter is exact.  The elements g are indexed by the
-    (q1, q3) they pump; for each f, the g's of its fixed-point pairs (q1, q2)
-    and of q2's separable partners q3 are visited in (g, q1) order, so the
+    The separability prefilter is exact.  For each f, the g's that
+    `Monoid.pumps` lists for (q1, q3), over f's fixed-point pairs (q1, q2)
+    and q2's separable partners q3, are visited in (g, q1) order, so the
     witness is the least (f, g, q1), the one a scan of all pairs would find.
     """
     sep = _separability_table(dfa)
@@ -283,19 +287,13 @@ def detect_fork(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
             partners.setdefault(s, []).append(t)
     if not partners:
         return None
-    mappings = monoid.mappings
-    pumped_by: dict[tuple[int, int], list[int]] = {}
-    for gi in range(1, len(mappings)):
-        g = mappings[gi]
-        for q1, q3 in enumerate(g):
-            if g[q3] == q3 and q3 in partners:
-                pumped_by.setdefault((q1, q3), []).append(gi)
+    mappings, pumps = monoid.mappings, monoid.pumps
     for fi in range(1, len(mappings)):
         f = mappings[fi]
         runs = [
-            zip(pumped_by[q1, q3], repeat(q1), repeat(q3))
+            zip(pumps[q1][q3], repeat(q1), repeat(q3))
             for q1, q2 in enumerate(f) if f[q2] == q2
-            for q3 in partners.get(q2, ()) if (q1, q3) in pumped_by
+            for q3 in partners.get(q2, ()) if q3 in pumps[q1]
         ]
         rec_gi, rec = 0, set()
         for gi, q1, q3 in merge(*runs):
@@ -322,24 +320,19 @@ def search_two_level_fork(
 ) -> FragmentWitness | None:
     """Budgeted search for the two-level fork; sound but incomplete.
 
-    Candidate triples of monoid elements are enumerated lexicographically at
-    each level under the fixed-point, recurrence and separability
-    constraints; every examined triple costs one budget unit.  `None` means
-    no witness within budget, never a proof of absence.
+    Candidate triples of monoid elements, read from `Monoid.pumps`, are
+    enumerated lexicographically at each level under the fixed-point,
+    recurrence and separability constraints; every examined triple costs one
+    budget unit.  `None` means no witness within budget, never a proof of
+    absence.
     """
-    n = len(dfa.states)
     sep = _separability_table(dfa)
-    mappings = monoid.mappings
+    mappings, pumps = monoid.mappings, monoid.pumps
     ledger = [0]  # budget units spent so far
     level2_failures: set[tuple[int, int, int]] = set()
 
-    for q0 in range(n):
-        cand1 = []
-        for ei in range(1, len(mappings)):
-            m = mappings[ei]
-            qx = m[q0]
-            if m[qx] == qx:
-                cand1.append((ei, qx))
+    for q0, row in enumerate(pumps):
+        cand1 = sorted((ei, qx) for qx, elements in row.items() for ei in elements)
         for ai, qa in cand1:
             for bi, qb in cand1:
                 for ci, qc in cand1:
@@ -352,7 +345,7 @@ def search_two_level_fork(
                     key = (qa, qb, qc)
                     if key in level2_failures:
                         continue
-                    found = _level2_scan(dfa, monoid, sep, qa, qb, qc, budget, ledger)
+                    found = _level2_scan(mappings, pumps, sep, qa, qb, qc, budget, ledger)
                     if found is None:
                         if ledger[0] > budget:
                             return None
@@ -365,21 +358,16 @@ def search_two_level_fork(
     return None
 
 
-def _level2_scan(dfa, monoid, sep, qa, qb, qc, budget, ledger):
-    """Scan stage-element triples for the branch targets (qa, qb, qc)."""
-    mappings = monoid.mappings
+def _level2_scan(mappings, pumps, sep, qa, qb, qc, budget, ledger):
+    """Scan stage-element triples for the branch targets (qa, qb, qc).
 
-    def cands(first_q, second_q):
-        out = []
-        for ei in range(1, len(mappings)):
-            m = mappings[ei]
-            if m[m[first_q]] == m[first_q] and m[m[second_q]] == m[second_q]:
-                out.append(ei)
-        return out
-
-    cand_d = cands(qa, qb)
-    cand_e = cands(qa, qc)
-    cand_f = cands(qb, qc)
+    A stage element pumps both branch states it splits, so its candidates
+    are the elements that `pumps` lists under both states.
+    """
+    pa, pb, pc = (set().union(*pumps[q].values()) for q in (qa, qb, qc))
+    cand_d = sorted(pa & pb)
+    cand_e = sorted(pa & pc)
+    cand_f = sorted(pb & pc)
     for di in cand_d:
         md = mappings[di]
         for ei in cand_e:

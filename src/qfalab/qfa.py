@@ -324,10 +324,10 @@ def verify_recognition(
     In-language words must accept with probability >= p - tol and all other
     words must reject with probability >= p - tol.  The report carries the
     worst margins and the offending words, if any.  A NaN probability fails:
-    it becomes the worst margin and a counterexample.
+    it becomes the worst margin and a counterexample.  p must lie in (1/2, 1].
     """
-    if not p > 0.5:
-        raise ValueError("recognition probability must exceed 1/2")
+    if not 0.5 < p <= 1:
+        raise ValueError(f"recognition probability must lie in (1/2, 1], not {p}")
     worst_acc = float("inf")
     worst_rej = float("inf")
     counterexamples: list[tuple[str, float]] = []

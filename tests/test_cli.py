@@ -166,6 +166,17 @@ class TestSimulateCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("p", ["1.5", "inf"])
+    @pytest.mark.parametrize("fmt", ["table", "structured"])
+    def test_p_above_one_is_an_error(self, capsys, paths, p, fmt):
+        code, out, err = run_cli(
+            capsys, "--format", fmt, "simulate", paths["even_head_odd_tail_qfa"],
+            "--all-up-to", "2", "--oracle", "even_head_odd_tail", "--p", p,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ValueError: recognition probability must lie in (1/2, 1]")
+
     def test_trace(self, capsys, paths):
         code, doc, _ = run_json(capsys, "simulate", paths["even_head_odd_tail_qfa"], "ba", "--trace")
         assert code == 0

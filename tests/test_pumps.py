@@ -1,13 +1,16 @@
-"""The monoid walk, the pump relation and the fork index against the scans
-they replace.
+"""The monoid walk and the pump index against the scans they replace.
 
 `transition_monoid` is a `bfs` walk over byte-string mappings that yields
-each node when it is discovered, `detect_order_violation` and
-`detect_two_cycles` read `Monoid.pumps` instead of scanning elements, and
-`detect_fork` visits only the element pairs its index of pumps offers.  The
-dequeue-time walk over tuple mappings, the two element scans and the fork's
-scan of all element pairs are kept here as references: walks, witnesses and
-pumps must equal them, on capped monoids too.
+each node when it is discovered.  `Monoid.pumps` lists, per state q and
+target t, every element f with f(q) = t = f(t), and it is the only element
+scan behind the fragment searches: `detect_order_violation` and
+`detect_two_cycles` take the first pump of a pair, `detect_fork` visits only
+the element pairs the index offers, and `search_two_level_fork` reads its
+candidates from it.  The dequeue-time walk over tuple mappings, a
+brute-force pump relation, the shallow detectors' element scans, the fork's
+scan of all element pairs and the two-level search's element scans are kept
+here as references: walks, pumps, witnesses and budget cut-offs must equal
+them, on capped monoids too.
 """
 
 from collections import deque
@@ -34,11 +37,13 @@ from qfalab.fragments import (
     ORDER_VIOLATION,
     TWO_CYCLES,
     FragmentWitness,
+    _assemble_two_level_fork,
     _separability_table,
     classify,
     detect_fork,
     detect_order_violation,
     detect_two_cycles,
+    search_two_level_fork,
 )
 
 WALK_LIMIT = 3000  # elements of the "uncapped" walk; larger monoids count as capped here
@@ -103,19 +108,17 @@ def reference_two_cycles(dfa, monoid):
 
 
 def brute_pumps(monoid):
-    """Per state q, the (target, least element index) pumps in element order."""
+    """Per state q, each target t with the ascending indices i >= 1 of every
+    element f_i with f_i(q) = t = f_i(t), t = q included."""
     n = len(monoid.mappings[0])
     rows = []
     for q in range(n):
         row = {}
         for t in range(n):
-            hits = [
-                i for i, m in enumerate(monoid.mappings)
-                if t != q and m[q] == t and m[t] == t
-            ]
+            hits = [i for i in range(1, len(monoid)) if monoid.mappings[i][q] == t and monoid.mappings[i][t] == t]
             if hits:
-                row[t] = min(hits)
-        rows.append(sorted(row.items(), key=lambda item: item[1]))
+                row[t] = hits
+        rows.append(row)
     return rows
 
 
@@ -139,10 +142,10 @@ def test_detectors_equal_the_element_scans(case):
 
 @settings(max_examples=150)
 @given(dfas_and_caps())
-def test_pumps_are_the_least_pumping_elements(case):
+def test_pumps_list_every_pumping_element(case):
     dfa, cap = case
     for monoid in (transition_monoid(dfa, cap), transition_monoid(dfa, WALK_LIMIT)):
-        assert [list(row.items()) for row in monoid.pumps] == brute_pumps(monoid)
+        assert list(monoid.pumps) == brute_pumps(monoid)
 
 
 @settings(max_examples=200)
@@ -257,6 +260,90 @@ def test_fork_index_equals_the_pair_scan(case):
     dfa, cap = case
     monoid = transition_monoid(dfa, cap)
     assert detect_fork(dfa, monoid) == reference_fork(dfa, monoid)
+
+
+def reference_two_level_fork(dfa, monoid, budget):
+    """The budgeted two-level fork search with its candidates found by scans
+    of all elements: the same triples in the same order, so the same witness
+    and the same budget cut-off."""
+    n = len(dfa.states)
+    sep = _separability_table(dfa)
+    mappings = monoid.mappings
+    ledger = [0]
+    level2_failures = set()
+
+    def cands(first_q, second_q):
+        out = []
+        for ei in range(1, len(mappings)):
+            m = mappings[ei]
+            if m[m[first_q]] == m[first_q] and m[m[second_q]] == m[second_q]:
+                out.append(ei)
+        return out
+
+    def level2_scan(qa, qb, qc):
+        for di in cands(qa, qb):
+            md = mappings[di]
+            for ei in cands(qa, qc):
+                me = mappings[ei]
+                for fi in cands(qb, qc):
+                    ledger[0] += 1
+                    if ledger[0] > budget:
+                        return None
+                    mf = mappings[fi]
+                    q11, q12 = md[qa], me[qa]
+                    q21, q23 = md[qb], mf[qb]
+                    q32, q33 = me[qc], mf[qc]
+                    if (q11, q33) not in sep or (q23, q12) not in sep or (q32, q21) not in sep:
+                        continue
+                    stage_states = (q11, q12, q21, q23, q32, q33)
+                    if not set(stage_states) <= recurrent_states(zip(md, me, mf)):
+                        continue
+                    return (di, ei, fi, stage_states)
+        return None
+
+    for q0 in range(n):
+        cand1 = []
+        for ei in range(1, len(mappings)):
+            m = mappings[ei]
+            qx = m[q0]
+            if m[qx] == qx:
+                cand1.append((ei, qx))
+        for ai, qa in cand1:
+            for bi, qb in cand1:
+                for ci, qc in cand1:
+                    ledger[0] += 1
+                    if ledger[0] > budget:
+                        return None
+                    rec = recurrent_states(zip(mappings[ai], mappings[bi], mappings[ci]))
+                    if not {qa, qb, qc} <= rec or (qa, qb, qc) in level2_failures:
+                        continue
+                    found = level2_scan(qa, qb, qc)
+                    if found is None:
+                        if ledger[0] > budget:
+                            return None
+                        level2_failures.add((qa, qb, qc))
+                        continue
+                    di, ei, fi, stage_states = found
+                    return _assemble_two_level_fork(dfa, monoid, q0, (ai, bi, ci), (di, ei, fi), stage_states)
+    return None
+
+
+@st.composite
+def two_level_cases(draw):
+    """Random DFAs with 2-6 states over 1-3 letters, a cap that is often
+    below the monoid's size, and a budget that often runs out mid-search."""
+    alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    cap = draw(st.one_of(st.integers(len(alphabet) + 1, 12), st.integers(len(alphabet) + 1, 300)))
+    budget = draw(st.one_of(st.integers(1, 60), st.integers(1, 2000)))
+    return draw(dfas(min_states=2, max_states=6, alphabet=alphabet)), cap, budget
+
+
+@settings(max_examples=300)
+@given(two_level_cases())
+def test_two_level_fork_equals_the_element_scans(case):
+    dfa, cap, budget = case
+    monoid = transition_monoid(dfa, cap)
+    assert search_two_level_fork(dfa, monoid, budget) == reference_two_level_fork(dfa, monoid, budget)
 
 
 def symmetric_group_dfa(n):

@@ -254,6 +254,15 @@ class TestVerifyRecognition:
         with pytest.raises(ValueError):
             verify_recognition(k2, oracle("even_head_odd_tail"), 0.5, 3)
 
+    @pytest.mark.parametrize("p", [1.5, math.inf, math.nan])
+    def test_requires_p_at_most_one(self, k2, p):
+        with pytest.raises(ValueError, match=r"must lie in \(1/2, 1\]"):
+            verify_recognition(k2, oracle("even_head_odd_tail"), p, 2)
+
+    def test_p_of_one_is_valid(self, k2):
+        report = verify_recognition(k2, oracle("even_head_odd_tail"), 1, 2)
+        assert not report.passed and report.probability == 1
+
 
 class TestSerialization:
     def test_round_trip_preserves_everything(self, k2):
