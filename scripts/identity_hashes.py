@@ -11,7 +11,10 @@ fixture, and `qfalab --format structured classify` on every DFA fixture with
 `timing_s` removed.  A fifth digest covers `search_two_level_fork` on the
 minimal DFA and its default monoid: every DFA fixture at the default
 budget, and the DFAs of both classify-random groups at budgets 50 and
-1 000, so a moved budget cut-off shows too.  The library and the generator
+1 000, so a moved budget cut-off shows too.  A sixth digest covers
+`classify` of both classify-random groups at monoid caps 12 and 500, where
+many verdicts are inconclusive and witnesses are found inside a capped
+monoid.  The library and the generator
 are imported from the checkout that holds this script, so running it in two
 checkouts and comparing the outputs with `diff` shows whether a change moved
 any output.
@@ -47,10 +50,11 @@ import classify_random  # noqa: E402
 RANDOM_SEEDS = (11, 12)
 RANDOM_DFAS = 436  # four cycles of the classify-random mix
 TWO_LEVEL_BUDGETS = (50, 1_000)  # classify-random; the fixtures run at the default
+CAPS = (12, 500)  # classify-random again, on capped monoids
 
 
-def verdict_record(dfa) -> str:
-    verdict = classify(dfa)
+def verdict_record(dfa, **options) -> str:
+    verdict = classify(dfa, **options)
     witness = verdict.witness
     return repr((
         verdict.classification,
@@ -112,6 +116,8 @@ def main() -> None:
         f"two-level fork ({len(names)} fixtures, {len(random_dfas)} classify-random DFAs): "
         f"{digest(records)}"
     )
+    records = (verdict_record(dfa, monoid_cap=cap) for cap in CAPS for dfa in random_dfas)
+    print(f"classify-random at monoid caps {CAPS} ({len(random_dfas)} DFAs): {digest(records)}")
 
 
 if __name__ == "__main__":

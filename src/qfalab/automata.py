@@ -10,7 +10,7 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import islice, takewhile
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_MONOID_CAP = 20_000
@@ -416,8 +416,11 @@ class Monoid:
     word.  `mappings[0]` is the identity; the generators (letter mappings)
     follow in BFS order.  `complete` is False iff more than `cap` distinct
     mappings exist, in which case downstream detectors may only report
-    inconclusively.  `pumps` is the one index of which elements pump which
-    state into which fixed point; every fragment search reads it.
+    inconclusively.  An element f pumps q into t when f(q) = t = f(t).
+    `targets` says which states some word pumps into which others without
+    reading the elements; `pumps` lists the pumping elements themselves and
+    is built only by the searches that need them, the fork and the
+    two-level fork.
     """
 
     mappings: tuple[Sequence[int], ...]
@@ -428,10 +431,39 @@ class Monoid:
         return len(self.mappings)
 
     @cached_property
+    def targets(self) -> tuple[frozenset[int], ...]:
+        """`targets[q]`: the states t != q with some word x, x(q) = t = x(t).
+
+        Equivalently, the pair (q, t) reaches (t, t) in the square product of
+        the letter maps.  One Tarjan pass over the n^2 pairs, then one pass
+        over the components, sinks first, OR-ing a bit mask of the diagonal
+        states each reaches.  The relation ranges over all words: it is exact
+        on a complete monoid and over-approximates the elements of a capped one.
+        """
+        n = len(self.mappings[0])
+        k = sum(1 for _ in takewhile(lambda w: len(w) <= 1, self.words))  # the identity, then the letters
+        letters = self.mappings[1:k]
+        rows = [[m[a] * n + m[b] for m in letters] for a in range(n) for b in range(n)]
+        comp = strongly_connected(rows)
+        reach = [0] * (max(comp) + 1)
+        for t in range(n):
+            reach[comp[t * n + t]] |= 1 << t
+        for v in sorted(range(n * n), key=comp.__getitem__):  # sinks complete first
+            bits = reach[comp[v]]
+            for w in rows[v]:
+                bits |= reach[comp[w]]
+            reach[comp[v]] = bits
+        return tuple(
+            frozenset(t for t in range(n) if t != q and reach[comp[q * n + t]] >> t & 1)
+            for q in range(n)
+        )
+
+    @cached_property
     def pumps(self) -> tuple[dict[int, list[int]], ...]:
         """`pumps[q][t]`: the ascending indices i >= 1 of the elements f_i with
         f_i(q) = t = f_i(t), t = q included; targets with no such element are
-        left out."""
+        left out.  This is a pass over every element and state; the shallow
+        detectors use `targets` and an early-exit scan instead."""
         n = len(self.mappings[0])
         grid: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
         for index, f in enumerate(self.mappings[1:], 1):

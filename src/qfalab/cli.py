@@ -1,8 +1,9 @@
 """Command-line interface tying the library into reproducible workflows.
 
-Exit codes: 0 success, 1 domain error or failed check, 2 parse error,
-3 inconclusive result.  All numeric output is printed with 12 significant
-digits; identical invocations produce identical payloads (timing aside).
+Exit codes: 0 success, 1 domain error, failed check or unwritable output,
+2 parse error (an unreadable or non-UTF-8 input included), 3 inconclusive
+result.  All numeric output is printed with 12 significant digits;
+identical invocations produce identical payloads (timing aside).
 """
 
 from __future__ import annotations
@@ -97,9 +98,26 @@ def _print_table(obj: Any, indent: str = "") -> None:
         print(f"{indent}{obj}")
 
 
+def _read_text(path: str, error: type[ValueError]) -> str:
+    """The file as UTF-8 text; a file that cannot be read or decoded raises `error`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write the file; a file that cannot be written raises ValueError (a domain error)."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
+
+
 def _read_dfa(path: str, complete_with_sink: bool) -> tuple[Dfa, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        dfa, report = parse_dfa(fh.read(), complete_with_sink=complete_with_sink)
+    dfa, report = parse_dfa(_read_text(path, DfaParseError), complete_with_sink=complete_with_sink)
     note = {}
     if report.completed_with_sink:
         note = {
@@ -111,8 +129,7 @@ def _read_dfa(path: str, complete_with_sink: bool) -> tuple[Dfa, dict]:
 
 
 def _read_qfa(path: str, tol: float) -> Qfa:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_qfa(fh.read(), validate_tol=tol)
+    return parse_qfa(_read_text(path, QfaParseError), validate_tol=tol)
 
 
 def _witness_payload(witness: fragments.FragmentWitness | None, verification=None) -> Any:
@@ -222,8 +239,7 @@ def _cmd_synthesize(args) -> tuple[str, dict | None]:
             f"input is {verdict.classification}; only constructible languages can be compiled"
         )
     qfa, p = synthesis.synthesize(verdict.minimal_dfa)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(qfa_to_json(qfa))
+    _write_text(args.out, qfa_to_json(qfa))
     payload = {
         "out": args.out,
         "dimension": qfa.dimension,
@@ -240,8 +256,7 @@ def _cmd_union(args) -> tuple[str, dict | None]:
     q1 = _read_qfa(args.qfa1, args.tol)
     q2 = _read_qfa(args.qfa2, args.tol)
     machine, p = combinators.union(q1, args.p1, q2, args.p2)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(qfa_to_json(machine))
+    _write_text(args.out, qfa_to_json(machine))
     payload = {
         "out": args.out,
         "dimension": machine.dimension,
@@ -255,8 +270,7 @@ def _cmd_union(args) -> tuple[str, dict | None]:
 def _cmd_complement(args) -> tuple[str, dict | None]:
     qfa = _read_qfa(args.qfa, args.tol)
     comp = combinators.complement(qfa)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(qfa_to_json(comp))
+    _write_text(args.out, qfa_to_json(comp))
     payload = {"out": args.out, "dimension": comp.dimension}
     return "pass", payload
 
@@ -331,8 +345,7 @@ def _cmd_fixtures(args) -> tuple[str, dict | None]:
     else:
         raise ValueError(f"unknown fixture {name!r}; try `fixtures list`")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
         return "pass", {"name": name, "out": args.out}
     # bare emit: the fixture text is the whole output
     sys.stdout.write(text)
@@ -347,6 +360,17 @@ def _tolerance(text: str) -> float:
         value = math.nan
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"must be a finite, non-negative number, not {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of `--decay-steps`: a non-negative int."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
     return value
 
 
@@ -415,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("qfa")
     p.add_argument("--word", required=True)
     p.add_argument("--word2")
-    p.add_argument("--decay-steps", type=int, default=12)
+    p.add_argument("--decay-steps", type=_non_negative_int, default=12)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("separability", parents=[common], help="two-machine point cloud and max-margin line")
@@ -440,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         status, payload = args.func(args)
-    except (DfaParseError, QfaParseError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (DfaParseError, QfaParseError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, ArithmeticError) as exc:

@@ -7,11 +7,13 @@ fragment conditions are an exact characterization).  Detectors quantify
 over transition-monoid elements instead of raw words, which turns the
 unbounded word quantifiers into finite exact searches; witness words are
 the elements' shortest witness words.  Every pattern is built from pumps
-q -x-> t with x fixing t, and every detector reads them from one index,
-`Monoid.pumps`.  The order violation closes one pump back to q1 and
-two-cycles chains two; their conditions on (q1, q2) do not depend on x, so
-both take the first pumping element.  The fork takes two pumps of one state
-into separable targets, and the two-level fork chains pumps over two levels.
+q -x-> t with x fixing t.  The order violation closes one pump back to q1
+and two-cycles chains two; their conditions on (q1, q2) do not depend on x,
+so both test them on `Monoid.targets` (which pairs some word pumps, by pair
+reachability) and then take the first pumping element of an early-exit
+scan.  The fork takes two pumps of one state into separable targets, and
+the two-level fork chains pumps over two levels; both read every pumping
+element from the index `Monoid.pumps`.
 
 Witness kinds:
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from heapq import merge
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Mapping, Sequence
 
 from qfalab.automata import (
@@ -214,29 +216,39 @@ def _separating_suffix(dfa: Dfa, s: int, t: int) -> str | None:
 # ---------------------------------------------------------------------------
 # detectors
 
-def _first_pump(monoid: Monoid, condition) -> tuple[int, int, int] | None:
-    """Least (element index, q1, q2) over the pumps q1 -> q2 != q1 meeting
-    condition(q1, q2).
+def _pump_scan(monoid: Monoid, wanted: dict[int, set[int]]):
+    """Yield (element index, q1, q2) for each element f_i, i >= 1, and each q1
+    of `wanted` with q2 = f_i(q1) in wanted[q1] and f_i(q2) = q2, in (index,
+    q1) order, for as long as the caller reads.
 
-    Such a pump's least element is the head of its index list, as the
-    condition ignores the element; an element sends q1 to one q2 only.
+    `wanted` lists q1 ascending; a caller may shrink its sets between
+    yields, and the rest of the scan sees the change.
     """
-    hits = [
-        (elements[0], q1, q2) for q1, row in enumerate(monoid.pumps)
-        for q2, elements in row.items() if q2 != q1 and condition(q1, q2)
-    ]
-    return min(hits, default=None)
+    rows = list(wanted.items())
+    for index, f in enumerate(islice(monoid.mappings, 1, None), 1):
+        for q1, good in rows:
+            q2 = f[q1]
+            if q2 in good and f[q2] == q2:
+                yield index, q1, q2
+
+
+def _wanted(monoid: Monoid, condition) -> dict[int, set[int]]:
+    """The targets t of each state q meeting condition(q, t); empty rows left out."""
+    rows = ({t for t in ts if condition(q, t)} for q, ts in enumerate(monoid.targets))
+    return {q: good for q, good in enumerate(rows) if good}
 
 
 def detect_order_violation(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
     """Element f and states q1 != q2 with f(q1) = q2 = f(q2) and q2 ~> q1.
 
     f already takes q1 to q2, so q2 reaches q1 back exactly when both lie in
-    one SCC.  The witness is the least (element index, q1) among the pumps;
-    absence is meaningful only when the monoid is complete.
+    one SCC.  When no pair of `Monoid.targets` meets that, no element is
+    read; otherwise the witness is the first (element index, q1) of the
+    scan.  Absence is meaningful only when the monoid is complete.
     """
     scc = strongly_connected(dfa._table)
-    hit = _first_pump(monoid, lambda q1, q2: scc[q1] == scc[q2])
+    wanted = _wanted(monoid, lambda q1, q2: scc[q1] == scc[q2])
+    hit = next(_pump_scan(monoid, wanted), None) if wanted else None
     if hit is None:
         return None
     index, q1, q2 = hit
@@ -253,20 +265,37 @@ def detect_two_cycles(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
 
     Pairwise distinctness matters: with q3 = q1 the pattern degenerates to a
     partial-order violation, which carries a different (stronger) verdict.
-    f is the least (element index, q1) among the pumps whose target pumps on
-    to a third state; g is the first such onward pump of q2.
+    When no pair of `Monoid.targets` chains on to a third state, no element
+    is read.  Otherwise f is the first (element index, q1) of the scan whose
+    q2 pumps on to a third state, and g the first such onward pump.  On a
+    capped monoid the onward pump that `targets` promises may lie past the
+    cap, so the scan confirms it: q2's first two onward targets suffice, as
+    q3 != q1 rules out at most one.
     """
-    pumps = monoid.pumps
-    hit = _first_pump(monoid, lambda q1, q2: any(q3 not in (q1, q2) for q3 in pumps[q2]))
-    if hit is None:
+    targets = monoid.targets
+    wanted = _wanted(monoid, lambda q1, q2: bool(targets[q2] - {q1}))
+    if not wanted:
         return None
-    index, q1, q2 = hit
-    gi, q3 = min((elements[0], q3) for q3, elements in pumps[q2].items() if q3 not in (q1, q2))
-    return FragmentWitness(
-        kind=TWO_CYCLES,
-        states={"q1": dfa.states[q1], "q2": dfa.states[q2], "q3": dfa.states[q3]},
-        words={"x": monoid.words[index], "y": monoid.words[gi]},
-    )
+    onward: dict[int, list[tuple[int, int]]] = {}  # q2 -> its first two (g index, q3)
+    for index, q1, q2 in _pump_scan(monoid, wanted):
+        if q2 not in onward:
+            onward[q2], good = [], set(targets[q2])
+            for gi, _, q3 in _pump_scan(monoid, {q2: good}):
+                onward[q2].append((gi, q3))
+                good.discard(q3)
+                if len(onward[q2]) == 2 or not good:
+                    break
+        g = next((g for g in onward[q2] if g[1] != q1), None)
+        if g is None:  # no onward pump of q2 to a third state lies within the cap
+            wanted[q1].discard(q2)
+            continue
+        gi, q3 = g
+        return FragmentWitness(
+            kind=TWO_CYCLES,
+            states={"q1": dfa.states[q1], "q2": dfa.states[q2], "q3": dfa.states[q3]},
+            words={"x": monoid.words[index], "y": monoid.words[gi]},
+        )
+    return None
 
 
 def detect_fork(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:

@@ -41,6 +41,17 @@ def run_json(capsys, *argv):
     return code, json.loads(out) if out else None, err
 
 
+def run_process(*argv):
+    """`qfalab` in a fresh interpreter: exit code and everything it printed."""
+    src = str(Path(qfalab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfalab.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 class TestClassifyCommand:
     def test_union_language(self, capsys, paths):
         code, doc, _ = run_json(capsys, "classify", paths["odd_tail"])
@@ -129,6 +140,37 @@ class TestClassifyCommand:
         code, doc, _ = run_json(capsys, "classify", str(partial), "--complete-with-sink")
         assert code == 0
         assert doc["payload"]["parse_report"]["completed_with_sink"] is True
+
+
+class TestUnusableFiles:
+    """An input that cannot be read or decoded is a parse error (exit 2); an
+    output that cannot be written is an error (exit 1); neither a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "{tmp}/latin1.dfa"),
+        ("simulate", "{tmp}/latin1.qfa", "a"),
+        ("classify", "{tmp}"),
+        ("simulate", "{tmp}", "a"),
+        ("union", "{tmp}", "0.75", "{even_head_odd_tail_qfa}", "0.75", "-o", "{tmp}/u.qfa"),
+    ])
+    def test_unusable_input_is_a_parse_error(self, paths, argv):
+        for suffix in ("dfa", "qfa"):
+            (paths["tmp"] / f"latin1.{suffix}").write_bytes('{"alphabet": ["\xe9"]}'.encode("latin-1"))
+        code, out, err = run_process(*(arg.format(**paths) for arg in argv))
+        assert code == 2
+        assert err.startswith("parse error: cannot read")
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("argv", [
+        ("complement", "{even_head_odd_tail_qfa}", "-o", "{tmp}"),
+        ("synthesize", "{even_head_odd_tail}", "-o", "{tmp}"),
+        ("fixtures", "emit", "odd_tail", "-o", "{tmp}"),
+    ])
+    def test_unwritable_output_is_an_error(self, paths, argv):
+        code, out, err = run_process(*(arg.format(**paths) for arg in argv))
+        assert code == 1
+        assert err.startswith("error: ValueError: cannot write")
+        assert "Traceback" not in out + err
 
 
 class TestSimulateCommand:
@@ -281,6 +323,22 @@ class TestOtherCommands:
         assert payload["isometric_dimension"] == 2
         assert payload["transient_dimension"] == 2
         assert payload["transient_norm_decay"][0]["norms"][0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("steps", ["-3", "x", "1.5"])
+    def test_decay_steps_below_zero_or_not_an_int_is_a_usage_error(self, capsys, paths, steps):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", paths["even_head_odd_tail_qfa"], "--word", "b", "--decay-steps", steps])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert f"argument --decay-steps: must be a non-negative integer, not '{steps}'" in err
+
+    def test_zero_decay_steps_gives_the_starting_norm_only(self, capsys, paths):
+        code, doc, _ = run_json(
+            capsys, "decompose", paths["even_head_odd_tail_qfa"], "--word", "b", "--decay-steps", "0"
+        )
+        assert code == 0
+        assert doc["payload"]["transient_norm_decay"][0]["norms"] == [pytest.approx(1.0)]
 
     def test_decompose_pair(self, capsys, paths):
         code, doc, _ = run_json(

@@ -1,16 +1,20 @@
-"""The monoid walk and the pump index against the scans they replace.
+"""The monoid walk, the pump relation and the pump index against the scans
+they replace.
 
 `transition_monoid` is a `bfs` walk over byte-string mappings that yields
-each node when it is discovered.  `Monoid.pumps` lists, per state q and
-target t, every element f with f(q) = t = f(t), and it is the only element
-scan behind the fragment searches: `detect_order_violation` and
-`detect_two_cycles` take the first pump of a pair, `detect_fork` visits only
-the element pairs the index offers, and `search_two_level_fork` reads its
-candidates from it.  The dequeue-time walk over tuple mappings, a
-brute-force pump relation, the shallow detectors' element scans, the fork's
-scan of all element pairs and the two-level search's element scans are kept
-here as references: walks, pumps, witnesses and budget cut-offs must equal
-them, on capped monoids too.
+each node when it is discovered.  An element f pumps q into t when
+f(q) = t = f(t).  `Monoid.targets` says, per state, which others some word
+pumps it into, by pair reachability and without reading an element;
+`detect_order_violation` and `detect_two_cycles` test their condition on it
+first and then take the first qualifying pump of an early-exit element scan.
+`Monoid.pumps` lists, per state q and target t, every pumping element; only
+`detect_fork`, which visits the element pairs the index offers, and
+`search_two_level_fork`, which reads its candidates from it, build it.  The
+dequeue-time walk over tuple mappings, a brute-force pump relation and index,
+the shallow detectors' element scans, the fork's scan of all element pairs
+and the two-level search's element scans are kept here as references:
+walks, relations, pumps, witnesses and budget cut-offs must equal them, on
+capped monoids too.
 """
 
 from collections import deque
@@ -20,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dfas
+from qfalab import fragments
 from qfalab.automata import (
     Dfa,
     bfs,
@@ -30,11 +35,13 @@ from qfalab.automata import (
     strongly_connected,
     transition_monoid,
 )
+from qfalab.fixtures import dfa_fixture
 from qfalab.fragments import (
     CONSTRUCTIBLE,
     FORK,
     INCONCLUSIVE,
     ORDER_VIOLATION,
+    OUTSIDE_CHARACTERIZED_CLASS,
     TWO_CYCLES,
     FragmentWitness,
     _assemble_two_level_fork,
@@ -138,6 +145,43 @@ def test_detectors_equal_the_element_scans(case):
     for monoid in (transition_monoid(dfa, cap), transition_monoid(dfa, WALK_LIMIT)):
         assert detect_order_violation(dfa, monoid) == reference_order_violation(dfa, monoid)
         assert detect_two_cycles(dfa, monoid) == reference_two_cycles(dfa, monoid)
+
+
+def brute_targets(monoid):
+    """Per state q, the targets t != q of the pumps of elements i >= 1."""
+    n = len(monoid.mappings[0])
+    return tuple(
+        frozenset(t for t in range(n) if t != q and any(m[q] == t == m[t] for m in monoid.mappings[1:]))
+        for q in range(n)
+    )
+
+
+@settings(max_examples=300)
+@given(dfas_and_caps())
+def test_targets_equal_the_pumps_of_the_complete_monoid(case):
+    dfa, cap = case
+    full = transition_monoid(dfa, WALK_LIMIT)
+    brute = brute_targets(full)
+    if full.complete:
+        assert full.targets == brute
+    else:
+        assert all(b <= t for b, t in zip(brute, full.targets))
+    assert transition_monoid(dfa, cap).targets == full.targets
+
+
+@pytest.mark.parametrize("name", ["a_star_b_star", "layered"])
+def test_shallow_detectors_leave_the_pump_index_unbuilt(monkeypatch, name):
+    built = []
+
+    def recording_monoid(*args):
+        built.append(transition_monoid(*args))
+        return built[-1]
+
+    monkeypatch.setattr(fragments, "transition_monoid", recording_monoid)
+    verdict = classify(dfa_fixture(name))
+    assert verdict.classification == OUTSIDE_CHARACTERIZED_CLASS
+    (monoid,) = built
+    assert "targets" in monoid.__dict__ and "pumps" not in monoid.__dict__
 
 
 @settings(max_examples=150)
