@@ -14,10 +14,13 @@ budget, and the DFAs of both classify-random groups at budgets 50 and
 1 000, so a moved budget cut-off shows too.  A sixth digest covers
 `classify` of both classify-random groups at monoid caps 12 and 500, where
 many verdicts are inconclusive and witnesses are found inside a capped
-monoid.  The library and the generator
-are imported from the checkout that holds this script, so running it in two
-checkouts and comparing the outputs with `diff` shows whether a change moved
-any output.
+monoid.  A seventh digest covers `plan`, or the `SynthesisError` subclass
+and message it raises, on seeded DFAs made of a transient prefix into 2-4
+blocks on which each letter is a random permutation, so the containment
+chain is exercised far more often than by `classify`.  The library and the
+generator are imported from the checkout that holds this script, so running
+it in two checkouts and comparing the outputs with `diff` shows whether a
+change moved any output.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 from itertools import chain
@@ -34,7 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from qfalab.automata import dfa_to_json, minimize, parse_dfa, transition_monoid  # noqa: E402
+from qfalab.automata import Dfa, dfa_to_json, minimize, parse_dfa, transition_monoid  # noqa: E402
 from qfalab.cli import main as cli_main  # noqa: E402
 from qfalab.fixtures import dfa_fixture, dfa_fixture_names  # noqa: E402
 from qfalab.fragments import (  # noqa: E402
@@ -44,6 +48,7 @@ from qfalab.fragments import (  # noqa: E402
     verify_witness,
     witness_to_json,
 )
+from qfalab.synthesis import SynthesisError, plan  # noqa: E402
 
 import classify_random  # noqa: E402
 
@@ -51,6 +56,7 @@ RANDOM_SEEDS = (11, 12)
 RANDOM_DFAS = 436  # four cycles of the classify-random mix
 TWO_LEVEL_BUDGETS = (50, 1_000)  # classify-random; the fixtures run at the default
 CAPS = (12, 500)  # classify-random again, on capped monoids
+COMPONENT_DFAS = 1_000  # per seed, for the plan digest
 
 
 def verdict_record(dfa, **options) -> str:
@@ -74,6 +80,41 @@ def two_level_records(dfa, budgets):
     for budget in budgets:
         witness = search_two_level_fork(minimal, monoid, budget)
         yield repr((budget, witness_to_json(witness) if witness is not None else None))
+
+
+def component_dfa(rng: random.Random) -> Dfa:
+    """A transient prefix into 2-4 blocks of 1-3 states on which each of 2-3
+    letters is a random permutation; accepting states are random.  Transient
+    state i moves to i + 1 on the first letter; its other letters, and every
+    letter of the last transient state, lead to later states, the first of
+    them (in a random order) into each block in turn."""
+    alphabet = ("a", "b", "c")[: rng.randint(2, 3)]
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+    n_transient = rng.randint(len(sizes) - 1, 3)
+    n = n_transient + sum(sizes)
+    states = tuple(f"q{i}" for i in range(n))
+    transitions = {(states[i], alphabet[0]): states[i + 1] for i in range(n_transient - 1)}
+    free = [(states[i], a) for i in range(n_transient) for a in alphabet if (states[i], a) not in transitions]
+    rng.shuffle(free)
+    base, blocks = n_transient, []
+    for size in sizes:
+        blocks.append(states[base : base + size])
+        base += size
+    for k, (q, a) in enumerate(free):
+        later = blocks[k] if k < len(blocks) else states[states.index(q) + 1 :]
+        transitions[q, a] = rng.choice(later)
+    for block in blocks:
+        for a in alphabet:
+            transitions.update(zip(((q, a) for q in block), rng.sample(block, len(block))))
+    accepting = frozenset(q for q in states if rng.random() < 0.5)
+    return Dfa(states, alphabet, states[0], accepting, transitions)
+
+
+def plan_record(dfa) -> str:
+    try:
+        return repr(plan(dfa))
+    except SynthesisError as exc:
+        return repr((type(exc).__name__, str(exc)))
 
 
 def digest(records) -> str:
@@ -118,6 +159,9 @@ def main() -> None:
     )
     records = (verdict_record(dfa, monoid_cap=cap) for cap in CAPS for dfa in random_dfas)
     print(f"classify-random at monoid caps {CAPS} ({len(random_dfas)} DFAs): {digest(records)}")
+    rngs = [random.Random(seed) for seed in RANDOM_SEEDS]
+    records = (plan_record(component_dfa(rng)) for rng in rngs for _ in range(COMPONENT_DFAS))
+    print(f"plan on permutation-component DFAs (seeds {RANDOM_SEEDS}, {COMPONENT_DFAS} each): {digest(records)}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, takewhile
+from itertools import islice
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_MONOID_CAP = 20_000
@@ -70,6 +70,24 @@ class Dfa:
     @cached_property
     def _accepting_indices(self) -> frozenset[int]:
         return frozenset(self._index[q] for q in self.accepting)
+
+    @cached_property
+    def _pump_targets(self) -> tuple[frozenset[int], ...]:
+        """`_pump_targets[q]`: the states t != q with some word x, x(q) = t = x(t),
+        that is, the pairs (q, t) that reach (t, t)."""
+        n = len(self.states)
+        reach = pair_reach(self, lambda c, d: 1 << c if c == d else 0)
+        return tuple(
+            frozenset(t for t in range(n) if t != q and reach[q * n + t] >> t & 1) for q in range(n)
+        )
+
+    @cached_property
+    def _separable(self) -> frozenset[tuple[int, int]]:
+        """Ordered pairs (s, t) with some z sending s to accepting and t to
+        rejecting, that is, the pairs that reach (accepting, rejecting)."""
+        acc = self._accepting_indices
+        reach = pair_reach(self, lambda c, d: c in acc and d not in acc)
+        return frozenset(divmod(v, len(self.states)) for v, hit in enumerate(reach) if hit)
 
     def run(self, word: str, start: str | None = None) -> str:
         """State reached from `start` (default: the initial state) on `word`."""
@@ -385,6 +403,29 @@ def strongly_connected(successors: Iterable[Sequence[int]]) -> list[int]:
     return comp
 
 
+def pair_reach(dfa: Dfa, goal: Callable[[int, int], int]) -> list[int]:
+    """For each node a*n + b of the square product of `dfa` with itself, the
+    OR of `goal(c, d)` over every pair (c, d) the pair (a, b) reaches, itself
+    included.
+
+    One Tarjan pass over the n^2 pair rows (letters in alphabet order), then
+    one pass over the components, sinks first, OR-ing each one's label into
+    its own.  Exact over all words.
+    """
+    n, table = len(dfa.states), dfa._table
+    rows = [[c * n + d for c, d in zip(table[a], table[b])] for a in range(n) for b in range(n)]
+    comp = strongly_connected(rows)
+    reach = [0] * (max(comp) + 1)
+    for v in range(n * n):
+        reach[comp[v]] |= goal(*divmod(v, n))
+    for v in sorted(range(n * n), key=comp.__getitem__):  # sinks complete first
+        bits = reach[comp[v]]
+        for w in rows[v]:
+            bits |= reach[comp[w]]
+        reach[comp[v]] = bits
+    return [reach[c] for c in comp]
+
+
 def recurrent_states(successors: Iterable[Sequence[int]]) -> set[int]:
     """Members of the closed SCCs: the nodes q such that every node reachable
     from q reaches q back."""
@@ -417,8 +458,8 @@ class Monoid:
     follow in BFS order.  `complete` is False iff more than `cap` distinct
     mappings exist, in which case downstream detectors may only report
     inconclusively.  An element f pumps q into t when f(q) = t = f(t).
-    `targets` says which states some word pumps into which others without
-    reading the elements; `pumps` lists the pumping elements themselves and
+    Which states some word pumps into which others depends on the DFA alone
+    (`Dfa._pump_targets`); `pumps` lists the pumping elements themselves and
     is built only by the searches that need them, the fork and the
     two-level fork.
     """
@@ -431,39 +472,11 @@ class Monoid:
         return len(self.mappings)
 
     @cached_property
-    def targets(self) -> tuple[frozenset[int], ...]:
-        """`targets[q]`: the states t != q with some word x, x(q) = t = x(t).
-
-        Equivalently, the pair (q, t) reaches (t, t) in the square product of
-        the letter maps.  One Tarjan pass over the n^2 pairs, then one pass
-        over the components, sinks first, OR-ing a bit mask of the diagonal
-        states each reaches.  The relation ranges over all words: it is exact
-        on a complete monoid and over-approximates the elements of a capped one.
-        """
-        n = len(self.mappings[0])
-        k = sum(1 for _ in takewhile(lambda w: len(w) <= 1, self.words))  # the identity, then the letters
-        letters = self.mappings[1:k]
-        rows = [[m[a] * n + m[b] for m in letters] for a in range(n) for b in range(n)]
-        comp = strongly_connected(rows)
-        reach = [0] * (max(comp) + 1)
-        for t in range(n):
-            reach[comp[t * n + t]] |= 1 << t
-        for v in sorted(range(n * n), key=comp.__getitem__):  # sinks complete first
-            bits = reach[comp[v]]
-            for w in rows[v]:
-                bits |= reach[comp[w]]
-            reach[comp[v]] = bits
-        return tuple(
-            frozenset(t for t in range(n) if t != q and reach[comp[q * n + t]] >> t & 1)
-            for q in range(n)
-        )
-
-    @cached_property
     def pumps(self) -> tuple[dict[int, list[int]], ...]:
         """`pumps[q][t]`: the ascending indices i >= 1 of the elements f_i with
         f_i(q) = t = f_i(t), t = q included; targets with no such element are
         left out.  This is a pass over every element and state; the shallow
-        detectors use `targets` and an early-exit scan instead."""
+        detectors use `Dfa._pump_targets` and an early-exit scan instead."""
         n = len(self.mappings[0])
         grid: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
         for index, f in enumerate(self.mappings[1:], 1):

@@ -20,6 +20,7 @@ import numpy as np
 from qfalab import combinators, fragments, spectral, synthesis
 from qfalab.automata import DEFAULT_MONOID_CAP, Dfa, DfaParseError, dfa_to_json, parse_dfa
 from qfalab.fixtures import (
+    LanguageOracle,
     dfa_fixture,
     dfa_fixture_names,
     oracle,
@@ -184,11 +185,25 @@ def _cmd_classify(args) -> tuple[str, dict | None]:
     return status, payload
 
 
+def _oracle_over(name: str, alphabet: tuple[str, ...]) -> LanguageOracle:
+    """The named oracle; one over another alphabet would label the machine's
+    words meaninglessly, so that is an error."""
+    lang = oracle(name)
+    if set(lang.alphabet) != set(alphabet):
+        raise ValueError(
+            f"oracle {name!r} reads {{{', '.join(lang.alphabet)}}} "
+            f"but the machine reads {{{', '.join(alphabet)}}}"
+        )
+    return lang
+
+
 def _cmd_simulate(args) -> tuple[str, dict | None]:
+    if args.all_up_to is None and args.word is None:
+        args.usage_error("give a word or --all-up-to N")
+    if args.all_up_to is not None and (args.oracle is None or args.p is None):
+        args.usage_error("--all-up-to needs --oracle and --p")
     qfa = _read_qfa(args.qfa, args.tol)
     if args.all_up_to is None:
-        if args.word is None:
-            raise ValueError("give a word or --all-up-to N")
         outcome = run(qfa, args.word, with_trace=args.trace)
         payload = {
             "word": args.word,
@@ -210,9 +225,7 @@ def _cmd_simulate(args) -> tuple[str, dict | None]:
             ]
         return "pass", payload
 
-    if args.oracle is None or args.p is None:
-        raise ValueError("--all-up-to needs --oracle and --p")
-    lang = oracle(args.oracle)
+    lang = _oracle_over(args.oracle, qfa.alphabet)
     report = verify_recognition(qfa, lang, args.p, args.all_up_to, tol=args.tol)
     payload = {
         "oracle": args.oracle,
@@ -312,7 +325,7 @@ def _cmd_decompose(args) -> tuple[str, dict | None]:
 def _cmd_separability(args) -> tuple[str, dict | None]:
     q1 = _read_qfa(args.qfa1, args.tol)
     q2 = _read_qfa(args.qfa2, args.tol)
-    lang = oracle(args.oracle)
+    lang = _oracle_over(args.oracle, q1.alphabet)
     result = combinators.separability(q1, q2, lang, args.max_len)
     payload = {
         "oracle": args.oracle,
@@ -338,6 +351,8 @@ def _cmd_fixtures(args) -> tuple[str, dict | None]:
         }
         return "pass", payload
     name = args.name
+    if name is None:
+        args.usage_error("fixtures emit needs a fixture name")
     if name in dfa_fixture_names():
         text = dfa_to_json(dfa_fixture(name))
     elif name in qfa_fixture_names():
@@ -414,7 +429,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", choices=oracle_names())
     p.add_argument("--p", type=float)
     p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=_cmd_simulate)
+    # usage_error: argument combinations argparse cannot check end in this
+    # subcommand's usage message and exit 2
+    p.set_defaults(func=_cmd_simulate, usage_error=p.error)
 
     p = sub.add_parser("synthesize", parents=[common], help="compile an eligible DFA into a QFA")
     p.add_argument("dfa")
@@ -453,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("list", "emit"))
     p.add_argument("name", nargs="?")
     p.add_argument("-o", "--out")
-    p.set_defaults(func=_cmd_fixtures)
+    p.set_defaults(func=_cmd_fixtures, usage_error=p.error)
 
     return parser
 

@@ -9,11 +9,12 @@ unbounded word quantifiers into finite exact searches; witness words are
 the elements' shortest witness words.  Every pattern is built from pumps
 q -x-> t with x fixing t.  The order violation closes one pump back to q1
 and two-cycles chains two; their conditions on (q1, q2) do not depend on x,
-so both test them on `Monoid.targets` (which pairs some word pumps, by pair
-reachability) and then take the first pumping element of an early-exit
-scan.  The fork takes two pumps of one state into separable targets, and
-the two-level fork chains pumps over two levels; both read every pumping
-element from the index `Monoid.pumps`.
+so both test them on `Dfa._pump_targets` (which pairs some word pumps) and
+then take the first pumping element of an early-exit scan.  The fork takes
+two pumps of one state into separable targets (`Dfa._separable`), and the
+two-level fork chains pumps over two levels; both read every pumping
+element from the index `Monoid.pumps`.  Both relations are labellings of
+one closure over the square product, `automata.pair_reach`.
 
 Witness kinds:
 
@@ -190,24 +191,6 @@ def _word_mapping(dfa: Dfa, word: str) -> list[int]:
     return out
 
 
-def _separability_table(dfa: Dfa) -> set[tuple[int, int]]:
-    """Ordered pairs (s, t) with some z sending s to accepting and t to rejecting.
-
-    Computed for all pairs at once by backward closure over the product
-    graph, so the answer is exact.
-    """
-    n = len(dfa.states)
-    table = dfa._table
-    acc = dfa._accepting_indices
-    reverse: dict[tuple[int, int], list[tuple[str, tuple[int, int]]]] = {}
-    for s in range(n):
-        for t in range(n):
-            for a, ch in enumerate(dfa.alphabet):
-                reverse.setdefault((table[s][a], table[t][a]), []).append((ch, (s, t)))
-    sources = [(s, t) for s in acc for t in range(n) if t not in acc]
-    return {pair for pair, _ in bfs(sources, lambda pair: reverse.get(pair, ()))}
-
-
 def _separating_suffix(dfa: Dfa, s: int, t: int) -> str | None:
     """Shortest z with delta(s,z) accepting and delta(t,z) rejecting."""
     return separating_word(dfa, dfa.states[s], dfa, dfa.states[t])
@@ -232,9 +215,9 @@ def _pump_scan(monoid: Monoid, wanted: dict[int, set[int]]):
                 yield index, q1, q2
 
 
-def _wanted(monoid: Monoid, condition) -> dict[int, set[int]]:
-    """The targets t of each state q meeting condition(q, t); empty rows left out."""
-    rows = ({t for t in ts if condition(q, t)} for q, ts in enumerate(monoid.targets))
+def _wanted(dfa: Dfa, condition) -> dict[int, set[int]]:
+    """The pump targets t of each state q meeting condition(q, t); empty rows left out."""
+    rows = ({t for t in ts if condition(q, t)} for q, ts in enumerate(dfa._pump_targets))
     return {q: good for q, good in enumerate(rows) if good}
 
 
@@ -242,12 +225,12 @@ def detect_order_violation(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
     """Element f and states q1 != q2 with f(q1) = q2 = f(q2) and q2 ~> q1.
 
     f already takes q1 to q2, so q2 reaches q1 back exactly when both lie in
-    one SCC.  When no pair of `Monoid.targets` meets that, no element is
+    one SCC.  When no pair of `Dfa._pump_targets` meets that, no element is
     read; otherwise the witness is the first (element index, q1) of the
     scan.  Absence is meaningful only when the monoid is complete.
     """
     scc = strongly_connected(dfa._table)
-    wanted = _wanted(monoid, lambda q1, q2: scc[q1] == scc[q2])
+    wanted = _wanted(dfa, lambda q1, q2: scc[q1] == scc[q2])
     hit = next(_pump_scan(monoid, wanted), None) if wanted else None
     if hit is None:
         return None
@@ -265,15 +248,15 @@ def detect_two_cycles(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
 
     Pairwise distinctness matters: with q3 = q1 the pattern degenerates to a
     partial-order violation, which carries a different (stronger) verdict.
-    When no pair of `Monoid.targets` chains on to a third state, no element
-    is read.  Otherwise f is the first (element index, q1) of the scan whose
-    q2 pumps on to a third state, and g the first such onward pump.  On a
-    capped monoid the onward pump that `targets` promises may lie past the
-    cap, so the scan confirms it: q2's first two onward targets suffice, as
-    q3 != q1 rules out at most one.
+    When no pair of `Dfa._pump_targets` chains on to a third state, no
+    element is read.  Otherwise f is the first (element index, q1) of the
+    scan whose q2 pumps on to a third state, and g the first such onward
+    pump.  On a capped monoid the onward pump that the targets promise may
+    lie past the cap, so the scan confirms it: q2's first two onward targets
+    suffice, as q3 != q1 rules out at most one.
     """
-    targets = monoid.targets
-    wanted = _wanted(monoid, lambda q1, q2: bool(targets[q2] - {q1}))
+    targets = dfa._pump_targets
+    wanted = _wanted(dfa, lambda q1, q2: bool(targets[q2] - {q1}))
     if not wanted:
         return None
     onward: dict[int, list[tuple[int, int]]] = {}  # q2 -> its first two (g index, q3)
@@ -304,12 +287,13 @@ def detect_fork(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
     Conditions on (f, g, q1): q2 = f(q1) fixed by f, q3 = g(q1) fixed by g,
     q2 != q3; every state reachable from q2 (resp. q3) in the two-edge graph
     {f, g} can return to it; and suffixes z1, z2 separate (q2, q3) both ways.
-    The separability prefilter is exact.  For each f, the g's that
-    `Monoid.pumps` lists for (q1, q3), over f's fixed-point pairs (q1, q2)
-    and q2's separable partners q3, are visited in (g, q1) order, so the
-    witness is the least (f, g, q1), the one a scan of all pairs would find.
+    The separability prefilter `Dfa._separable` is exact.  For each f, the
+    g's that `Monoid.pumps` lists for (q1, q3), over f's fixed-point pairs
+    (q1, q2) and q2's separable partners q3, are visited in (g, q1) order,
+    so the witness is the least (f, g, q1), the one a scan of all pairs
+    would find.
     """
-    sep = _separability_table(dfa)
+    sep = dfa._separable
     partners: dict[int, list[int]] = {}
     for s, t in sep:
         if (t, s) in sep:
@@ -355,7 +339,7 @@ def search_two_level_fork(
     budget unit.  `None` means no witness within budget, never a proof of
     absence.
     """
-    sep = _separability_table(dfa)
+    sep = dfa._separable
     mappings, pumps = monoid.mappings, monoid.pumps
     ledger = [0]  # budget units spent so far
     level2_failures: set[tuple[int, int, int]] = set()

@@ -33,7 +33,6 @@ from qfalab.automata import (
     Dfa,
     bfs,
     closed_sccs,
-    language_contains,
     pair_steps,
     shortest_word_between,
 )
@@ -82,8 +81,9 @@ def plan(dfa: Dfa) -> SynthesisPlan:
 
     Each closed component must be a permutation automaton and have a
     certified entry state; component languages must form a containment
-    chain.  Violations indicate a fragment the detectors should have caught
-    and raise the corresponding error.
+    chain, L_i within L_j iff no word separates their entry states
+    (`Dfa._separable`).  Violations indicate a fragment the detectors should
+    have caught and raise the corresponding error.
     """
     components = [tuple(sorted(c, key=dfa.states.index)) for c in closed_sccs(dfa)]
     in_component = {q: ci for ci, comp in enumerate(components) for q in comp}
@@ -103,13 +103,8 @@ def plan(dfa: Dfa) -> SynthesisPlan:
     )
 
     n = len(components)
-    contains = [
-        [
-            language_contains(dfa, entry_states[i], dfa, entry_states[j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    entries, sep = [dfa._index[e] for e in entry_states], dfa._separable
+    contains = [[(ei, ej) not in sep for ej in entries] for ei in entries]
     for i in range(n):
         for j in range(i + 1, n):
             if not contains[i][j] and not contains[j][i]:

@@ -49,6 +49,37 @@ def dfas(draw, min_states: int = 1, max_states: int = 6, alphabet: tuple[str, ..
     return make_dfa(n, targets, accepting, alphabet)
 
 
+@st.composite
+def permutation_component_dfas(draw):
+    """A transient prefix into 2-4 blocks of 1-3 states on which each of 2-3
+    letters is a random permutation; accepting states are random.
+
+    Transient state i moves to i + 1 on the first letter; its other letters,
+    and every letter of the last transient state, lead to later states, the
+    first of them (in a random order) into each block in turn, so every
+    state is reachable.
+    """
+    alphabet = ("a", "b", "c")[: draw(st.integers(2, 3))]
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    n_transient = draw(st.integers(len(sizes) - 1, 3))
+    n = n_transient + sum(sizes)
+    states = tuple(f"q{i}" for i in range(n))
+    transitions = {(states[i], alphabet[0]): states[i + 1] for i in range(n_transient - 1)}
+    free = [(states[i], a) for i in range(n_transient) for a in alphabet if (states[i], a) not in transitions]
+    base, blocks = n_transient, []
+    for size in sizes:
+        blocks.append(states[base : base + size])
+        base += size
+    for k, (q, a) in enumerate(draw(st.permutations(free))):
+        later = blocks[k] if k < len(blocks) else states[states.index(q) + 1 :]
+        transitions[q, a] = draw(st.sampled_from(later))
+    for block in blocks:
+        for a in alphabet:
+            transitions.update(zip(((q, a) for q in block), draw(st.permutations(block))))
+    accepting = frozenset(q for q in states if draw(st.booleans()))
+    return Dfa(states, alphabet, states[0], accepting, transitions)
+
+
 def random_dfa(rng: np.random.Generator, n_states: int, alphabet=("a", "b")) -> Dfa:
     targets = [int(t) for t in rng.integers(0, n_states, size=n_states * len(alphabet))]
     accepting = [bool(b) for b in rng.integers(0, 2, size=n_states)]

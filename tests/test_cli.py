@@ -233,6 +233,29 @@ class TestSimulateCommand:
         assert out == ""
         assert err.startswith("error: ValueError")
 
+    def test_oracle_over_another_alphabet_is_an_error(self, capsys, paths):
+        code, out, err = run_cli(
+            capsys, "simulate", paths["even_head_odd_tail_qfa"],
+            "--all-up-to", "4", "--oracle", "layered", "--p", "0.6",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ValueError: oracle 'layered' reads {a, b, c, d, e, f, g, h, i}")
+        assert err.rstrip().endswith("but the machine reads {a, b}")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--all-up-to", "3", "--p", "0.6"), "--all-up-to needs --oracle and --p"),
+        (("--all-up-to", "3", "--oracle", "even_head_odd_tail"), "--all-up-to needs --oracle and --p"),
+        ((), "give a word or --all-up-to N"),
+    ])
+    def test_missing_arguments_are_usage_errors(self, capsys, paths, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", paths["even_head_odd_tail_qfa"], *argv])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.startswith("usage: qfalab simulate")
+        assert f"error: {message}" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     @pytest.mark.parametrize("position", ["global", "subcommand"])
     def test_tolerance_out_of_range_is_a_usage_error(self, capsys, paths, tol, position):
@@ -358,6 +381,16 @@ class TestOtherCommands:
         assert payload["limit_case"] is True
         assert payload["margin"] == 0
 
+    def test_separability_oracle_over_another_alphabet_is_an_error(self, capsys, paths):
+        code, out, err = run_cli(
+            capsys, "separability",
+            paths["even_head_odd_tail_qfa"], paths["odd_head_odd_tail_qfa"],
+            "--oracle", "layered", "--max-len", "3",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ValueError: oracle 'layered' reads {a, b, c, d, e, f, g, h, i}")
+        assert err.rstrip().endswith("but the machine reads {a, b}")
+
     def test_fixtures_list_and_emit(self, capsys, paths):
         code, doc, _ = run_json(capsys, "fixtures", "list")
         assert code == 0
@@ -370,6 +403,15 @@ class TestOtherCommands:
     def test_unknown_fixture(self, capsys, paths):
         code, out, err = run_cli(capsys, "fixtures", "emit", "nope")
         assert code == 1
+
+    def test_emit_without_a_name_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fixtures", "emit"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.startswith("usage: qfalab fixtures")
+        assert "error: fixtures emit needs a fixture name" in err
 
 
 class TestDeterminism:

@@ -1,20 +1,25 @@
-"""The monoid walk, the pump relation and the pump index against the scans
-they replace.
+"""The monoid walk, the pair closure, the pump relation and the pump index
+against the scans they replace.
 
 `transition_monoid` is a `bfs` walk over byte-string mappings that yields
-each node when it is discovered.  An element f pumps q into t when
-f(q) = t = f(t).  `Monoid.targets` says, per state, which others some word
-pumps it into, by pair reachability and without reading an element;
-`detect_order_violation` and `detect_two_cycles` test their condition on it
-first and then take the first qualifying pump of an early-exit element scan.
-`Monoid.pumps` lists, per state q and target t, every pumping element; only
-`detect_fork`, which visits the element pairs the index offers, and
-`search_two_level_fork`, which reads its candidates from it, build it.  The
-dequeue-time walk over tuple mappings, a brute-force pump relation and index,
-the shallow detectors' element scans, the fork's scan of all element pairs
-and the two-level search's element scans are kept here as references:
-walks, relations, pumps, witnesses and budget cut-offs must equal them, on
-capped monoids too.
+each node when it is discovered.  `automata.pair_reach` labels each pair of
+states with the OR of a goal over every pair it reaches in the square
+product; it must equal a `bfs(pair_steps)` walk from each pair.  An element
+f pumps q into t when f(q) = t = f(t).  `Dfa._pump_targets` says, per
+state, which others some word pumps it into, and `Dfa._separable` which
+ordered pairs some suffix separates; both are labellings of that one
+closure, and the second must equal the backward closure over reversed
+product edges kept here.  `detect_order_violation` and `detect_two_cycles`
+test their condition on the pump targets first and then take the first
+qualifying pump of an early-exit element scan.  `Monoid.pumps` lists, per
+state q and target t, every pumping element; only `detect_fork`, which
+visits the element pairs the index offers, and `search_two_level_fork`,
+which reads its candidates from it, build it.  The dequeue-time walk over
+tuple mappings, a brute-force pump relation and index, the shallow
+detectors' element scans, the fork's scan of all element pairs and the
+two-level search's element scans are kept here as references: walks,
+relations, pumps, witnesses and budget cut-offs must equal them, on capped
+monoids too.
 """
 
 from collections import deque
@@ -29,6 +34,8 @@ from qfalab.automata import (
     Dfa,
     bfs,
     minimize,
+    pair_reach,
+    pair_steps,
     recurrent_states,
     separating_word,
     shortest_word_between,
@@ -45,7 +52,6 @@ from qfalab.fragments import (
     TWO_CYCLES,
     FragmentWitness,
     _assemble_two_level_fork,
-    _separability_table,
     classify,
     detect_fork,
     detect_order_violation,
@@ -67,6 +73,21 @@ def reference_bfs(sources, successors):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, word + ch))
+
+
+def reference_separability_table(dfa):
+    """Ordered pairs (s, t) with some z sending s to accepting and t to
+    rejecting, by a backward `bfs` over the reversed edges of the product."""
+    n = len(dfa.states)
+    table = dfa._table
+    acc = dfa._accepting_indices
+    reverse = {}
+    for s in range(n):
+        for t in range(n):
+            for a, ch in enumerate(dfa.alphabet):
+                reverse.setdefault((table[s][a], table[t][a]), []).append((ch, (s, t)))
+    sources = [(s, t) for s in acc for t in range(n) if t not in acc]
+    return {pair for pair, _ in bfs(sources, lambda pair: reverse.get(pair, ()))}
 
 
 def reference_order_violation(dfa, monoid):
@@ -163,10 +184,46 @@ def test_targets_equal_the_pumps_of_the_complete_monoid(case):
     full = transition_monoid(dfa, WALK_LIMIT)
     brute = brute_targets(full)
     if full.complete:
-        assert full.targets == brute
+        assert dfa._pump_targets == brute
     else:
-        assert all(b <= t for b, t in zip(brute, full.targets))
-    assert transition_monoid(dfa, cap).targets == full.targets
+        assert all(b <= t for b, t in zip(brute, dfa._pump_targets))
+    assert all(b <= t for b, t in zip(brute_targets(transition_monoid(dfa, cap)), dfa._pump_targets))
+
+
+def small_dfas():
+    """Random DFAs with 1-9 states over 1-3 letters."""
+    return st.integers(1, 3).flatmap(lambda k: dfas(min_states=1, max_states=9, alphabet=("a", "b", "c")[:k]))
+
+
+@st.composite
+def dfas_and_goals(draw):
+    """Random DFAs with 1-9 states over 1-3 letters, and a random label of
+    each pair of states."""
+    dfa = draw(small_dfas())
+    n = len(dfa.states)
+    labels = draw(st.lists(st.integers(0, 7), min_size=n * n, max_size=n * n))
+    return dfa, labels
+
+
+@settings(max_examples=300)
+@given(dfas_and_goals())
+def test_pair_reach_equals_the_pair_walks(case):
+    dfa, labels = case
+    n = len(dfa.states)
+    reach = pair_reach(dfa, lambda c, d: labels[c * n + d])
+    steps = pair_steps(dfa, dfa)
+    for a in range(n):
+        for b in range(n):
+            expected = 0
+            for (c, d), _ in bfs([(a, b)], steps):
+                expected |= labels[c * n + d]
+            assert reach[a * n + b] == expected
+
+
+@settings(max_examples=300)
+@given(small_dfas())
+def test_separable_equals_the_backward_closure(dfa):
+    assert dfa._separable == reference_separability_table(dfa)
 
 
 @pytest.mark.parametrize("name", ["a_star_b_star", "layered"])
@@ -181,7 +238,7 @@ def test_shallow_detectors_leave_the_pump_index_unbuilt(monkeypatch, name):
     verdict = classify(dfa_fixture(name))
     assert verdict.classification == OUTSIDE_CHARACTERIZED_CLASS
     (monoid,) = built
-    assert "targets" in monoid.__dict__ and "pumps" not in monoid.__dict__
+    assert "pumps" not in monoid.__dict__
 
 
 @settings(max_examples=150)
@@ -258,7 +315,7 @@ def reference_fork(dfa, monoid):
     """The first (f, g, q1) in element order that meets the fork's conditions,
     by a scan of all element pairs."""
     n = len(dfa.states)
-    sep = _separability_table(dfa)
+    sep = reference_separability_table(dfa)
     mappings = monoid.mappings
     separable_both_ways = {(s, t) for s, t in sep if (t, s) in sep}
     if not separable_both_ways:
@@ -311,7 +368,7 @@ def reference_two_level_fork(dfa, monoid, budget):
     of all elements: the same triples in the same order, so the same witness
     and the same budget cut-off."""
     n = len(dfa.states)
-    sep = _separability_table(dfa)
+    sep = reference_separability_table(dfa)
     mappings = monoid.mappings
     ledger = [0]
     level2_failures = set()

@@ -1,19 +1,23 @@
 """The DFA-to-QFA compiler: plans, reversibility checks, compiled machines."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import make_dfa
-from qfalab.automata import Dfa, minimize
+from conftest import make_dfa, permutation_component_dfas
+from qfalab.automata import Dfa, closed_sccs, language_contains, minimize
 from qfalab.fixtures import dfa_fixture, oracle
 from qfalab.qfa import all_words, run, validate, verify_recognition
 from qfalab.synthesis import (
     ChainViolation,
     EntryStateAmbiguous,
     PermutationViolation,
+    SynthesisError,
     TransientNotReversible,
+    _certified_entry_state,
     check_reversible_a,
     plan,
     reversible_qfa,
@@ -57,8 +61,6 @@ class TestPlan:
                 assert g2.run(word, start=entry) == target
 
     def test_chain_agrees_with_containment(self, g2):
-        from qfalab.automata import language_contains
-
         p = plan(g2)
         for pos, i in enumerate(p.chain):
             for j in p.chain[pos + 1 :]:
@@ -106,6 +108,30 @@ class TestPlan:
         dfa = Dfa(("s", "e", "o", "E", "O"), ("a", "b"), "s", frozenset(["e", "E"]), transitions)
         with pytest.raises(ChainViolation):
             plan(dfa)
+
+
+@settings(max_examples=300)
+@given(permutation_component_dfas())
+def test_plan_chain_equals_language_containment(dfa):
+    """The plan's containment counts, chain and ChainViolation agree with
+    pairwise `language_contains` walks between the entry states."""
+    components = [tuple(sorted(c, key=dfa.states.index)) for c in closed_sccs(dfa)]
+    try:
+        entries = [_certified_entry_state(dfa, comp, ci) for ci, comp in enumerate(components)]
+    except SynthesisError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            plan(dfa)
+        return
+    n = len(entries)
+    contains = [[language_contains(dfa, e, dfa, f) for f in entries] for e in entries]
+    if any(not contains[i][j] and not contains[j][i] for i in range(n) for j in range(i)):
+        with pytest.raises(ChainViolation):
+            plan(dfa)
+        return
+    counts = tuple(sum(contains[j][i] for j in range(n)) for i in range(n))
+    p = plan(dfa)
+    assert p.containment_counts == counts
+    assert p.chain == tuple(sorted(range(n), key=lambda i: (counts[i], i)))
 
 
 class TestCheckReversible:
