@@ -17,10 +17,14 @@ many verdicts are inconclusive and witnesses are found inside a capped
 monoid.  A seventh digest covers `plan`, or the `SynthesisError` subclass
 and message it raises, on seeded DFAs made of a transient prefix into 2-4
 blocks on which each letter is a random permutation, so the containment
-chain is exercised far more often than by `classify`.  The library and the
-generator are imported from the checkout that holds this script, so running
-it in two checkouts and comparing the outputs with `diff` shows whether a
-change moved any output.
+chain is exercised far more often than by `classify`.  An eighth digest
+covers the compiled machines: `qfa_to_json` and p of `synthesize`, or the
+`SynthesisError` subclass and message, on every constructible minimal DFA
+of both classify-random groups and on the plan digest's DFAs, and
+`qfa_to_json` of `reversible_qfa`, or its error, on every classify-random
+minimal DFA.  The library and the generator are imported from the checkout
+that holds this script, so running it in two checkouts and comparing the
+outputs with `diff` shows whether a change moved any output.
 """
 
 from __future__ import annotations
@@ -42,13 +46,15 @@ from qfalab.automata import Dfa, dfa_to_json, minimize, parse_dfa, transition_mo
 from qfalab.cli import main as cli_main  # noqa: E402
 from qfalab.fixtures import dfa_fixture, dfa_fixture_names  # noqa: E402
 from qfalab.fragments import (  # noqa: E402
+    CONSTRUCTIBLE,
     DEFAULT_SEARCH_BUDGET,
     classify,
     search_two_level_fork,
     verify_witness,
     witness_to_json,
 )
-from qfalab.synthesis import SynthesisError, plan  # noqa: E402
+from qfalab.qfa import qfa_to_json  # noqa: E402
+from qfalab.synthesis import SynthesisError, plan, reversible_qfa, synthesize  # noqa: E402
 
 import classify_random  # noqa: E402
 
@@ -110,11 +116,21 @@ def component_dfa(rng: random.Random) -> Dfa:
     return Dfa(states, alphabet, states[0], accepting, transitions)
 
 
-def plan_record(dfa) -> str:
+def guarded(build, dfa) -> str:
+    """`repr` of build(dfa), or of the SynthesisError subclass and message."""
     try:
-        return repr(plan(dfa))
+        return repr(build(dfa))
     except SynthesisError as exc:
         return repr((type(exc).__name__, str(exc)))
+
+
+def compiled(dfa):
+    qfa, p = synthesize(dfa)
+    return qfa_to_json(qfa), p
+
+
+def embedded(dfa):
+    return qfa_to_json(reversible_qfa(dfa))
 
 
 def digest(records) -> str:
@@ -160,8 +176,19 @@ def main() -> None:
     records = (verdict_record(dfa, monoid_cap=cap) for cap in CAPS for dfa in random_dfas)
     print(f"classify-random at monoid caps {CAPS} ({len(random_dfas)} DFAs): {digest(records)}")
     rngs = [random.Random(seed) for seed in RANDOM_SEEDS]
-    records = (plan_record(component_dfa(rng)) for rng in rngs for _ in range(COMPONENT_DFAS))
+    component_dfas = [component_dfa(rng) for rng in rngs for _ in range(COMPONENT_DFAS)]
+    records = (guarded(plan, dfa) for dfa in component_dfas)
     print(f"plan on permutation-component DFAs (seeds {RANDOM_SEEDS}, {COMPONENT_DFAS} each): {digest(records)}")
+    verdicts = [classify(dfa) for dfa in random_dfas]
+    constructible = [v.minimal_dfa for v in verdicts if v.classification == CONSTRUCTIBLE]
+    records = chain(
+        (guarded(compiled, dfa) for dfa in chain(constructible, component_dfas)),
+        (guarded(embedded, v.minimal_dfa) for v in verdicts),
+    )
+    print(
+        f"synthesize ({len(constructible)} constructible classify-random, {len(component_dfas)} "
+        f"permutation-component DFAs), reversible_qfa ({len(verdicts)} classify-random): {digest(records)}"
+    )
 
 
 if __name__ == "__main__":

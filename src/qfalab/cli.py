@@ -198,12 +198,17 @@ def _oracle_over(name: str, alphabet: tuple[str, ...]) -> LanguageOracle:
 
 
 def _cmd_simulate(args) -> tuple[str, dict | None]:
-    if args.all_up_to is None and args.word is None:
-        args.usage_error("give a word or --all-up-to N")
-    if args.all_up_to is not None and (args.oracle is None or args.p is None):
+    sweeping = args.all_up_to is not None
+    if sweeping == (args.word is not None):
+        args.usage_error("give a word or --all-up-to N" + (", not both" if sweeping else ""))
+    if sweeping and args.trace:
+        args.usage_error("--trace needs a word, not --all-up-to")
+    if sweeping and (args.oracle is None or args.p is None):
         args.usage_error("--all-up-to needs --oracle and --p")
+    if not sweeping and (args.oracle is not None or args.p is not None):
+        args.usage_error("--oracle and --p need --all-up-to, not a word")
     qfa = _read_qfa(args.qfa, args.tol)
-    if args.all_up_to is None:
+    if not sweeping:
         outcome = run(qfa, args.word, with_trace=args.trace)
         payload = {
             "word": args.word,

@@ -43,6 +43,7 @@ USER_UNITARITY_TOL = 1e-9  # max |U^dag U - I| entry for matrices read from file
 RECOGNITION_TOL = 1e-9  # slack below p that verify_recognition still accepts
 RESIDUAL_TOL = 1e-9  # non-halting mass after "$" above which a run is flagged
 UNIT_COLUMN_TOL = 1e-9  # |norm^2 - 1| allowed for a column given to complete_unitary
+FREE_COLUMN_TOL = 1e-6  # residual norm above which complete_unitary takes a basis vector as a column
 MIXTURE_WEIGHT_TOL = 1e-12  # |sum - 1| allowed for the weights and biases of a mixture
 FRONTIER_BLOCK = 1024  # words per block of a sweep: bounds the "$" read and measurement temporaries
 
@@ -389,7 +390,7 @@ def complete_unitary(columns: Mapping[int, np.ndarray], dimension: int) -> np.nd
             for other in filled:
                 vec = vec - np.vdot(other, vec) * other
             norm = float(np.linalg.norm(vec))
-            if norm > 1e-6:
+            if norm > FREE_COLUMN_TOL:
                 vec = vec / norm
                 # second orthogonalization pass kills rounding drift
                 for other in filled:

@@ -30,7 +30,9 @@ import numpy as np
 from qfalab.qfa import Qfa, nonhalting_operator
 
 EIGENVALUE_CUTOFF = 1e-8
-DEFAULT_BEAM_WIDTH = 8
+RANK_CUTOFF = 1e-10  # singular value, relative to the largest, below which a column is dependent
+KERNEL_CUTOFF = 1e-10  # singular value at or below which decompose_pair keeps a direction
+BEAM_WIDTH = 8  # lowest-norm continuations find_shrinking_word keeps per step
 
 
 @dataclass(frozen=True)
@@ -57,12 +59,12 @@ class Decomposition:
         return self.transient_basis.shape[1]
 
 
-def _orthonormal_columns(vectors: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _orthonormal_columns(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, deterministic via SVD."""
     if vectors.size == 0 or vectors.shape[1] == 0:
         return np.zeros((vectors.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, float(s[0]) if len(s) else 1.0)))
+    rank = int(np.sum(s > RANK_CUTOFF * max(1.0, float(s[0]) if len(s) else 1.0)))
     return u[:, :rank]
 
 
@@ -132,7 +134,7 @@ def decompose_pair(qfa: Qfa, x: str, y: str, tol: float = EIGENVALUE_CUTOFF) -> 
         stacked = np.vstack([proj_out @ tx @ basis, proj_out @ ty @ basis])
         _, s, vh = np.linalg.svd(stacked, full_matrices=True)
         null_mask = np.ones(basis.shape[1], dtype=bool)
-        null_mask[: len(s)] = s <= 1e-10
+        null_mask[: len(s)] = s <= KERNEL_CUTOFF
         kernel = vh.conj().T[:, null_mask]
         new_basis = _orthonormal_columns(basis @ kernel)
         if new_basis.shape[1] == basis.shape[1]:
@@ -156,11 +158,10 @@ def find_shrinking_word(
     v: np.ndarray,
     eps: float,
     max_len: int,
-    beam_width: int = DEFAULT_BEAM_WIDTH,
 ) -> str | None:
     """Search for t in {x, y}* with ||T_t v|| < eps, built block by block.
 
-    A beam of the `beam_width` lowest-norm continuations is kept; ties break
+    A beam of the `BEAM_WIDTH` lowest-norm continuations is kept; ties break
     lexicographically on the word, so the result is deterministic.  `None`
     reports budget exhaustion (words longer than `max_len` letters), never
     nonexistence.
@@ -186,7 +187,7 @@ def find_shrinking_word(
             if float(np.linalg.norm(vec)) < eps:
                 return word
         candidates.sort(key=lambda item: (float(np.linalg.norm(item[1])), item[0]))
-        beam = candidates[:beam_width]
+        beam = candidates[:BEAM_WIDTH]
 
 
 def norm_decay_table(qfa: Qfa, x: str, v: np.ndarray, steps: int) -> list[float]:

@@ -15,10 +15,14 @@ Words whose run stays transient are decided exactly by the reversible block;
 words ending in component i are decided by the chain-position arithmetic,
 giving overall success probability (n+1)/(2n+1).
 
-The transient block requires every letter to act injectively on transitions
-that stay transient.  Inputs failing that are rejected with a descriptive
-error instead of being restructured; restructuring the transient part into
-an equivalent reversible automaton is out of scope here.
+One function, `_embedding`, lays out both this machine and the certain
+embedding of a permutation DFA (`reversible_qfa`, no halting exits).  One
+check, `_collisions`, finds the letters that merge two states: it tests that
+each component is permuted, that every letter is injective on moves staying
+transient, and that `reversible_qfa`'s letters permute.  A transient part
+failing it is rejected with a descriptive error instead of being
+restructured; restructuring it into an equivalent reversible automaton is
+out of scope here.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -90,13 +95,12 @@ def plan(dfa: Dfa) -> SynthesisPlan:
     transient = tuple(q for q in dfa.states if q not in in_component)
 
     for ci, comp in enumerate(components):
-        for a in dfa.alphabet:
-            images = {dfa.transitions[(q, a)] for q in comp}
-            if images != set(comp):
-                raise PermutationViolation(
-                    f"letter {a!r} does not permute component {ci} {comp}; "
-                    "the fragment detectors should reject this input"
-                )
+        # a closed component maps into itself: it is permuted iff nothing collides
+        if collisions := _collisions(dfa, comp, set(comp)):
+            raise PermutationViolation(
+                f"letter {collisions[0][0]!r} does not permute component {ci} {comp}; "
+                "the fragment detectors should reject this input"
+            )
 
     entry_states = tuple(
         _certified_entry_state(dfa, comp, ci) for ci, comp in enumerate(components)
@@ -155,121 +159,40 @@ def _certified_entry_state(dfa: Dfa, comp: tuple[str, ...], ci: int) -> str:
     return candidate
 
 
-@dataclass(frozen=True)
-class ReversibilityReport:
-    passed: bool
-    collisions: tuple[tuple[str, str, str], ...]  # (letter, state1, state2) merged
-
-
-def check_reversible_a(dfa: Dfa, syn_plan: SynthesisPlan) -> ReversibilityReport:
-    """Check that every letter is injective on transitions staying transient.
-
-    Exits into components count as halting, so only transient-to-transient
-    moves can collide.
-    """
-    transient = set(syn_plan.transient_states)
-    collisions = []
-    for a in dfa.alphabet:
-        seen: dict[str, str] = {}
-        for q in syn_plan.transient_states:
-            target = dfa.transitions[(q, a)]
-            if target not in transient:
-                continue
-            if target in seen:
-                collisions.append((a, seen[target], q))
-            else:
-                seen[target] = q
-    return ReversibilityReport(passed=not collisions, collisions=tuple(collisions))
-
-
 def synthesize(dfa: Dfa) -> tuple[Qfa, Fraction]:
     """Build the compiled machine and return it with its success probability.
 
-    Layout: one basis state per DFA state (transient block first, then the
-    components), plus a dedicated accept/reject pair per basis state used by
-    the right endmarker and by the halting splits of the transient block.
+    The embedding lists the transient block first, then the components.  A
+    transient state's move into component i halts with accept weight a_i/(n+1);
+    "^" puts weight p on the start state (halting at once with that split if
+    it lies in a component) and 1/(2n+1) on each component's entry state.
     """
     syn_plan = plan(dfa)
-    reversibility = check_reversible_a(dfa, syn_plan)
-    if not reversibility.passed:
-        letter, s1, s2 = reversibility.collisions[0]
+    transient = syn_plan.transient_states
+    if collisions := _collisions(dfa, transient, set(transient)):
+        letter, s1, s2 = collisions[0]
         raise TransientNotReversible(
             f"letter {letter!r} merges transient states {s1!r} and {s2!r}; "
             "restructure the input into a letter-injective transient part"
         )
 
-    n = syn_plan.component_count
-    order = list(syn_plan.transient_states)
-    for comp in syn_plan.components:
-        order.extend(comp)
-    index = {q: i for i, q in enumerate(order)}
-    n_basis = len(order)
-    dim = 3 * n_basis
-
-    def acc_of(i: int) -> int:
-        return n_basis + 2 * i
-
-    def rej_of(i: int) -> int:
-        return n_basis + 2 * i + 1
-
-    in_component = {
-        q: ci for ci, comp in enumerate(syn_plan.components) for q in comp
-    }
-    transient = set(syn_plan.transient_states)
-    p = syn_plan.success_probability
-    branch_weight = Fraction(1, 2 * n + 1)
-
-    unitaries: dict[str, np.ndarray] = {}
-
-    # input letters: permutation blocks plus the reversible transient block
-    for a in dfa.alphabet:
-        columns: dict[int, np.ndarray] = {}
-        for q in order:
-            src = index[q]
-            target = dfa.transitions[(q, a)]
-            col = np.zeros(dim, dtype=np.complex128)
-            if q in transient and target not in transient:
-                beta = syn_plan.halting_weights[in_component[target]]
-                col[acc_of(src)] = math.sqrt(float(beta))
-                col[rej_of(src)] = math.sqrt(float(1 - beta))
-            else:
-                col[index[target]] = 1.0
-            columns[src] = col
-        unitaries[a] = complete_unitary(columns, dim)
-
-    # left endmarker: distribute the start amplitude over the branches
-    start_idx = index[dfa.start]
-    init = np.zeros(dim, dtype=np.complex128)
-    if dfa.start in transient:
-        init[start_idx] += math.sqrt(float(p))
+    components, p = syn_plan.components, syn_plan.success_probability
+    order = transient + tuple(q for comp in components for q in comp)
+    beta = {q: w for comp, w in zip(components, syn_plan.halting_weights) for q in comp}
+    moves = ((q, a, dfa.transitions[(q, a)]) for q in transient for a in dfa.alphabet)
+    exits = {(q, a): beta[t] for q, a, t in moves if t in beta}
+    n_basis, s = len(order), order.index(dfa.start)
+    if dfa.start in beta:
+        b = beta[dfa.start]
+        init = {
+            n_basis + 2 * s: math.sqrt(float(p * b)),
+            n_basis + 2 * s + 1: math.sqrt(float(p * (1 - b))),
+        }
     else:
-        beta = syn_plan.halting_weights[in_component[dfa.start]]
-        init[acc_of(start_idx)] += math.sqrt(float(p * beta))
-        init[rej_of(start_idx)] += math.sqrt(float(p * (1 - beta)))
-    for ci, entry in enumerate(syn_plan.entry_states):
-        init[index[entry]] += math.sqrt(float(branch_weight))
-    unitaries[KAPPA] = complete_unitary({start_idx: init}, dim)
-
-    # right endmarker: route every basis state to its own halting pair
-    columns = {}
-    for q in order:
-        src = index[q]
-        col = np.zeros(dim, dtype=np.complex128)
-        col[acc_of(src) if q in dfa.accepting else rej_of(src)] = 1.0
-        columns[src] = col
-    unitaries[DOLLAR] = complete_unitary(columns, dim)
-
-    qfa = freeze(
-        Qfa(
-            dimension=dim,
-            alphabet=dfa.alphabet,
-            unitaries=unitaries,
-            start=start_idx,
-            acc=frozenset(acc_of(i) for i in range(n_basis)),
-            rej=frozenset(rej_of(i) for i in range(n_basis)),
-        )
-    )
-    return qfa, p
+        init = {s: math.sqrt(float(p))}
+    for entry in syn_plan.entry_states:
+        init[order.index(entry)] = math.sqrt(float(Fraction(1, 2 * len(components) + 1)))
+    return _embedding(dfa, order, exits, init), p
 
 
 def reversible_qfa(dfa: Dfa) -> Qfa:
@@ -279,36 +202,62 @@ def reversible_qfa(dfa: Dfa) -> Qfa:
     permutation on basis states and routes each state to an accept or reject
     state at the right endmarker, so p_accept is exactly 0 or 1.
     """
+    if collisions := _collisions(dfa, dfa.states, dfa._index):
+        raise SynthesisError(f"letter {collisions[0][0]!r} does not permute the state set")
+    return _embedding(dfa, dfa.states, {}, {dfa._index[dfa.start]: 1.0})
+
+
+def _collisions(dfa: Dfa, sources, within) -> list[tuple[str, str, str]]:
+    """Each (letter, q1, q2) where the letter sends the states q1 and q2 of
+    `sources` onto one state of `within`: letters in alphabet order, q2 the
+    later source.  Moves that leave `within` never collide."""
+    collisions = []
     for a in dfa.alphabet:
-        images = {dfa.transitions[(q, a)] for q in dfa.states}
-        if len(images) != len(dfa.states):
-            raise SynthesisError(f"letter {a!r} does not permute the state set")
-    n_basis = len(dfa.states)
-    dim = 3 * n_basis
-    index = {q: i for i, q in enumerate(dfa.states)}
-    unitaries: dict[str, np.ndarray] = {}
-    for a in dfa.alphabet:
-        columns = {}
-        for q in dfa.states:
-            col = np.zeros(dim, dtype=np.complex128)
-            col[index[dfa.transitions[(q, a)]]] = 1.0
-            columns[index[q]] = col
-        unitaries[a] = complete_unitary(columns, dim)
-    unitaries[KAPPA] = np.eye(dim, dtype=np.complex128)
-    columns = {}
-    for q in dfa.states:
+        seen: dict[str, str] = {}
+        for q in sources:
+            target = dfa.transitions[(q, a)]
+            if target in within and seen.setdefault(target, q) != q:
+                collisions.append((a, seen[target], q))
+    return collisions
+
+
+def _embedding(
+    dfa: Dfa,
+    order: Sequence[str],
+    exits: Mapping[tuple[str, str], Fraction],
+    init: Mapping[int, float],
+) -> Qfa:
+    """The 3·|order|-dimensional QFA that runs `dfa` on basis states.
+
+    Basis state i stands for order[i] and owns the accept/reject pair
+    n + 2i, n + 2i + 1 (n = len(order)).  A letter moves basis states as the
+    DFA does, except that a move (q, a) listed in `exits` with weight β
+    halts, splitting into amplitude √β on q's accept state and √(1-β) on its
+    reject state.  "^" maps the start state to `init` (amplitudes by basis
+    index); "$" sends each state to its own accept or reject state.
+    """
+    n, dim = len(order), 3 * len(order)
+    index = {q: i for i, q in enumerate(order)}
+
+    def column(amplitudes: Mapping[int, float]) -> np.ndarray:
         col = np.zeros(dim, dtype=np.complex128)
-        offset = 0 if q in dfa.accepting else 1
-        col[n_basis + 2 * index[q] + offset] = 1.0
-        columns[index[q]] = col
-    unitaries[DOLLAR] = complete_unitary(columns, dim)
+        col[list(amplitudes)] = list(amplitudes.values())
+        return col
+
+    def move(i: int, q: str, a: str) -> np.ndarray:
+        if (q, a) not in exits:
+            return column({index[dfa.transitions[(q, a)]]: 1.0})
+        beta = exits[(q, a)]
+        return column({n + 2 * i: math.sqrt(float(beta)), n + 2 * i + 1: math.sqrt(float(1 - beta))})
+
+    unitaries = {
+        a: complete_unitary({i: move(i, q, a) for i, q in enumerate(order)}, dim) for a in dfa.alphabet
+    }
+    start = index[dfa.start]
+    unitaries[KAPPA] = complete_unitary({start: column(init)}, dim)
+    routes = {i: column({n + 2 * i + (q not in dfa.accepting): 1.0}) for i, q in enumerate(order)}
+    unitaries[DOLLAR] = complete_unitary(routes, dim)
+    acc, rej = frozenset(range(n, dim, 2)), frozenset(range(n + 1, dim, 2))
     return freeze(
-        Qfa(
-            dimension=dim,
-            alphabet=dfa.alphabet,
-            unitaries=unitaries,
-            start=index[dfa.start],
-            acc=frozenset(n_basis + 2 * i for i in range(n_basis)),
-            rej=frozenset(n_basis + 2 * i + 1 for i in range(n_basis)),
-        )
+        Qfa(dimension=dim, alphabet=dfa.alphabet, unitaries=unitaries, start=start, acc=acc, rej=rej)
     )

@@ -246,6 +246,13 @@ class TestSimulateCommand:
         (("--all-up-to", "3", "--p", "0.6"), "--all-up-to needs --oracle and --p"),
         (("--all-up-to", "3", "--oracle", "even_head_odd_tail"), "--all-up-to needs --oracle and --p"),
         ((), "give a word or --all-up-to N"),
+        # arguments of the other mode
+        (("zzz", "--all-up-to", "2", "--oracle", "even_head_odd_tail", "--p", "0.6"),
+         "give a word or --all-up-to N, not both"),
+        (("ba", "--oracle", "even_head_odd_tail"), "--oracle and --p need --all-up-to, not a word"),
+        (("ba", "--p", "0.6"), "--oracle and --p need --all-up-to, not a word"),
+        (("--all-up-to", "2", "--oracle", "even_head_odd_tail", "--p", "0.6", "--trace"),
+         "--trace needs a word, not --all-up-to"),
     ])
     def test_missing_arguments_are_usage_errors(self, capsys, paths, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -1,16 +1,16 @@
-"""The DFA-to-QFA compiler: plans, reversibility checks, compiled machines."""
+"""The DFA-to-QFA compiler: plans, collision checks, compiled machines."""
 
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_dfa, permutation_component_dfas
+from conftest import dfas, make_dfa, permutation_component_dfas
 from qfalab.automata import Dfa, closed_sccs, language_contains, minimize
 from qfalab.fixtures import dfa_fixture, oracle
-from qfalab.qfa import all_words, run, validate, verify_recognition
+from qfalab.qfa import all_words, run, sweep, validate, verify_recognition
 from qfalab.synthesis import (
     ChainViolation,
     EntryStateAmbiguous,
@@ -18,7 +18,7 @@ from qfalab.synthesis import (
     SynthesisError,
     TransientNotReversible,
     _certified_entry_state,
-    check_reversible_a,
+    _collisions,
     plan,
     reversible_qfa,
     synthesize,
@@ -136,8 +136,9 @@ def test_plan_chain_equals_language_containment(dfa):
 
 class TestCheckReversible:
     def test_fixture_transient_part_is_letter_injective(self, g2):
-        report = check_reversible_a(g2, plan(g2))
-        assert report.passed
+        transient = plan(g2).transient_states
+        assert transient == ("s0", "s1")
+        assert _collisions(g2, transient, set(transient)) == []
 
     def test_collision_is_reported_with_the_pair(self):
         # both transient states fall onto the same transient state under a
@@ -148,15 +149,70 @@ class TestCheckReversible:
             ("c", "a"): "c", ("c", "b"): "c",
         }
         dfa = Dfa(("u", "v", "w", "c"), ("a", "b"), "u", frozenset(["w"]), transitions)
-        # v is unreachable but legal as input here; build the plan pieces manually
-        syn = plan(dfa)
-        report = check_reversible_a(dfa, syn)
-        assert not report.passed
-        assert ("a", "u", "v") in report.collisions
+        # v is unreachable but legal as input here
+        transient = plan(dfa).transient_states
+        # u and w both leave for the sink c on b, but moves out of the
+        # transient part halt, so only the merge under a counts
+        assert _collisions(dfa, transient, set(transient)) == [("a", "u", "v")]
+        with pytest.raises(TransientNotReversible) as exc:
+            synthesize(dfa)
+        assert str(exc.value).startswith("letter 'a' merges transient states 'u' and 'v';")
 
     def test_empty_transient_part_passes_vacuously(self):
         dfa = make_dfa(1, [0, 0], [True])
-        assert check_reversible_a(dfa, plan(dfa)).passed
+        assert plan(dfa).transient_states == ()
+        assert _collisions(dfa, (), set()) == []
+        synthesize(dfa)
+
+
+@st.composite
+def letterwise_dfas(draw):
+    """1-4 states; each of two letters is a random permutation or a random map."""
+    n = draw(st.integers(1, 4))
+    states = tuple(f"q{i}" for i in range(n))
+    transitions = {}
+    for a in ("a", "b"):
+        if draw(st.booleans()):
+            images = draw(st.permutations(states))
+        else:
+            images = draw(st.lists(st.sampled_from(states), min_size=n, max_size=n))
+        transitions.update(zip(((q, a) for q in states), images))
+    accepting = frozenset(q for q in states if draw(st.booleans()))
+    return Dfa(states, ("a", "b"), states[0], accepting, transitions)
+
+
+@settings(max_examples=300)
+@given(st.one_of(letterwise_dfas(), dfas(max_states=5)))
+def test_permutation_checks_equal_the_set_images(dfa):
+    """`reversible_qfa` refuses exactly the DFAs with a letter that does not
+    permute the states, and decides every other one with certainty; `plan`
+    raises PermutationViolation exactly when some letter's image of a closed
+    component is not the whole component."""
+    merging = [a for a in dfa.alphabet if {dfa.transitions[(q, a)] for q in dfa.states} != set(dfa.states)]
+    if merging:
+        with pytest.raises(SynthesisError, match=f"^letter '{merging[0]}' does not permute the state set$"):
+            reversible_qfa(dfa)
+    else:
+        qfa = reversible_qfa(dfa)
+        for level in sweep(qfa, 6):
+            assert list(level.p_accept) == [float(dfa.accepts(w)) for w in level.words]
+
+    components = [tuple(sorted(c, key=dfa.states.index)) for c in closed_sccs(dfa)]
+    violations = [
+        (ci, a, comp)
+        for ci, comp in enumerate(components)
+        for a in dfa.alphabet
+        if {dfa.transitions[(q, a)] for q in comp} != set(comp)
+    ]
+    try:
+        plan(dfa)
+    except PermutationViolation as exc:
+        ci, a, comp = violations[0]
+        assert str(exc).startswith(f"letter {a!r} does not permute component {ci} {comp};")
+    except SynthesisError:
+        assert violations == []
+    else:
+        assert violations == []
 
 
 class TestSynthesize:
