@@ -8,17 +8,14 @@ Each digest covers, per DFA: classification, reason, minimal DFA, plan,
 completeness.  The groups are the first 436 `classify-random` DFAs of seeds
 11 and 12 (the benchmark's generator, imported read only), every DFA
 fixture, and `qfalab --format structured classify` on every DFA fixture with
-`timing_s` removed.  A fifth digest covers `search_two_level_fork` on the
-minimal DFA and its default monoid: every DFA fixture at the default
-budget, and the DFAs of both classify-random groups at budgets 50 and
-1 000, so a moved budget cut-off shows too.  A sixth digest covers
-`classify` of both classify-random groups at monoid caps 12 and 500, where
-many verdicts are inconclusive and witnesses are found inside a capped
-monoid.  A seventh digest covers `plan`, or the `SynthesisError` subclass
-and message it raises, on seeded DFAs made of a transient prefix into 2-4
-blocks on which each letter is a random permutation, so the containment
-chain is exercised far more often than by `classify`.  An eighth digest
-covers the compiled machines: `qfa_to_json` and p of `synthesize`, or the
+`timing_s` removed.  A fifth digest covers `classify` of both
+classify-random groups at monoid caps 12 and 500, where many verdicts are
+inconclusive and witnesses are found inside a capped monoid.  A sixth
+digest covers `plan`, or the `SynthesisError` subclass and message it
+raises, on seeded DFAs made of a transient prefix into 2-4 blocks on which
+each letter is a random permutation, so the containment chain is exercised
+far more often than by `classify`.  A seventh digest covers the compiled
+machines: `qfa_to_json` and p of `synthesize`, or the
 `SynthesisError` subclass and message, on every constructible minimal DFA
 of both classify-random groups and on the plan digest's DFAs, and
 `qfa_to_json` of `reversible_qfa`, or its error, on every classify-random
@@ -42,17 +39,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from qfalab.automata import Dfa, dfa_to_json, minimize, parse_dfa, transition_monoid  # noqa: E402
+from qfalab.automata import Dfa, dfa_to_json, parse_dfa  # noqa: E402
 from qfalab.cli import main as cli_main  # noqa: E402
 from qfalab.fixtures import dfa_fixture, dfa_fixture_names  # noqa: E402
-from qfalab.fragments import (  # noqa: E402
-    CONSTRUCTIBLE,
-    DEFAULT_SEARCH_BUDGET,
-    classify,
-    search_two_level_fork,
-    verify_witness,
-    witness_to_json,
-)
+from qfalab.fragments import CONSTRUCTIBLE, classify, verify_witness, witness_to_json  # noqa: E402
 from qfalab.qfa import qfa_to_json  # noqa: E402
 from qfalab.synthesis import SynthesisError, plan, reversible_qfa, synthesize  # noqa: E402
 
@@ -60,7 +50,6 @@ import classify_random  # noqa: E402
 
 RANDOM_SEEDS = (11, 12)
 RANDOM_DFAS = 436  # four cycles of the classify-random mix
-TWO_LEVEL_BUDGETS = (50, 1_000)  # classify-random; the fixtures run at the default
 CAPS = (12, 500)  # classify-random again, on capped monoids
 COMPONENT_DFAS = 1_000  # per seed, for the plan digest
 
@@ -78,14 +67,6 @@ def verdict_record(dfa, **options) -> str:
         verdict.monoid_size,
         verdict.monoid_complete,
     ))
-
-
-def two_level_records(dfa, budgets):
-    minimal = minimize(dfa)
-    monoid = transition_monoid(minimal)
-    for budget in budgets:
-        witness = search_two_level_fork(minimal, monoid, budget)
-        yield repr((budget, witness_to_json(witness) if witness is not None else None))
 
 
 def component_dfa(rng: random.Random) -> Dfa:
@@ -165,14 +146,6 @@ def main() -> None:
             path.write_text(dfa_to_json(dfa_fixture(name)), encoding="utf-8")
             paths.append(path)
         print(f"cli structured classify ({len(names)}): {digest(cli_record(p) for p in paths)}")
-    records = chain(
-        (r for n in names for r in two_level_records(dfa_fixture(n), (DEFAULT_SEARCH_BUDGET,))),
-        (r for dfa in random_dfas for r in two_level_records(dfa, TWO_LEVEL_BUDGETS)),
-    )
-    print(
-        f"two-level fork ({len(names)} fixtures, {len(random_dfas)} classify-random DFAs): "
-        f"{digest(records)}"
-    )
     records = (verdict_record(dfa, monoid_cap=cap) for cap in CAPS for dfa in random_dfas)
     print(f"classify-random at monoid caps {CAPS} ({len(random_dfas)} DFAs): {digest(records)}")
     rngs = [random.Random(seed) for seed in RANDOM_SEEDS]

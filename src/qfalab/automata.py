@@ -460,8 +460,7 @@ class Monoid:
     inconclusively.  An element f pumps q into t when f(q) = t = f(t).
     Which states some word pumps into which others depends on the DFA alone
     (`Dfa._pump_targets`); `pumps` lists the pumping elements themselves and
-    is built only by the searches that need them, the fork and the
-    two-level fork.
+    is built only by the one search that needs them, `detect_fork`.
     """
 
     mappings: tuple[Sequence[int], ...]

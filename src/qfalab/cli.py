@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from qfalab import combinators, fragments, spectral, synthesis
-from qfalab.automata import DEFAULT_MONOID_CAP, Dfa, DfaParseError, dfa_to_json, parse_dfa
+from qfalab.automata import DEFAULT_MONOID_CAP, Dfa, DfaParseError, dfa_to_json, minimize, parse_dfa
 from qfalab.fixtures import (
     LanguageOracle,
     dfa_fixture,
@@ -143,6 +143,8 @@ def _witness_payload(witness: fragments.FragmentWitness | None, verification=Non
             for c in verification.conditions
         ]
         doc["verified"] = verification.passed
+        if verification.notes:
+            doc["notes"] = list(verification.notes)
     return doc
 
 
@@ -183,6 +185,17 @@ def _cmd_classify(args) -> tuple[str, dict | None]:
         payload["parse_report"] = note
     status = "inconclusive" if verdict.classification == fragments.INCONCLUSIVE else "pass"
     return status, payload
+
+
+def _cmd_verify_witness(args) -> tuple[str, dict | None]:
+    dfa, note = _read_dfa(args.dfa, args.complete_with_sink)
+    witness = fragments.parse_witness(_read_text(args.witness, fragments.WitnessParseError))
+    # state names are the minimal DFA's, the ones `classify` prints
+    report = fragments.verify_witness(minimize(dfa), witness)
+    payload = _witness_payload(witness, report)
+    if note:
+        payload["parse_report"] = note
+    return "pass" if report.passed else "fail", payload
 
 
 def _oracle_over(name: str, alphabet: tuple[str, ...]) -> LanguageOracle:
@@ -420,12 +433,17 @@ def _build_parser() -> argparse.ArgumentParser:
     add_globals(parser, suppress=False)
     common = argparse.ArgumentParser(add_help=False)
     add_globals(common, suppress=True)
+    dfa_input = argparse.ArgumentParser(add_help=False)
+    dfa_input.add_argument("dfa")
+    dfa_input.add_argument("--complete-with-sink", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="decide QFA-recognizability of a DFA's language")
-    p.add_argument("dfa")
-    p.add_argument("--complete-with-sink", action="store_true")
+    p = sub.add_parser("classify", parents=[common, dfa_input], help="decide QFA-recognizability of a DFA's language")
     p.set_defaults(func=_cmd_classify)
+
+    p = sub.add_parser("verify-witness", parents=[common, dfa_input], help="replay a fragment witness on a DFA")
+    p.add_argument("witness")
+    p.set_defaults(func=_cmd_verify_witness)
 
     p = sub.add_parser("simulate", parents=[common], help="run a QFA on one word or sweep all words up to a length")
     p.add_argument("qfa")
@@ -438,10 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # subcommand's usage message and exit 2
     p.set_defaults(func=_cmd_simulate, usage_error=p.error)
 
-    p = sub.add_parser("synthesize", parents=[common], help="compile an eligible DFA into a QFA")
-    p.add_argument("dfa")
+    p = sub.add_parser("synthesize", parents=[common, dfa_input], help="compile an eligible DFA into a QFA")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--complete-with-sink", action="store_true")
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("union", parents=[common], help="combine two recognizers into one for the union")
@@ -486,7 +502,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         status, payload = args.func(args)
-    except (DfaParseError, QfaParseError, json.JSONDecodeError) as exc:
+    except (DfaParseError, QfaParseError, fragments.WitnessParseError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, ArithmeticError) as exc:

@@ -11,10 +11,11 @@ q -x-> t with x fixing t.  The order violation closes one pump back to q1
 and two-cycles chains two; their conditions on (q1, q2) do not depend on x,
 so both test them on `Dfa._pump_targets` (which pairs some word pumps) and
 then take the first pumping element of an early-exit scan.  The fork takes
-two pumps of one state into separable targets (`Dfa._separable`), and the
-two-level fork chains pumps over two levels; both read every pumping
-element from the index `Monoid.pumps`.  Both relations are labellings of
-one closure over the square product, `automata.pair_reach`.
+two pumps of one state into separable targets (`Dfa._separable`) and reads
+the pumps from the index `Monoid.pumps`.  Both relations are labellings of
+one closure over the square product, `automata.pair_reach`.  The two-level fork and the
+multilevel form are not searched for: `parse_witness` reads a witness of
+any kind and `verify_witness` replays it.
 
 Witness kinds:
 
@@ -25,7 +26,7 @@ Witness kinds:
                             recurrent states whose futures are incomparable
   two-level-fork            three branches, each splitting into two of three
                             second-stage cycles, with a 3-accept/3-reject
-                            suffix assignment
+                            suffix assignment; verification only
   multilevel                the general layered form; verification only
 """
 
@@ -64,8 +65,6 @@ CONSTRUCTIBLE = "constructible"
 OUTSIDE_CHARACTERIZED_CLASS = "outside-characterized-class"
 INCONCLUSIVE = "inconclusive"
 
-DEFAULT_SEARCH_BUDGET = 250_000
-
 # two-level-fork shape: defined (branch, stage) pairs and the suffix
 # outcome table (suffix index, branch, stage, accepting?)
 _FORK2_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 3))
@@ -77,6 +76,10 @@ _FORK2_OUTCOMES = (
     ("s3", 2, 1, False),
     ("s1", 3, 3, False),
 )
+
+
+class WitnessParseError(ValueError):
+    """Raised when a witness file is malformed."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,28 +140,38 @@ def witness_to_json(witness: FragmentWitness) -> str:
 
 def _string_map(value, what: str) -> dict[str, str]:
     if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
-        raise ValueError(f"{what} must be an object of strings")
+        raise WitnessParseError(f"{what} must be an object of strings")
     return dict(value)
 
 
 def _string_list(value, what: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValueError(f"{what} must be a list of strings")
+        raise WitnessParseError(f"{what} must be a list of strings")
     return tuple(value)
 
 
 def parse_witness(text: str) -> FragmentWitness:
-    """Read the `witness_to_json` format; every malformed input raises ValueError."""
+    """Read the `witness_to_json` format; every malformed input raises WitnessParseError.
+
+    Keys other than the witness bindings (a `"verification"` report, say)
+    are ignored.
+    """
     try:
         obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise WitnessParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
+        raise WitnessParseError("JSON nested too deeply") from None
+    except ValueError as exc:  # an integer literal beyond the digit limit
+        raise WitnessParseError(f"invalid JSON: {exc}") from None
     body = obj.get("witness") if isinstance(obj, dict) else None
     if not isinstance(body, dict) or not isinstance(body.get("kind"), str):
-        raise ValueError('expected an object with a "witness" object naming its "kind"')
+        raise WitnessParseError('expected an object with a "witness" object naming its "kind"')
+    if body["kind"] not in WITNESS_KINDS:
+        raise WitnessParseError(f"unknown witness kind {body['kind']!r}")
     levels = body.get("levels", [])
     if not isinstance(levels, list) or not all(isinstance(lv, dict) for lv in levels):
-        raise ValueError("witness levels must be a list of objects")
+        raise WitnessParseError("witness levels must be a list of objects")
     return FragmentWitness(
         kind=body["kind"],
         states=_string_map(body.get("states", {}), "witness states"),
@@ -326,100 +339,6 @@ def detect_fork(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
                 },
             )
     return None
-
-
-def search_two_level_fork(
-    dfa: Dfa, monoid: Monoid, budget: int = DEFAULT_SEARCH_BUDGET
-) -> FragmentWitness | None:
-    """Budgeted search for the two-level fork; sound but incomplete.
-
-    Candidate triples of monoid elements, read from `Monoid.pumps`, are
-    enumerated lexicographically at each level under the fixed-point,
-    recurrence and separability constraints; every examined triple costs one
-    budget unit.  `None` means no witness within budget, never a proof of
-    absence.
-    """
-    sep = dfa._separable
-    mappings, pumps = monoid.mappings, monoid.pumps
-    ledger = [0]  # budget units spent so far
-    level2_failures: set[tuple[int, int, int]] = set()
-
-    for q0, row in enumerate(pumps):
-        cand1 = sorted((ei, qx) for qx, elements in row.items() for ei in elements)
-        for ai, qa in cand1:
-            for bi, qb in cand1:
-                for ci, qc in cand1:
-                    ledger[0] += 1
-                    if ledger[0] > budget:
-                        return None
-                    rec = recurrent_states(zip(mappings[ai], mappings[bi], mappings[ci]))
-                    if not {qa, qb, qc} <= rec:
-                        continue
-                    key = (qa, qb, qc)
-                    if key in level2_failures:
-                        continue
-                    found = _level2_scan(mappings, pumps, sep, qa, qb, qc, budget, ledger)
-                    if found is None:
-                        if ledger[0] > budget:
-                            return None
-                        level2_failures.add(key)
-                        continue
-                    di, ei2, fi, q_stage = found
-                    return _assemble_two_level_fork(
-                        dfa, monoid, q0, (ai, bi, ci), (di, ei2, fi), q_stage
-                    )
-    return None
-
-
-def _level2_scan(mappings, pumps, sep, qa, qb, qc, budget, ledger):
-    """Scan stage-element triples for the branch targets (qa, qb, qc).
-
-    A stage element pumps both branch states it splits, so its candidates
-    are the elements that `pumps` lists under both states.
-    """
-    pa, pb, pc = (set().union(*pumps[q].values()) for q in (qa, qb, qc))
-    cand_d = sorted(pa & pb)
-    cand_e = sorted(pa & pc)
-    cand_f = sorted(pb & pc)
-    for di in cand_d:
-        md = mappings[di]
-        for ei in cand_e:
-            me = mappings[ei]
-            for fi in cand_f:
-                ledger[0] += 1
-                if ledger[0] > budget:
-                    return None
-                mf = mappings[fi]
-                q11, q12 = md[qa], me[qa]
-                q21, q23 = md[qb], mf[qb]
-                q32, q33 = me[qc], mf[qc]
-                # suffix outcomes: s1 separates (q11, q33), s2 (q23, q12), s3 (q32, q21)
-                if (q11, q33) not in sep or (q23, q12) not in sep or (q32, q21) not in sep:
-                    continue
-                stage_states = (q11, q12, q21, q23, q32, q33)
-                if not set(stage_states) <= recurrent_states(zip(md, me, mf)):
-                    continue
-                return (di, ei, fi, stage_states)
-    return None
-
-
-def _assemble_two_level_fork(dfa, monoid, q0, branch_ids, stage_ids, stage_states):
-    q11, q12, q21, q23, q32, q33 = stage_states
-    s1 = _separating_suffix(dfa, q11, q33)
-    s2 = _separating_suffix(dfa, q23, q12)
-    s3 = _separating_suffix(dfa, q32, q21)
-    words = {
-        "u1": monoid.words[branch_ids[0]],
-        "u2": monoid.words[branch_ids[1]],
-        "u3": monoid.words[branch_ids[2]],
-        "v1": monoid.words[stage_ids[0]],
-        "v2": monoid.words[stage_ids[1]],
-        "v3": monoid.words[stage_ids[2]],
-        "s1": s1,
-        "s2": s2,
-        "s3": s3,
-    }
-    return FragmentWitness(kind=TWO_LEVEL_FORK, states={"q0": dfa.states[q0]}, words=words)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qfalab
+from conftest import random_dfa
 from qfalab.cli import main
-from qfalab.fixtures import dfa_fixture, qfa_fixture
-from qfalab.automata import dfa_to_json, parse_dfa
+from qfalab.fixtures import dfa_fixture, dfa_fixture_names, qfa_fixture
+from qfalab.automata import dfa_to_json, minimize, parse_dfa
+from qfalab.fragments import classify
 from qfalab.qfa import parse_qfa, qfa_to_json
 
 
@@ -152,6 +155,7 @@ class TestUnusableFiles:
         ("classify", "{tmp}"),
         ("simulate", "{tmp}", "a"),
         ("union", "{tmp}", "0.75", "{even_head_odd_tail_qfa}", "0.75", "-o", "{tmp}/u.qfa"),
+        ("verify-witness", "{odd_tail}", "{tmp}/latin1.dfa"),
     ])
     def test_unusable_input_is_a_parse_error(self, paths, argv):
         for suffix in ("dfa", "qfa"):
@@ -171,6 +175,103 @@ class TestUnusableFiles:
         assert code == 1
         assert err.startswith("error: ValueError: cannot write")
         assert "Traceback" not in out + err
+
+
+def write_witness(path, witness: dict) -> str:
+    path.write_text(json.dumps({"witness": witness}))
+    return str(path)
+
+
+class TestVerifyWitnessCommand:
+    def test_every_classify_witness_replays(self, capsys, tmp_path):
+        # the DFA fixtures with a witness, and seeded random DFAs that carry one
+        rng = np.random.default_rng(11)
+        randoms = []
+        while len(randoms) < 12:
+            dfa = random_dfa(rng, int(rng.integers(2, 7)))
+            if classify(dfa).witness is not None:
+                randoms.append(dfa)
+        cases = [(name, dfa_fixture(name)) for name in dfa_fixture_names()]
+        cases += [(f"random{i}", dfa) for i, dfa in enumerate(randoms)]
+        replayed = []
+        for stem, dfa in cases:
+            dfa_path = tmp_path / f"{stem}.dfa"
+            dfa_path.write_text(dfa_to_json(dfa))
+            _, doc, _ = run_json(capsys, "classify", str(dfa_path))
+            witness = doc["payload"]["witness"]
+            if witness is None:
+                continue
+            witness_path = write_witness(tmp_path / f"{stem}.witness", witness)
+            code, replay, _ = run_json(capsys, "verify-witness", str(dfa_path), witness_path)
+            assert (code, replay["status"]) == (0, "pass"), stem
+            assert replay["payload"]["verification"] == witness["verification"], stem
+            assert replay["payload"] == witness, stem
+            replayed.append(stem)
+        assert len(replayed) == 4 + len(randoms)
+
+    def test_layered_two_level_fork(self, capsys, tmp_path):
+        dfa_path = tmp_path / "layered.dfa"
+        dfa_path.write_text(dfa_to_json(dfa_fixture("layered")))
+        words = dict(zip(("u1", "u2", "u3", "v1", "v2", "v3", "s1", "s2", "s3"), "abcdefghi"))
+        witness = {"kind": "two-level-fork", "states": {"q0": "s0"}, "words": words}
+        witness_path = write_witness(tmp_path / "layered.witness", witness)
+        code, doc, _ = run_json(capsys, "verify-witness", str(dfa_path), witness_path)
+        assert (code, doc["status"]) == (0, "pass")
+        assert len(doc["payload"]["verification"]) == 7
+        assert doc["payload"]["verified"] is True
+
+    def test_unbalanced_multilevel_witness_fails(self, capsys, tmp_path):
+        dfa = minimize(dfa_fixture("order_violation_demo"))
+        dfa_path = tmp_path / "demo.dfa"
+        dfa_path.write_text(dfa_to_json(dfa))
+        # level 2's one state accepts: the final outcomes cannot balance
+        levels = [{"states": [dfa.start], "words": ["a"]}, {"states": [dfa.run("a")], "words": []}]
+        witness_path = write_witness(tmp_path / "demo.witness", {"kind": "multilevel", "levels": levels})
+        code, doc, _ = run_json(capsys, "verify-witness", str(dfa_path), witness_path)
+        assert (code, doc["status"]) == (1, "fail")
+        assert doc["payload"]["verified"] is False
+        assert [c["condition"] for c in doc["payload"]["verification"] if not c["passed"]] == [
+            "balanced outcomes for word 'a' at level 1"
+        ]
+        assert "notes" not in doc["payload"]
+
+    def test_multilevel_notes_are_shown(self, capsys, tmp_path):
+        dfa = minimize(dfa_fixture("order_violation_demo"))
+        dfa_path = tmp_path / "demo.dfa"
+        dfa_path.write_text(dfa_to_json(dfa))
+        levels = [{"states": [dfa.start], "words": ["a"]}, {"states": [dfa.run("a")], "words": ["b"]}]
+        witness_path = write_witness(tmp_path / "demo.witness", {"kind": "multilevel", "levels": levels})
+        code, doc, _ = run_json(capsys, "verify-witness", str(dfa_path), witness_path)
+        assert code == 1
+        assert doc["payload"]["notes"] == ["final level carries words; they are ignored by the checks"]
+
+    @pytest.mark.parametrize("witness, message", [
+        ({"kind": "fork", "states": {"q1": "s0"}, "words": {}}, "witness is missing bindings"),
+        ({"kind": "order-violation"}, None),
+        ({"kind": "partial-order-violation", "states": {"q1": "s0", "q2": "nowhere"},
+          "words": {"x": "a", "y": "b"}}, "witness references unknown state 'nowhere'"),
+        ({"kind": "partial-order-violation", "states": {"q1": "s0", "q2": "s1"},
+          "words": {"x": "z", "y": "b"}}, "word 'z' uses symbol 'z' outside the alphabet"),
+    ])
+    def test_witness_that_cannot_be_replayed_is_an_error(self, capsys, paths, witness, message):
+        witness_path = write_witness(paths["tmp"] / "bad.witness", witness)
+        code, out, err = run_cli(capsys, "verify-witness", paths["odd_tail"], witness_path)
+        assert out == ""
+        if message is None:  # an unknown kind is malformed input
+            assert code == 2 and err.startswith("parse error: unknown witness kind")
+        else:
+            assert code == 1 and err.startswith(f"error: ValueError: {message}")
+
+    def test_malformed_input_is_a_parse_error(self, capsys, paths):
+        bad = paths["tmp"] / "bad.json"
+        bad.write_text('{"witness": {"kind": "fork"')
+        code, out, err = run_cli(capsys, "verify-witness", paths["odd_tail"], str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: invalid JSON at line 1, column 28")
+        witness_path = write_witness(paths["tmp"] / "w.json", {"kind": "fork"})
+        code, out, err = run_cli(capsys, "verify-witness", str(bad), witness_path)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: invalid JSON")
 
 
 class TestSimulateCommand:

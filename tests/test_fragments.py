@@ -26,7 +26,6 @@ from qfalab.fragments import (
     detect_order_violation,
     detect_two_cycles,
     parse_witness,
-    search_two_level_fork,
     verify_witness,
     witness_to_json,
 )
@@ -284,26 +283,6 @@ class TestVerifyWitness:
         )
         report = verify_witness(dfa, witness)
         assert not report.passed
-
-
-class TestSearchTwoLevelFork:
-    def test_found_on_the_layered_fixture(self):
-        dfa = dfa_fixture("layered")
-        witness = search_two_level_fork(dfa, monoid_of(dfa))
-        assert witness is not None
-        assert verify_witness(dfa, witness).passed
-
-    def test_none_on_the_constructible_fixture(self):
-        dfa = dfa_fixture("even_head_odd_tail")
-        assert search_two_level_fork(dfa, monoid_of(dfa)) is None
-
-    def test_none_on_one_state(self):
-        dfa = one_state()
-        assert search_two_level_fork(dfa, monoid_of(dfa)) is None
-
-    def test_budget_exhaustion_is_none(self):
-        dfa = dfa_fixture("layered")
-        assert search_two_level_fork(dfa, monoid_of(dfa), budget=3) is None
 
 
 class TestClassify:

@@ -1,22 +1,29 @@
 """Fuzzing the file parsers: every input parses to a valid value or raises
-the module's parse error, never anything else."""
+the module's parse error, never anything else.  The `verify-witness`
+command, which parses a witness and replays it, exits 0, 1 or 2 on any
+witness file, never with a traceback."""
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfalab import cli
 from qfalab.automata import Dfa, DfaParseError, dfa_to_json, minimize, parse_dfa
 from qfalab.fixtures import dfa_fixture, qfa_fixture
 from qfalab.fragments import (
     MULTILEVEL,
+    TWO_LEVEL_FORK,
     WITNESS_KINDS,
     FragmentWitness,
     WitnessLevel,
+    WitnessParseError,
     classify,
     parse_witness,
     witness_to_json,
@@ -76,6 +83,12 @@ WITNESS_DOCS = [
         kind=MULTILEVEL,
         levels=(WitnessLevel(("s0",), ("a", "b")), WitnessLevel(("s1", "s2"), ())),
     ))),
+    # the layered fixture's two-level fork
+    json.loads(witness_to_json(FragmentWitness(
+        kind=TWO_LEVEL_FORK,
+        states={"q0": "s0"},
+        words=dict(zip(("u1", "u2", "u3", "v1", "v2", "v3", "s1", "s2", "s3"), "abcdefghi")),
+    ))),
 ]
 
 
@@ -117,11 +130,42 @@ def test_parse_qfa_returns_a_qfa_or_raises_its_parse_error(text, tol):
 def test_parse_witness_returns_a_witness_or_raises_value_error(text):
     try:
         witness = parse_witness(text)
-    except ValueError:
+    except WitnessParseError:
         return
     assert witness.kind in WITNESS_KINDS
     assert all(isinstance(v, str) for v in (*witness.states.values(), *witness.words.values()))
     assert parse_witness(witness_to_json(witness)) == witness
+
+
+@pytest.fixture(scope="module")
+def witness_dfa_paths(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("verify_witness")
+    paths = {}
+    for name in ("odd_tail", "layered"):
+        paths[name] = folder / f"{name}.dfa"
+        paths[name].write_text(dfa_to_json(dfa_fixture(name)), encoding="utf-8")
+    return folder / "witness.json", paths
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(st.sampled_from(WITNESS_DOCS).map(json.dumps), *(documents(doc) for doc in WITNESS_DOCS)),
+    st.sampled_from(["odd_tail", "layered"]),
+)
+def test_verify_witness_command_exits_0_1_or_2(witness_dfa_paths, text, name):
+    witness_path, dfa_paths = witness_dfa_paths
+    # lone surrogates reach the file as invalid UTF-8
+    witness_path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify-witness", str(dfa_paths[name]), str(witness_path)])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("parse error: ")
+    if code == 1:
+        # a failed condition, or an unknown state, missing binding or foreign letter
+        assert out.startswith("[fail] verify-witness") or err.startswith("error: ValueError: ")
 
 
 def _with(doc: dict, **changes) -> str:
@@ -145,12 +189,15 @@ def _with_entry(symbol: str, k: int, value: float) -> str:
         (parse_qfa, QfaParseError, _with(QFA_DOC, rej=[True])),
         (parse_qfa, QfaParseError, _with_entry("b", 9, float("nan"))),
         (parse_qfa, QfaParseError, _with_entry("^", 0, float("inf"))),
-        (parse_witness, ValueError, '{"witness": 3}'),
-        (parse_witness, ValueError, '{"witness": {}}'),
-        (parse_witness, ValueError, '{"witness": {"kind": "fork", "states": [1]}}'),
+        (parse_witness, WitnessParseError, '{"witness": 3}'),
+        (parse_witness, WitnessParseError, '{"witness": {}}'),
+        (parse_witness, WitnessParseError, '{"witness": {"kind": "fork", "states": [1]}}'),
+        (parse_witness, WitnessParseError, '{"witness": {"kind": "spoon"}}'),
+        (parse_witness, WitnessParseError, '{"witness": {"kind": "fork"'),
+        (parse_witness, WitnessParseError, '{"witness": ' + "9" * 5000 + "}"),
         (parse_dfa, DfaParseError, "[" * 100_000),
         (parse_qfa, QfaParseError, "[" * 100_000),
-        (parse_witness, ValueError, "[" * 100_000),
+        (parse_witness, WitnessParseError, "[" * 100_000),
     ],
     ids=[
         "dfa-accept-nested-list",
@@ -164,6 +211,9 @@ def _with_entry(symbol: str, k: int, value: float) -> str:
         "witness-number",
         "witness-no-kind",
         "witness-states-list",
+        "witness-unknown-kind",
+        "witness-truncated-json",
+        "witness-integer-past-the-digit-limit",
         "dfa-deep-nesting",
         "qfa-deep-nesting",
         "witness-deep-nesting",

@@ -13,13 +13,11 @@ product edges kept here.  `detect_order_violation` and `detect_two_cycles`
 test their condition on the pump targets first and then take the first
 qualifying pump of an early-exit element scan.  `Monoid.pumps` lists, per
 state q and target t, every pumping element; only `detect_fork`, which
-visits the element pairs the index offers, and `search_two_level_fork`,
-which reads its candidates from it, build it.  The dequeue-time walk over
-tuple mappings, a brute-force pump relation and index, the shallow
-detectors' element scans, the fork's scan of all element pairs and the
-two-level search's element scans are kept here as references: walks,
-relations, pumps, witnesses and budget cut-offs must equal them, on capped
-monoids too.
+visits the element pairs the index offers, builds it.  The dequeue-time
+walk over tuple mappings, a brute-force pump relation and index, the
+shallow detectors' element scans and the fork's scan of all element pairs
+are kept here as references: walks, relations, pumps and witnesses must
+equal them, on capped monoids too.
 """
 
 from collections import deque
@@ -51,12 +49,10 @@ from qfalab.fragments import (
     OUTSIDE_CHARACTERIZED_CLASS,
     TWO_CYCLES,
     FragmentWitness,
-    _assemble_two_level_fork,
     classify,
     detect_fork,
     detect_order_violation,
     detect_two_cycles,
-    search_two_level_fork,
 )
 
 WALK_LIMIT = 3000  # elements of the "uncapped" walk; larger monoids count as capped here
@@ -361,90 +357,6 @@ def test_fork_index_equals_the_pair_scan(case):
     dfa, cap = case
     monoid = transition_monoid(dfa, cap)
     assert detect_fork(dfa, monoid) == reference_fork(dfa, monoid)
-
-
-def reference_two_level_fork(dfa, monoid, budget):
-    """The budgeted two-level fork search with its candidates found by scans
-    of all elements: the same triples in the same order, so the same witness
-    and the same budget cut-off."""
-    n = len(dfa.states)
-    sep = reference_separability_table(dfa)
-    mappings = monoid.mappings
-    ledger = [0]
-    level2_failures = set()
-
-    def cands(first_q, second_q):
-        out = []
-        for ei in range(1, len(mappings)):
-            m = mappings[ei]
-            if m[m[first_q]] == m[first_q] and m[m[second_q]] == m[second_q]:
-                out.append(ei)
-        return out
-
-    def level2_scan(qa, qb, qc):
-        for di in cands(qa, qb):
-            md = mappings[di]
-            for ei in cands(qa, qc):
-                me = mappings[ei]
-                for fi in cands(qb, qc):
-                    ledger[0] += 1
-                    if ledger[0] > budget:
-                        return None
-                    mf = mappings[fi]
-                    q11, q12 = md[qa], me[qa]
-                    q21, q23 = md[qb], mf[qb]
-                    q32, q33 = me[qc], mf[qc]
-                    if (q11, q33) not in sep or (q23, q12) not in sep or (q32, q21) not in sep:
-                        continue
-                    stage_states = (q11, q12, q21, q23, q32, q33)
-                    if not set(stage_states) <= recurrent_states(zip(md, me, mf)):
-                        continue
-                    return (di, ei, fi, stage_states)
-        return None
-
-    for q0 in range(n):
-        cand1 = []
-        for ei in range(1, len(mappings)):
-            m = mappings[ei]
-            qx = m[q0]
-            if m[qx] == qx:
-                cand1.append((ei, qx))
-        for ai, qa in cand1:
-            for bi, qb in cand1:
-                for ci, qc in cand1:
-                    ledger[0] += 1
-                    if ledger[0] > budget:
-                        return None
-                    rec = recurrent_states(zip(mappings[ai], mappings[bi], mappings[ci]))
-                    if not {qa, qb, qc} <= rec or (qa, qb, qc) in level2_failures:
-                        continue
-                    found = level2_scan(qa, qb, qc)
-                    if found is None:
-                        if ledger[0] > budget:
-                            return None
-                        level2_failures.add((qa, qb, qc))
-                        continue
-                    di, ei, fi, stage_states = found
-                    return _assemble_two_level_fork(dfa, monoid, q0, (ai, bi, ci), (di, ei, fi), stage_states)
-    return None
-
-
-@st.composite
-def two_level_cases(draw):
-    """Random DFAs with 2-6 states over 1-3 letters, a cap that is often
-    below the monoid's size, and a budget that often runs out mid-search."""
-    alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
-    cap = draw(st.one_of(st.integers(len(alphabet) + 1, 12), st.integers(len(alphabet) + 1, 300)))
-    budget = draw(st.one_of(st.integers(1, 60), st.integers(1, 2000)))
-    return draw(dfas(min_states=2, max_states=6, alphabet=alphabet)), cap, budget
-
-
-@settings(max_examples=300)
-@given(two_level_cases())
-def test_two_level_fork_equals_the_element_scans(case):
-    dfa, cap, budget = case
-    monoid = transition_monoid(dfa, cap)
-    assert search_two_level_fork(dfa, monoid, budget) == reference_two_level_fork(dfa, monoid, budget)
 
 
 def symmetric_group_dfa(n):
