@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Output-identity check: one digest per group of `classify` results.
+"""Output-identity check: one digest per group of results.
 
     python3 scripts/identity_hashes.py
 
@@ -19,9 +19,14 @@ machines: `qfa_to_json` and p of `synthesize`, or the
 `SynthesisError` subclass and message, on every constructible minimal DFA
 of both classify-random groups and on the plan digest's DFAs, and
 `qfa_to_json` of `reversible_qfa`, or its error, on every classify-random
-minimal DFA.  The library and the generator are imported from the checkout
-that holds this script, so running it in two checkouts and comparing the
-outputs with `diff` shows whether a change moved any output.
+minimal DFA.  An eighth digest covers how those machines behave: the bytes
+of `p_accept`, `p_reject` and `p_residual` of every `sweep` level up to
+length `SWEEP_LEN`, for every machine the seventh digest builds (errors
+skipped).  A change to matrix columns that no run reads moves the seventh
+digest and leaves the eighth.  The library and the generator are imported
+from the checkout that holds this script, so running it in two checkouts
+and comparing the outputs with `diff` shows whether a change moved any
+output.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from qfalab.automata import Dfa, dfa_to_json, parse_dfa  # noqa: E402
 from qfalab.cli import main as cli_main  # noqa: E402
 from qfalab.fixtures import dfa_fixture, dfa_fixture_names  # noqa: E402
 from qfalab.fragments import CONSTRUCTIBLE, classify, verify_witness, witness_to_json  # noqa: E402
-from qfalab.qfa import qfa_to_json  # noqa: E402
+from qfalab.qfa import qfa_to_json, sweep  # noqa: E402
 from qfalab.synthesis import SynthesisError, plan, reversible_qfa, synthesize  # noqa: E402
 
 import classify_random  # noqa: E402
@@ -52,6 +57,7 @@ RANDOM_SEEDS = (11, 12)
 RANDOM_DFAS = 436  # four cycles of the classify-random mix
 CAPS = (12, 500)  # classify-random again, on capped monoids
 COMPONENT_DFAS = 1_000  # per seed, for the plan digest
+SWEEP_LEN = 4  # longest word of the behaviour digest
 
 
 def verdict_record(dfa, **options) -> str:
@@ -107,18 +113,38 @@ def guarded(build, dfa) -> str:
 
 def compiled(dfa):
     qfa, p = synthesize(dfa)
-    return qfa_to_json(qfa), p
+    return repr((qfa_to_json(qfa), p)), qfa
 
 
 def embedded(dfa):
-    return qfa_to_json(reversible_qfa(dfa))
+    qfa = reversible_qfa(dfa)
+    return repr(qfa_to_json(qfa)), qfa
+
+
+def built(build, dfa):
+    """build(dfa): a record and its machine; or `repr` of the SynthesisError
+    subclass and message, with no machine."""
+    try:
+        return build(dfa)
+    except SynthesisError as exc:
+        return repr((type(exc).__name__, str(exc))), None
+
+
+def sweep_record(qfa) -> str:
+    """The bytes of p_accept, p_reject and p_residual of every `sweep` level up to SWEEP_LEN, in hex."""
+    levels = sweep(qfa, SWEEP_LEN)
+    return b"".join(a.tobytes() for lv in levels for a in (lv.p_accept, lv.p_reject, lv.p_residual)).hex()
+
+
+def feed(h, record: str) -> None:
+    h.update(record.encode())
+    h.update(b"\0")
 
 
 def digest(records) -> str:
     h = hashlib.sha256()
     for record in records:
-        h.update(record.encode())
-        h.update(b"\0")
+        feed(h, record)
     return h.hexdigest()
 
 
@@ -154,14 +180,21 @@ def main() -> None:
     print(f"plan on permutation-component DFAs (seeds {RANDOM_SEEDS}, {COMPONENT_DFAS} each): {digest(records)}")
     verdicts = [classify(dfa) for dfa in random_dfas]
     constructible = [v.minimal_dfa for v in verdicts if v.classification == CONSTRUCTIBLE]
-    records = chain(
-        (guarded(compiled, dfa) for dfa in chain(constructible, component_dfas)),
-        (guarded(embedded, v.minimal_dfa) for v in verdicts),
+    payloads, behaviour, machines = hashlib.sha256(), hashlib.sha256(), 0
+    builds = chain(
+        (built(compiled, dfa) for dfa in chain(constructible, component_dfas)),
+        (built(embedded, v.minimal_dfa) for v in verdicts),
     )
+    for record, qfa in builds:
+        feed(payloads, record)
+        if qfa is not None:
+            feed(behaviour, sweep_record(qfa))
+            machines += 1
     print(
         f"synthesize ({len(constructible)} constructible classify-random, {len(component_dfas)} "
-        f"permutation-component DFAs), reversible_qfa ({len(verdicts)} classify-random): {digest(records)}"
+        f"permutation-component DFAs), reversible_qfa ({len(verdicts)} classify-random): {payloads.hexdigest()}"
     )
+    print(f"sweep up to length {SWEEP_LEN} of those {machines} machines: {behaviour.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -120,6 +120,18 @@ class ParseReport:
     missing_transitions: tuple[tuple[str, str], ...] = ()
 
 
+def load_json(text: str, error: type[ValueError]):
+    """`json.loads(text)`; bad JSON, too deep a nesting and too long an integer raise `error`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise error("JSON nested too deeply") from None
+    except ValueError as exc:  # an integer literal beyond the digit limit
+        raise error(f"invalid JSON: {exc}") from None
+
+
 def parse_dfa(text: str, complete_with_sink: bool = False) -> tuple[Dfa, ParseReport]:
     """Parse the structured-text DFA format.
 
@@ -129,12 +141,7 @@ def parse_dfa(text: str, complete_with_sink: bool = False) -> tuple[Dfa, ParseRe
     set, in which case a fresh rejecting sink absorbs the missing
     transitions and the report records it.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DfaParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except RecursionError:
-        raise DfaParseError("JSON nested too deeply") from None
+    obj = load_json(text, DfaParseError)
     if not isinstance(obj, dict):
         raise DfaParseError("top-level value must be an object")
     for key in ("alphabet", "states", "start", "accept", "delta"):

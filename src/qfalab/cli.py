@@ -335,7 +335,6 @@ def _cmd_decompose(args) -> tuple[str, dict | None]:
         "transient_norm_decay": [
             {"basis_vector": j, "norms": table} for j, table in enumerate(decay)
         ],
-        "note": "bounded search cannot certify shrinkage failure, only report budget exhaustion",
     }
     return "pass", payload
 
@@ -502,7 +501,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         status, payload = args.func(args)
-    except (DfaParseError, QfaParseError, fragments.WitnessParseError, json.JSONDecodeError) as exc:
+    except (DfaParseError, QfaParseError, fragments.WitnessParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, ArithmeticError) as exc:

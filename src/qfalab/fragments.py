@@ -44,6 +44,7 @@ from qfalab.automata import (
     Monoid,
     bfs,
     letter_steps,
+    load_json,
     minimize,
     recurrent_states,
     separating_word,
@@ -156,14 +157,7 @@ def parse_witness(text: str) -> FragmentWitness:
     Keys other than the witness bindings (a `"verification"` report, say)
     are ignored.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise WitnessParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except RecursionError:
-        raise WitnessParseError("JSON nested too deeply") from None
-    except ValueError as exc:  # an integer literal beyond the digit limit
-        raise WitnessParseError(f"invalid JSON: {exc}") from None
+    obj = load_json(text, WitnessParseError)
     body = obj.get("witness") if isinstance(obj, dict) else None
     if not isinstance(body, dict) or not isinstance(body.get("kind"), str):
         raise WitnessParseError('expected an object with a "witness" object naming its "kind"')

@@ -34,6 +34,8 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
+from qfalab.automata import load_json
+
 KAPPA = "^"
 DOLLAR = "$"
 
@@ -42,8 +44,7 @@ DOLLAR = "$"
 USER_UNITARITY_TOL = 1e-9  # max |U^dag U - I| entry for matrices read from files
 RECOGNITION_TOL = 1e-9  # slack below p that verify_recognition still accepts
 RESIDUAL_TOL = 1e-9  # non-halting mass after "$" above which a run is flagged
-UNIT_COLUMN_TOL = 1e-9  # |norm^2 - 1| allowed for a column given to complete_unitary
-FREE_COLUMN_TOL = 1e-6  # residual norm above which complete_unitary takes a basis vector as a column
+GIVEN_COLUMNS_TOL = 1e-9  # max |A^dag A - I| entry for the columns A given to complete_unitary
 MIXTURE_WEIGHT_TOL = 1e-12  # |sum - 1| allowed for the weights and biases of a mixture
 FRONTIER_BLOCK = 1024  # words per block of a sweep: bounds the "$" read and measurement temporaries
 
@@ -110,12 +111,15 @@ class UnitarityReport:
     worst_deviation: float
 
 
+def _gram_deviation(mat: np.ndarray) -> float:
+    """Max entry of |M^dag M - I| (0 for no columns); NaN when M holds a NaN."""
+    gram = mat.conj().T @ mat
+    return float(np.max(np.abs(gram - np.eye(mat.shape[1])), initial=0.0))
+
+
 def validate(qfa: Qfa, tol: float = USER_UNITARITY_TOL) -> UnitarityReport:
     """Check every matrix for unitarity: max entry of |U^dag U - I| <= tol; NaN ranks worst."""
-    deviations = {}
-    for sym, mat in qfa.unitaries.items():
-        gram = mat.conj().T @ mat
-        deviations[sym] = float(np.max(np.abs(gram - np.eye(qfa.dimension))))
+    deviations = {sym: _gram_deviation(mat) for sym, mat in qfa.unitaries.items()}
     worst = max(deviations, key=lambda sym: (math.isnan(deviations[sym]), deviations[sym]))
     return UnitarityReport(
         passed=deviations[worst] <= tol,
@@ -363,42 +367,24 @@ def verify_recognition(
 def complete_unitary(columns: Mapping[int, np.ndarray], dimension: int) -> np.ndarray:
     """Extend prescribed orthonormal columns to a full unitary.
 
-    Free columns are filled by modified Gram-Schmidt over the standard basis
-    vectors in index order, so the completion is deterministic.
+    The prescribed columns are kept as given.  Stacked in the mapping's order
+    into A, they must satisfy max |A^dag A - I| <= `GIVEN_COLUMNS_TOL`.  The
+    free columns, in ascending index, are the trailing columns of the Q of
+    A's complete QR factorization: an orthonormal basis of A's complement.
     """
-    mat = np.zeros((dimension, dimension), dtype=np.complex128)
-    filled = []
-    for j, col in columns.items():
+    given = np.zeros((dimension, len(columns)), dtype=np.complex128)
+    for k, col in enumerate(columns.values()):
         vec = np.asarray(col, dtype=np.complex128)
         if vec.shape != (dimension,):
             raise ValueError("column shape mismatch")
-        mat[:, j] = vec
-        filled.append(vec)
-    for vec in filled:
-        if abs(np.vdot(vec, vec).real - 1.0) > UNIT_COLUMN_TOL:
-            raise ValueError("prescribed column is not a unit vector")
-    candidate = 0
-    for j in range(dimension):
-        if j in columns:
-            continue
-        while True:
-            if candidate >= dimension:
-                raise ValueError("ran out of candidate basis vectors")
-            vec = np.zeros(dimension, dtype=np.complex128)
-            vec[candidate] = 1.0
-            candidate += 1
-            for other in filled:
-                vec = vec - np.vdot(other, vec) * other
-            norm = float(np.linalg.norm(vec))
-            if norm > FREE_COLUMN_TOL:
-                vec = vec / norm
-                # second orthogonalization pass kills rounding drift
-                for other in filled:
-                    vec = vec - np.vdot(other, vec) * other
-                vec = vec / np.linalg.norm(vec)
-                break
-        mat[:, j] = vec
-        filled.append(vec)
+        given[:, k] = vec
+    deviation = _gram_deviation(given)
+    if not deviation <= GIVEN_COLUMNS_TOL:
+        raise ValueError(f"prescribed columns are not orthonormal: max Gram deviation {deviation:.6g}")
+    mat = np.empty((dimension, dimension), dtype=np.complex128)
+    mat[:, list(columns)] = given
+    free = np.linalg.qr(given, mode="complete")[0][:, len(columns) :]
+    mat[:, [j for j in range(dimension) if j not in columns]] = free
     return mat
 
 
@@ -431,12 +417,7 @@ def _is_int(value) -> bool:
 
 def parse_qfa(text: str, validate_tol: float | None = USER_UNITARITY_TOL) -> Qfa:
     """Parse the structured-text QFA format; validates unitarity unless tol is None."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise QfaParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except RecursionError:
-        raise QfaParseError("JSON nested too deeply") from None
+    obj = load_json(text, QfaParseError)
     if not isinstance(obj, dict):
         raise QfaParseError("top-level value must be an object")
     for key in ("dimension", "alphabet", "start", "acc", "rej", "unitaries"):

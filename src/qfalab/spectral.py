@@ -32,7 +32,6 @@ from qfalab.qfa import Qfa, nonhalting_operator
 EIGENVALUE_CUTOFF = 1e-8
 RANK_CUTOFF = 1e-10  # singular value, relative to the largest, below which a column is dependent
 KERNEL_CUTOFF = 1e-10  # singular value at or below which decompose_pair keeps a direction
-BEAM_WIDTH = 8  # lowest-norm continuations find_shrinking_word keeps per step
 
 
 @dataclass(frozen=True)
@@ -149,45 +148,6 @@ def decompose_pair(qfa: Qfa, x: str, y: str, tol: float = EIGENVALUE_CUTOFF) -> 
         non_halting=qfa.non_halting,
         tol=tol,
     )
-
-
-def find_shrinking_word(
-    qfa: Qfa,
-    x: str,
-    y: str,
-    v: np.ndarray,
-    eps: float,
-    max_len: int,
-) -> str | None:
-    """Search for t in {x, y}* with ||T_t v|| < eps, built block by block.
-
-    A beam of the `BEAM_WIDTH` lowest-norm continuations is kept; ties break
-    lexicographically on the word, so the result is deterministic.  `None`
-    reports budget exhaustion (words longer than `max_len` letters), never
-    nonexistence.
-    """
-    v = np.asarray(v, dtype=np.complex128)
-    if float(np.linalg.norm(v)) < eps:
-        return ""
-    tx = nonhalting_operator(qfa, x)
-    ty = nonhalting_operator(qfa, y)
-    beam: list[tuple[str, np.ndarray]] = [("", v)]
-    blocks = sorted([(x, tx), (y, ty)], key=lambda item: item[0])
-    while True:
-        candidates = []
-        for word, vec in beam:
-            for block, op in blocks:
-                if len(word) + len(block) > max_len:
-                    continue
-                nxt = op @ vec
-                candidates.append((word + block, nxt))
-        if not candidates:
-            return None
-        for word, vec in candidates:
-            if float(np.linalg.norm(vec)) < eps:
-                return word
-        candidates.sort(key=lambda item: (float(np.linalg.norm(item[1])), item[0]))
-        beam = candidates[:BEAM_WIDTH]
 
 
 def norm_decay_table(qfa: Qfa, x: str, v: np.ndarray, steps: int) -> list[float]:

@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import HealthCheck, settings, strategies as st
 
 from qfalab.automata import Dfa
+from qfalab.qfa import DOLLAR, KAPPA, Qfa, freeze, nonhalting_operator
 
 settings.register_profile(
     "qfalab",
@@ -189,8 +190,6 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_qfa(rng: np.random.Generator, dim: int = 6, alphabet=("a", "b"),
                n_acc: int = 1, n_rej: int = 1):
-    from qfalab.qfa import DOLLAR, KAPPA, Qfa, freeze
-
     unitaries = {sym: random_unitary(rng, dim) for sym in (*alphabet, KAPPA, DOLLAR)}
     indices = list(rng.permutation(dim))
     acc = frozenset(int(i) for i in indices[:n_acc])
@@ -198,3 +197,48 @@ def random_qfa(rng: np.random.Generator, dim: int = 6, alphabet=("a", "b"),
     start = int(indices[-1])
     return freeze(Qfa(dimension=dim, alphabet=tuple(alphabet), unitaries=unitaries,
                       start=start, acc=acc, rej=rej))
+
+
+# ---------------------------------------------------------------------------
+# shrinking-word search
+
+BEAM_WIDTH = 8  # lowest-norm continuations find_shrinking_word keeps per step
+
+
+def find_shrinking_word(
+    qfa: Qfa,
+    x: str,
+    y: str,
+    v: np.ndarray,
+    eps: float,
+    max_len: int,
+) -> str | None:
+    """Search for t in {x, y}* with ||T_t v|| < eps, built block by block.
+
+    A beam of the `BEAM_WIDTH` lowest-norm continuations is kept; ties break
+    lexicographically on the word, so the result is deterministic.  `None`
+    reports budget exhaustion (words longer than `max_len` letters), never
+    nonexistence.
+    """
+    v = np.asarray(v, dtype=np.complex128)
+    if float(np.linalg.norm(v)) < eps:
+        return ""
+    tx = nonhalting_operator(qfa, x)
+    ty = nonhalting_operator(qfa, y)
+    beam: list[tuple[str, np.ndarray]] = [("", v)]
+    blocks = sorted([(x, tx), (y, ty)], key=lambda item: item[0])
+    while True:
+        candidates = []
+        for word, vec in beam:
+            for block, op in blocks:
+                if len(word) + len(block) > max_len:
+                    continue
+                nxt = op @ vec
+                candidates.append((word + block, nxt))
+        if not candidates:
+            return None
+        for word, vec in candidates:
+            if float(np.linalg.norm(vec)) < eps:
+                return word
+        candidates.sort(key=lambda item: (float(np.linalg.norm(item[1])), item[0]))
+        beam = candidates[:BEAM_WIDTH]

@@ -34,9 +34,9 @@ from qfalab.fragments import (
     verify_witness,
 )
 from qfalab.qfa import all_words, nonhalting_operator, run, validate, verify_recognition
-from qfalab.spectral import decompose_word, find_shrinking_word, norm_decay_table
+from qfalab.spectral import decompose_word, norm_decay_table
 from qfalab.synthesis import reversible_qfa, synthesize
-from conftest import make_dfa
+from conftest import find_shrinking_word, make_dfa
 
 
 class _Budget:

@@ -165,6 +165,16 @@ class TestUnusableFiles:
         assert err.startswith("parse error: cannot read")
         assert "Traceback" not in out + err
 
+    def test_integer_past_the_digit_limit_is_a_parse_error(self, paths):
+        big = paths["tmp"] / "big.json"
+        big.write_text('{"alphabet": ' + "9" * 5000 + "}")
+        for argv in (("classify", str(big)), ("simulate", str(big), "a")):
+            code, out, err = run_process(*argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("parse error: invalid JSON")
+            assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ("complement", "{even_head_odd_tail_qfa}", "-o", "{tmp}"),
         ("synthesize", "{even_head_odd_tail}", "-o", "{tmp}"),

@@ -195,6 +195,8 @@ def _with_entry(symbol: str, k: int, value: float) -> str:
         (parse_witness, WitnessParseError, '{"witness": {"kind": "spoon"}}'),
         (parse_witness, WitnessParseError, '{"witness": {"kind": "fork"'),
         (parse_witness, WitnessParseError, '{"witness": ' + "9" * 5000 + "}"),
+        (parse_dfa, DfaParseError, '{"alphabet": ' + "9" * 5000 + "}"),
+        (parse_qfa, QfaParseError, '{"dimension": ' + "9" * 5000 + "}"),
         (parse_dfa, DfaParseError, "[" * 100_000),
         (parse_qfa, QfaParseError, "[" * 100_000),
         (parse_witness, WitnessParseError, "[" * 100_000),
@@ -214,6 +216,8 @@ def _with_entry(symbol: str, k: int, value: float) -> str:
         "witness-unknown-kind",
         "witness-truncated-json",
         "witness-integer-past-the-digit-limit",
+        "dfa-integer-past-the-digit-limit",
+        "qfa-integer-past-the-digit-limit",
         "dfa-deep-nesting",
         "qfa-deep-nesting",
         "witness-deep-nesting",

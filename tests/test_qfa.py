@@ -296,8 +296,25 @@ class TestCompleteUnitary:
         mat = complete_unitary(columns, dim)
         assert np.allclose(mat.conj().T @ mat, np.eye(dim), atol=1e-10)
         for j, col in columns.items():
-            assert np.allclose(mat[:, j], col)
+            assert np.array_equal(mat[:, j], col)
 
     def test_rejects_non_unit_column(self):
         with pytest.raises(ValueError):
             complete_unitary({0: np.array([2.0, 0.0], dtype=np.complex128)}, 2)
+
+    def test_rejects_unit_columns_that_are_not_orthogonal(self):
+        e0 = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
+        tilted = np.array([1.0, 1.0, 0.0], dtype=np.complex128) / math.sqrt(2)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            complete_unitary({0: e0, 1: tilted}, 3)
+
+    def test_large_permutation_dfa_compiles_to_a_recognizer(self):
+        # 100 states, both letters random permutations: dimension 300
+        rng = np.random.default_rng(2000)
+        n = 100
+        targets = np.stack([rng.permutation(n), rng.permutation(n)], axis=1).reshape(-1)
+        dfa = make_dfa(n, [int(t) for t in targets], [bool(b) for b in rng.integers(0, 2, size=n)])
+        qfa = reversible_qfa(dfa)
+        assert qfa.dimension == 300
+        assert validate(qfa).passed
+        assert verify_recognition(qfa, dfa.accepts, 1.0, 3).passed

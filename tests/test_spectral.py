@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_qfa, random_unitary
+from conftest import find_shrinking_word, random_qfa, random_unitary
 from qfalab.fixtures import qfa_fixture
 from qfalab.qfa import DOLLAR, KAPPA, Qfa, freeze, nonhalting_operator
-from qfalab.spectral import (
-    decompose_pair,
-    decompose_word,
-    find_shrinking_word,
-    norm_decay_table,
-)
+from qfalab.spectral import decompose_pair, decompose_word, norm_decay_table
 
 
 @pytest.fixture(scope="module")
