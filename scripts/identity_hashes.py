@@ -23,10 +23,15 @@ minimal DFA.  An eighth digest covers how those machines behave: the bytes
 of `p_accept`, `p_reject` and `p_residual` of every `sweep` level up to
 length `SWEEP_LEN`, for every machine the seventh digest builds (errors
 skipped).  A change to matrix columns that no run reads moves the seventh
-digest and leaves the eighth.  The library and the generator are imported
-from the checkout that holds this script, so running it in two checkouts
-and comparing the outputs with `diff` shows whether a change moved any
-output.
+digest and leaves the eighth.  A ninth digest covers the subspaces of
+`qfalab --format structured decompose` for fixed one- and two-word cases on
+every QFA fixture and on the compiled `even_head_odd_tail` and
+`odd_head_odd_tail` machines: the exit code, the two dimensions and the
+projector B B* of each printed basis rounded to 6 decimals, so another
+orthonormal basis of the same subspace leaves it as it is.  The library and
+the generator are imported from the checkout that holds this script, so
+running it in two checkouts and comparing the outputs with `diff` shows
+whether a change moved any output.
 """
 
 from __future__ import annotations
@@ -44,9 +49,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from qfalab.automata import Dfa, dfa_to_json, parse_dfa  # noqa: E402
+import numpy as np  # noqa: E402
+
+from qfalab.automata import Dfa, dfa_to_json, minimize, parse_dfa  # noqa: E402
 from qfalab.cli import main as cli_main  # noqa: E402
-from qfalab.fixtures import dfa_fixture, dfa_fixture_names  # noqa: E402
+from qfalab.fixtures import dfa_fixture, dfa_fixture_names, qfa_fixture, qfa_fixture_names  # noqa: E402
 from qfalab.fragments import CONSTRUCTIBLE, classify, verify_witness, witness_to_json  # noqa: E402
 from qfalab.qfa import qfa_to_json, sweep  # noqa: E402
 from qfalab.synthesis import SynthesisError, plan, reversible_qfa, synthesize  # noqa: E402
@@ -58,6 +65,7 @@ RANDOM_DFAS = 436  # four cycles of the classify-random mix
 CAPS = (12, 500)  # classify-random again, on capped monoids
 COMPONENT_DFAS = 1_000  # per seed, for the plan digest
 SWEEP_LEN = 4  # longest word of the behaviour digest
+DECOMPOSE_WORDS = (("a",), ("b",), ("ab",), ("ba",), ("a", "b"), ("b", "a"), ("a", "aa"), ("ab", "ba"), ("b", "ab"))
 
 
 def verdict_record(dfa, **options) -> str:
@@ -157,6 +165,26 @@ def cli_record(path: Path) -> str:
     return repr((code, json.dumps(doc, sort_keys=True)))
 
 
+def decompose_record(path: Path, dimension: int, words: tuple[str, ...]) -> str:
+    """Exit code and dimensions of `decompose` with the projectors of its two
+    printed bases, rounded to 6 decimals with -0.0 folded to 0.0; or the exit
+    code and stderr when it prints no payload."""
+    argv = ["--format", "structured", "decompose", str(path), "--word", words[0]]
+    argv += ["--word2", words[1]] if len(words) > 1 else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    if not out.getvalue():
+        return repr((code, err.getvalue()))
+    payload = json.loads(out.getvalue())["payload"]
+    projectors = []
+    for key in ("isometric_basis", "transient_basis"):
+        pairs = np.array(payload[key], dtype=float).reshape(-1, dimension, 2)
+        basis = (pairs[..., 0] + 1j * pairs[..., 1]).T
+        projectors.append((np.round(basis @ basis.conj().T, 6) + 0.0).tobytes().hex())
+    return repr((code, payload["isometric_dimension"], payload["transient_dimension"], *projectors))
+
+
 def main() -> None:
     random_dfas = []
     for seed in RANDOM_SEEDS:
@@ -195,6 +223,15 @@ def main() -> None:
         f"permutation-component DFAs), reversible_qfa ({len(verdicts)} classify-random): {payloads.hexdigest()}"
     )
     print(f"sweep up to length {SWEEP_LEN} of those {machines} machines: {behaviour.hexdigest()}")
+    qfas = [qfa_fixture(name) for name in qfa_fixture_names()]
+    qfas += [synthesize(minimize(dfa_fixture(name)))[0] for name in ("even_head_odd_tail", "odd_head_odd_tail")]
+    with tempfile.TemporaryDirectory() as tmp:
+        records = []
+        for i, qfa in enumerate(qfas):
+            path = Path(tmp) / f"m{i}.qfa"
+            path.write_text(qfa_to_json(qfa), encoding="utf-8")
+            records += [decompose_record(path, qfa.dimension, words) for words in DECOMPOSE_WORDS]
+        print(f"cli structured decompose ({len(qfas)} machines, {len(DECOMPOSE_WORDS)} cases each): {digest(records)}")
 
 
 if __name__ == "__main__":

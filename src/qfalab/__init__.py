@@ -19,7 +19,7 @@ from qfalab.automata import (
 from qfalab.combinators import MixtureSpec, complement, mix, separability, union
 from qfalab.fragments import FragmentWitness, Verdict, classify, verify_witness
 from qfalab.qfa import Qfa, RunOutcome, run, validate, verify_recognition
-from qfalab.spectral import Decomposition, decompose_pair, decompose_word
+from qfalab.spectral import Decomposition, decompose
 from qfalab.synthesis import SynthesisPlan, plan, synthesize
 
 __all__ = [
@@ -46,8 +46,7 @@ __all__ = [
     "validate",
     "verify_recognition",
     "Decomposition",
-    "decompose_pair",
-    "decompose_word",
+    "decompose",
     "SynthesisPlan",
     "plan",
     "synthesize",

@@ -54,10 +54,11 @@ def _fmt(x: float) -> str:
 def _round_floats(obj: Any) -> Any:
     """Round every float to 12 significant digits for stable payloads.
 
-    JSON has no infinity, so an infinite float becomes the string "inf".
+    JSON has no NaN or infinity, so a non-finite float becomes its string
+    "nan", "inf" or "-inf".
     """
     if isinstance(obj, float):
-        return _fmt(obj) if math.isinf(obj) else float(_fmt(obj))
+        return float(_fmt(obj)) if math.isfinite(obj) else _fmt(obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -307,24 +308,15 @@ def _cmd_complement(args) -> tuple[str, dict | None]:
 
 
 def _cmd_decompose(args) -> tuple[str, dict | None]:
+    if args.word2 is not None and args.decay_steps is not None:
+        args.usage_error("--decay-steps needs the one-word form, not --word2")
     qfa = _read_qfa(args.qfa, args.tol)
-    if args.word2 is None:
-        dec = spectral.decompose_word(qfa, args.word)
-        words = [args.word]
-    else:
-        dec = spectral.decompose_pair(qfa, args.word, args.word2)
-        words = [args.word, args.word2]
+    words = [args.word] if args.word2 is None else [args.word, args.word2]
+    dec = spectral.decompose(qfa, *words)
 
     def basis_payload(mat: np.ndarray) -> list[list[list[float]]]:
-        return [
-            [[float(z.real), float(z.imag)] for z in mat[:, j]]
-            for j in range(mat.shape[1])
-        ]
+        return [[[float(z.real), float(z.imag)] for z in column] for column in mat.T]
 
-    decay = []
-    for j in range(dec.transient_basis.shape[1]):
-        v = dec.transient_basis[:, j]
-        decay.append(spectral.norm_decay_table(qfa, args.word, v, args.decay_steps))
     payload = {
         "words": words,
         "non_halting_dimension": len(dec.non_halting),
@@ -332,10 +324,13 @@ def _cmd_decompose(args) -> tuple[str, dict | None]:
         "transient_dimension": dec.transient_dim,
         "isometric_basis": basis_payload(dec.isometric_basis),
         "transient_basis": basis_payload(dec.transient_basis),
-        "transient_norm_decay": [
-            {"basis_vector": j, "norms": table} for j, table in enumerate(decay)
-        ],
     }
+    if args.word2 is None:  # a jointly transient vector need not decay under one word's powers
+        steps = 12 if args.decay_steps is None else args.decay_steps
+        payload["transient_norm_decay"] = [
+            {"basis_vector": j, "norms": spectral.norm_decay_table(qfa, args.word, v, steps)}
+            for j, v in enumerate(dec.transient_basis.T)
+        ]
     return "pass", payload
 
 
@@ -476,8 +471,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("qfa")
     p.add_argument("--word", required=True)
     p.add_argument("--word2")
-    p.add_argument("--decay-steps", type=_non_negative_int, default=12)
-    p.set_defaults(func=_cmd_decompose)
+    p.add_argument("--decay-steps", type=_non_negative_int, help="one-word form only (default 12)")
+    p.set_defaults(func=_cmd_decompose, usage_error=p.error)
 
     p = sub.add_parser("separability", parents=[common], help="two-machine point cloud and max-margin line")
     p.add_argument("qfa1")

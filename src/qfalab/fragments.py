@@ -198,11 +198,6 @@ def _word_mapping(dfa: Dfa, word: str) -> list[int]:
     return out
 
 
-def _separating_suffix(dfa: Dfa, s: int, t: int) -> str | None:
-    """Shortest z with delta(s,z) accepting and delta(t,z) rejecting."""
-    return separating_word(dfa, dfa.states[s], dfa, dfa.states[t])
-
-
 # ---------------------------------------------------------------------------
 # detectors
 
@@ -328,8 +323,8 @@ def detect_fork(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
                 words={
                     "x": monoid.words[fi],
                     "y": monoid.words[gi],
-                    "z1": _separating_suffix(dfa, q2, q3),
-                    "z2": _separating_suffix(dfa, q3, q2),
+                    "z1": separating_word(dfa, dfa.states[q2], dfa, dfa.states[q3]),
+                    "z2": separating_word(dfa, dfa.states[q3], dfa, dfa.states[q2]),
                 },
             )
     return None

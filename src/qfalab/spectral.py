@@ -1,24 +1,25 @@
 """Isometric/transient decomposition of the non-halting space under word actions.
 
-For a word x let T be the read-then-project operator restricted to the
-non-halting coordinate subspace.  T is a norm contraction, and its isometric
-part is spanned by the eigenvectors with unimodular eigenvalues:
+For a word x let T_x be the read-then-project operator on the non-halting
+coordinates.  It is a norm contraction, so I - T_x*T_x is positive
+semidefinite and ||T_x v|| = ||v|| exactly when (I - T_x*T_x) v = 0.  For a
+set of words the isometric part E1 is the largest subspace that every T_x
+maps into itself without changing norms, the fixpoint of
 
-  * a contraction has no defective unimodular eigenvalues (powers of a
-    defective block grow, contradicting ||T^k|| <= 1), so those eigenvectors
-    exhaust the unit-circle spectrum;
-  * if T v = lam v with |lam| = 1 then <v, (I - T*T) v> = 0, and since
-    I - T*T is positive semidefinite this forces T*T v = v; consequently
-    eigenvectors of distinct unimodular eigenvalues are orthogonal and the
-    span is T-invariant with an isometric, in fact unitary, restriction;
-  * on the orthogonal complement (within the non-halting coordinates) the
-    spectral radius is strictly below 1, so repeated application of T drives
-    every vector's norm to 0.
+    E <- {v in E : (I - P_E) T_x v = 0 and (I - T_x*T_x) v = 0 for every x}
 
-Numerically the unimodular part is selected by the cutoff |lam| >= 1 - tol
-on eigenvalues of the restricted operator; the selected eigenvectors are
-re-orthonormalized by SVD, and each fixpoint iteration of the two-word
-variant re-orthonormalizes to stop drift.
+started from all non-halting coordinates: one kernel per step, until the
+dimension stops falling.  The transient part E2 is its orthocomplement
+within the non-halting coordinates.
+
+For one word E1 is the span of the unimodular eigenvectors: T is unitary on
+E1, and conversely T v = lam v with |lam| = 1 forces T*T v = v, so that span
+is invariant and isometric.  A contraction has no defective unimodular
+eigenvalues (powers of such a block grow), so on E2 the spectral radius is
+below 1 and powers of T drive every vector to 0.  For two words E1 is the
+jointly invariant isometric part of the source paper's pair condition; a
+vector of E2 is driven towards 0 by words over the pair, though not always
+by the powers of one of them.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import numpy as np
 
 from qfalab.qfa import Qfa, nonhalting_operator
 
-EIGENVALUE_CUTOFF = 1e-8
 RANK_CUTOFF = 1e-10  # singular value, relative to the largest, below which a column is dependent
-KERNEL_CUTOFF = 1e-10  # singular value at or below which decompose_pair keeps a direction
+KERNEL_CUTOFF = 2e-8  # singular value at or below which a kernel keeps a direction: about
+# 1 - (1 - 1e-8)^2, so rounding that passes the 1e-9 unitarity audit leaves E1 whole
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class Decomposition:
     isometric_basis: np.ndarray  # dimension x k1
     transient_basis: np.ndarray  # dimension x k2
     non_halting: tuple[int, ...]
-    tol: float
 
     @property
     def isometric_dim(self) -> int:
@@ -67,86 +67,37 @@ def _orthonormal_columns(vectors: np.ndarray) -> np.ndarray:
     return u[:, :rank]
 
 
-def _complement_within(basis: np.ndarray, subspace: np.ndarray) -> np.ndarray:
-    """Orthocomplement of span(basis) inside span(subspace)."""
-    if basis.shape[1] == 0:
-        return subspace
-    proj = subspace - basis @ (basis.conj().T @ subspace)
-    return _orthonormal_columns(proj)
+def _kernel(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the right null space of mat."""
+    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    keep = np.ones(mat.shape[1], dtype=bool)
+    keep[: len(s)] = s <= KERNEL_CUTOFF
+    return vh.conj().T[:, keep]
 
 
-def _coordinate_basis(dimension: int, indices: tuple[int, ...]) -> np.ndarray:
-    basis = np.zeros((dimension, len(indices)), dtype=np.complex128)
-    for col, i in enumerate(indices):
-        basis[i, col] = 1.0
-    return basis
-
-
-def decompose_word(qfa: Qfa, x: str, tol: float = EIGENVALUE_CUTOFF) -> Decomposition:
-    """Split the non-halting space for the action of the single word x."""
-    if not x:
+def decompose(qfa: Qfa, *words: str) -> Decomposition:
+    """Split the non-halting space for the joint action of one or more
+    nonempty words; no word, or an empty one, raises ValueError."""
+    if not words:
+        raise ValueError("decompose needs at least one word")
+    if not all(words):
         raise ValueError("word must be nonempty")
-    non = qfa.non_halting
-    full = nonhalting_operator(qfa, x)
-    restricted = full[np.ix_(non, non)]
-    try:
-        eigvals, eigvecs = np.linalg.eig(restricted)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"eigendecomposition failed for word {x!r}: {exc}") from exc
-    keep = np.abs(eigvals) >= 1.0 - tol
-    iso_small = _orthonormal_columns(eigvecs[:, keep])
-    embed = _coordinate_basis(qfa.dimension, non)
-    isometric = embed @ iso_small
-    transient = _complement_within(isometric, embed)
-    return Decomposition(
-        isometric_basis=isometric,
-        transient_basis=transient,
-        non_halting=non,
-        tol=tol,
-    )
-
-
-def decompose_pair(qfa: Qfa, x: str, y: str, tol: float = EIGENVALUE_CUTOFF) -> Decomposition:
-    """Largest jointly invariant isometric subspace for two word actions.
-
-    Starting from the intersection of the single-word isometric parts, the
-    subspace is shrunk until it is invariant under both operators:
-    E <- {v in E : T_x v in E and T_y v in E}.  On the fixpoint both
-    operators act isometrically, and the complement within the non-halting
-    coordinates is jointly transient.
-    """
-    dx = decompose_word(qfa, x, tol)
-    dy = decompose_word(qfa, y, tol)
-    tx = nonhalting_operator(qfa, x)
-    ty = nonhalting_operator(qfa, y)
-
-    # intersection of the two isometric parts: the complement (within the
-    # non-halting coordinates) of the union of the two transient parts
-    embed = _coordinate_basis(qfa.dimension, qfa.non_halting)
-    transient_union = _orthonormal_columns(np.hstack([dx.transient_basis, dy.transient_basis]))
-    basis = _complement_within(transient_union, embed)
-
-    for _ in range(qfa.dimension + 1):
-        if basis.shape[1] == 0:
+    eye = np.eye(qfa.dimension, dtype=np.complex128)
+    ops = [nonhalting_operator(qfa, w) for w in words]
+    defects = [eye - op.conj().T @ op for op in ops]
+    embed = eye[:, list(qfa.non_halting)]
+    basis = embed
+    for _ in range(len(qfa.non_halting) + 1):
+        proj_out = eye - basis @ basis.conj().T
+        stacked = np.vstack([proj_out @ op @ basis for op in ops] + [d @ basis for d in defects])
+        kept = _orthonormal_columns(basis @ _kernel(stacked))
+        if kept.shape[1] == basis.shape[1]:
             break
-        proj_out = np.eye(qfa.dimension) - basis @ basis.conj().T
-        stacked = np.vstack([proj_out @ tx @ basis, proj_out @ ty @ basis])
-        _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-        null_mask = np.ones(basis.shape[1], dtype=bool)
-        null_mask[: len(s)] = s <= KERNEL_CUTOFF
-        kernel = vh.conj().T[:, null_mask]
-        new_basis = _orthonormal_columns(basis @ kernel)
-        if new_basis.shape[1] == basis.shape[1]:
-            basis = new_basis
-            break
-        basis = new_basis
-
-    transient = _complement_within(basis, embed)
+        basis = kept
     return Decomposition(
         isometric_basis=basis,
-        transient_basis=transient,
+        transient_basis=embed @ _kernel(basis.conj().T @ embed),
         non_halting=qfa.non_halting,
-        tol=tol,
     )
 
 

@@ -242,3 +242,52 @@ def find_shrinking_word(
                 return word
         candidates.sort(key=lambda item: (float(np.linalg.norm(item[1])), item[0]))
         beam = candidates[:BEAM_WIDTH]
+
+
+# ---------------------------------------------------------------------------
+# reference isometric/transient splits
+
+EIGENVALUE_CUTOFF = 1e-8  # |lam| at or above 1 - this counts as unimodular
+
+
+def _span(vectors: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span, by SVD."""
+    if vectors.shape[1] == 0:
+        return vectors.astype(np.complex128)
+    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
+    return u[:, : int(np.sum(s > 1e-10 * max(1.0, float(s[0]))))]
+
+
+def _complement(basis: np.ndarray, within: np.ndarray) -> np.ndarray:
+    """Orthocomplement of span(basis) inside span(within)."""
+    return _span(within - basis @ (basis.conj().T @ within))
+
+
+def unimodular_eigenspace(qfa: Qfa, x: str) -> np.ndarray:
+    """Reference isometric basis for one word: the span of the eigenvectors of
+    T_x, restricted to the non-halting coordinates, whose eigenvalues have
+    modulus at least 1 - EIGENVALUE_CUTOFF."""
+    non = list(qfa.non_halting)
+    eigvals, eigvecs = np.linalg.eig(nonhalting_operator(qfa, x)[np.ix_(non, non)])
+    embed = np.eye(qfa.dimension, dtype=np.complex128)[:, non]
+    return _span(embed @ eigvecs[:, np.abs(eigvals) >= 1.0 - EIGENVALUE_CUTOFF])
+
+
+def intersect_then_shrink(qfa: Qfa, x: str, y: str) -> np.ndarray:
+    """Reference isometric basis for two words: the intersection of the two
+    eigenvector spans, shrunk to {v in E : T_x v in E and T_y v in E} until
+    the dimension stops falling."""
+    embed = np.eye(qfa.dimension, dtype=np.complex128)[:, list(qfa.non_halting)]
+    transients = [_complement(unimodular_eigenspace(qfa, w), embed) for w in (x, y)]
+    basis = _complement(_span(np.hstack(transients)), embed)
+    ops = [nonhalting_operator(qfa, w) for w in (x, y)]
+    while basis.shape[1]:
+        proj_out = np.eye(qfa.dimension) - basis @ basis.conj().T
+        _, s, vh = np.linalg.svd(np.vstack([proj_out @ op @ basis for op in ops]), full_matrices=True)
+        keep = np.ones(basis.shape[1], dtype=bool)
+        keep[: len(s)] = s <= 1e-10
+        shrunk = _span(basis @ vh.conj().T[:, keep])
+        if shrunk.shape[1] == basis.shape[1]:
+            break
+        basis = shrunk
+    return basis

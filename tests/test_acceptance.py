@@ -34,7 +34,7 @@ from qfalab.fragments import (
     verify_witness,
 )
 from qfalab.qfa import all_words, nonhalting_operator, run, validate, verify_recognition
-from qfalab.spectral import decompose_word, norm_decay_table
+from qfalab.spectral import decompose, norm_decay_table
 from qfalab.synthesis import reversible_qfa, synthesize
 from conftest import find_shrinking_word, make_dfa
 
@@ -141,7 +141,7 @@ def test_criterion_5_unitarity_audit():
 def test_criterion_6_spectral_decomposition():
     with _Budget(6, "isometric split of the branching letter plus 100-machine property sweep", 10.0):
         k2 = qfa_fixture("even_head_odd_tail_qfa")
-        dec = decompose_word(k2, "b")
+        dec = decompose(k2, "b")
         assert dec.isometric_dim == 2
         op = nonhalting_operator(k2, "b")
         for j in range(dec.isometric_dim):
@@ -161,7 +161,7 @@ def test_criterion_6_spectral_decomposition():
 
         for i in range(100):
             machine = random_qfa(np.random.default_rng(7000 + i), dim=6)
-            split = decompose_word(machine, "a")
+            split = decompose(machine, "a")
             assert split.isometric_dim + split.transient_dim == len(split.non_halting)
             for j in range(split.transient_dim):
                 table = norm_decay_table(machine, "a", split.transient_basis[:, j], 12)

@@ -14,7 +14,6 @@ import pytest
 
 from conftest import make_dfa
 from qfalab.automata import Dfa, separating_word, shortest_word_between
-from qfalab.fragments import _separating_suffix
 from qfalab.qfa import all_words
 
 SEEDS = range(20)
@@ -91,7 +90,7 @@ def test_separating_suffix_is_the_first_separating_word(seed):
             expected = first_word(
                 images, lambda w, img: img[s] in dfa.accepting and img[t] not in dfa.accepting
             )
-            assert _separating_suffix(dfa, s, t) == expected, (seed, s, t)
+            assert separating_word(dfa, dfa.states[s], dfa, dfa.states[t]) == expected, (seed, s, t)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -403,6 +403,29 @@ class TestSimulateCommand:
         assert code == 0
         assert "inf" in payload.values()
 
+    @pytest.mark.parametrize("argv, expected_code, status", [
+        (("aa",), 0, "pass"),
+        (("--all-up-to", "3", "--oracle", "odd_tail", "--p", "0.9"), 1, "fail"),
+    ])
+    def test_nan_probability_is_strict_json(self, tmp_path, argv, expected_code, status):
+        # 1e154 squared overflows, so the probabilities of every word are NaN
+        big = [[1e154, 0.0], [0.0, 0.0], [0.0, 0.0], [1e154, 0.0]]
+        doc = {"dimension": 2, "alphabet": ["a", "b"], "start": 0, "acc": [1], "rej": [],
+               "unitaries": {sym: big for sym in ("^", "$", "a", "b")}}
+        path = tmp_path / "big.qfa"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_process(
+            "--tol", "1e308", "--format", "structured", "simulate", str(path), *argv
+        )
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        result = json.loads(out, parse_constant=reject)
+        assert (code, result["status"]) == (expected_code, status)
+        assert '"nan"' in out
+        assert "Traceback" not in err
+
 
 class TestSynthesizeCommand:
     def test_compile_then_simulate(self, capsys, paths):
@@ -487,6 +510,16 @@ class TestOtherCommands:
         )
         assert code == 0
         assert doc["payload"]["isometric_dimension"] == 2
+        assert "transient_norm_decay" not in doc["payload"]
+
+    def test_decay_steps_with_word2_is_a_usage_error(self, capsys, paths):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", paths["even_head_odd_tail_qfa"], "--word", "a", "--word2", "b",
+                  "--decay-steps", "5"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert "--decay-steps needs the one-word form, not --word2" in err
 
     def test_separability_limit_case(self, capsys, paths):
         code, doc, _ = run_json(
