@@ -238,7 +238,7 @@ def _cmd_simulate(args) -> tuple[str, dict | None]:
                     "symbol": rec.symbol,
                     "accept_increment": rec.accept_increment,
                     "reject_increment": rec.reject_increment,
-                    "post_norm_sq": float(np.vdot(rec.post_state, rec.post_state).real),
+                    "post_norm_sq": rec.post_norm_sq,
                 }
                 for rec in outcome.trace
             ]
@@ -495,7 +495,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        status, payload = args.func(args)
+        with np.errstate(all="ignore"):  # overflow and NaN already show in the payload
+            status, payload = args.func(args)
     except (DfaParseError, QfaParseError, fragments.WitnessParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

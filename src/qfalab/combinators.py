@@ -23,9 +23,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from qfalab.qfa import DOLLAR, KAPPA, MIXTURE_WEIGHT_TOL, Qfa, complete_unitary, freeze, sweep
-
-COORDINATE_SNAP_DENOMINATOR = 10**9
+from qfalab.qfa import COORDINATE_SNAP_DENOMINATOR, MIXTURE_WEIGHT_TOL
+from qfalab.qfa import DOLLAR, KAPPA, Qfa, complete_unitary, freeze, sweep
 
 
 class LimitConditionError(ValueError):

@@ -46,6 +46,9 @@ RECOGNITION_TOL = 1e-9  # slack below p that verify_recognition still accepts
 RESIDUAL_TOL = 1e-9  # non-halting mass after "$" above which a run is flagged
 GIVEN_COLUMNS_TOL = 1e-9  # max |A^dag A - I| entry for the columns A given to complete_unitary
 MIXTURE_WEIGHT_TOL = 1e-12  # |sum - 1| allowed for the weights and biases of a mixture
+KERNEL_CUTOFF = 2e-8  # singular value at or below which decompose's kernel keeps a direction:
+# about 1 - (1 - 1e-8)^2, so rounding that passes the 1e-9 unitarity audit leaves E1 whole
+COORDINATE_SNAP_DENOMINATOR = 10**9  # largest denominator separability snaps a coordinate to
 FRONTIER_BLOCK = 1024  # words per block of a sweep: bounds the "$" read and measurement temporaries
 
 
@@ -159,10 +162,9 @@ def _apply(mat: np.ndarray, states: np.ndarray, out: np.ndarray | None = None) -
 @dataclass(frozen=True)
 class StepRecord:
     symbol: str
-    pre_measurement: np.ndarray
     accept_increment: float
     reject_increment: float
-    post_state: np.ndarray
+    post_norm_sq: float  # non-halting mass left after the measurement
 
 
 @dataclass(frozen=True)
@@ -196,14 +198,13 @@ def run(qfa: Qfa, word: str, with_trace: bool = False) -> RunOutcome:
     p_rej = 0.0
     records: list[StepRecord] = []
     for sym in (KAPPA, *word, DOLLAR):
-        pre = _apply(qfa.unitaries[sym], psi)
-        psi = pre.copy()
+        psi = _apply(qfa.unitaries[sym], psi)
         acc, rej = _measure(qfa, psi)
         acc_inc, rej_inc = float(acc[0]), float(rej[0])
         p_acc += acc_inc
         p_rej += rej_inc
         if with_trace:
-            records.append(StepRecord(sym, pre[0], acc_inc, rej_inc, psi[0].copy()))
+            records.append(StepRecord(sym, acc_inc, rej_inc, float(np.vdot(psi[0], psi[0]).real)))
     residual = float(np.vdot(psi, psi).real)
     return RunOutcome(
         p_accept=p_acc,

@@ -28,11 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qfalab.qfa import Qfa, nonhalting_operator
-
-RANK_CUTOFF = 1e-10  # singular value, relative to the largest, below which a column is dependent
-KERNEL_CUTOFF = 2e-8  # singular value at or below which a kernel keeps a direction: about
-# 1 - (1 - 1e-8)^2, so rounding that passes the 1e-9 unitarity audit leaves E1 whole
+from qfalab.qfa import KERNEL_CUTOFF, Qfa, nonhalting_operator
 
 
 @dataclass(frozen=True)
@@ -58,15 +54,6 @@ class Decomposition:
         return self.transient_basis.shape[1]
 
 
-def _orthonormal_columns(vectors: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span, deterministic via SVD."""
-    if vectors.size == 0 or vectors.shape[1] == 0:
-        return np.zeros((vectors.shape[0], 0), dtype=np.complex128)
-    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    rank = int(np.sum(s > RANK_CUTOFF * max(1.0, float(s[0]) if len(s) else 1.0)))
-    return u[:, :rank]
-
-
 def _kernel(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the right null space of mat."""
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
@@ -90,7 +77,7 @@ def decompose(qfa: Qfa, *words: str) -> Decomposition:
     for _ in range(len(qfa.non_halting) + 1):
         proj_out = eye - basis @ basis.conj().T
         stacked = np.vstack([proj_out @ op @ basis for op in ops] + [d @ basis for d in defects])
-        kept = _orthonormal_columns(basis @ _kernel(stacked))
+        kept = basis @ _kernel(stacked)  # orthonormal: both factors are
         if kept.shape[1] == basis.shape[1]:
             break
         basis = kept

@@ -93,6 +93,13 @@ class TestClassifyCommand:
         code, doc, _ = run_json(capsys, "--monoid-cap", "50", "classify", str(path))
         assert code == 3
         assert doc["status"] == "inconclusive"
+        out_path = paths["tmp"] / "out.qfa"
+        code, doc, _ = run_json(
+            capsys, "--monoid-cap", "50", "synthesize", str(path), "-o", str(out_path)
+        )
+        assert code == 3
+        assert "hit the cap (50)" in doc["payload"]["reason"]
+        assert not out_path.exists()
 
     def test_parse_error_exit_code(self, capsys, paths):
         bad = paths["tmp"] / "bad.dfa"
@@ -335,6 +342,18 @@ class TestSimulateCommand:
         assert code == 0
         assert len(doc["payload"]["trace"]) == 4  # ^, b, a, $
 
+    def test_mass_left_after_the_endmarker_gets_a_note(self, capsys, tmp_path):
+        # no halting state, so the whole norm survives "$"
+        doc = {"dimension": 1, "alphabet": ["a"], "start": 0, "acc": [], "rej": [],
+               "unitaries": {sym: [[1.0, 0.0]] for sym in ("^", "$", "a")}}
+        path = tmp_path / "idle.qfa"
+        path.write_text(json.dumps(doc))
+        code, doc, _ = run_json(capsys, "simulate", str(path), "a", "--trace")
+        assert code == 0
+        assert doc["payload"]["p_residual"] == 1.0
+        assert doc["payload"]["note"] == "non-halting mass left after the right endmarker"
+        assert [rec["post_norm_sq"] for rec in doc["payload"]["trace"]] == [1.0] * 3
+
     def test_negative_length_is_an_error(self, capsys, paths):
         code, out, err = run_cli(
             capsys, "simulate", paths["even_head_odd_tail_qfa"],
@@ -425,6 +444,21 @@ class TestSimulateCommand:
         assert (code, result["status"]) == (expected_code, status)
         assert '"nan"' in out
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, expected_code", [
+        (("aa",), 0),
+        (("--all-up-to", "3", "--oracle", "odd_tail", "--p", "0.9"), 1),
+    ])
+    def test_overflow_warnings_stay_off_stderr(self, tmp_path, argv, expected_code):
+        # the NaN results are in the payload; numpy's warning lines are not
+        big = [[1e154, 0.0], [0.0, 0.0], [0.0, 0.0], [1e154, 0.0]]
+        doc = {"dimension": 2, "alphabet": ["a", "b"], "start": 0, "acc": [1], "rej": [],
+               "unitaries": {sym: big for sym in ("^", "$", "a", "b")}}
+        path = tmp_path / "big.qfa"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_process("--tol", "1e308", "simulate", str(path), *argv)
+        assert code == expected_code
+        assert err == ""
 
 
 class TestSynthesizeCommand:
