@@ -28,7 +28,13 @@ digest and leaves the eighth.  A ninth digest covers the subspaces of
 every QFA fixture and on the compiled `even_head_odd_tail` and
 `odd_head_odd_tail` machines: the exit code, the two dimensions and the
 projector B B* of each printed basis rounded to 6 decimals, so another
-orthonormal basis of the same subspace leaves it as it is.  The library and
+orthonormal basis of the same subspace leaves it as it is.  A tenth digest
+covers every subcommand's CLI output, run in this process: the exit code,
+stderr and stdout (a structured document with `timing_s` removed) of the
+cli-session calls of seed `CLI_SEED` in order, of a malformed DFA, QFA and
+witness file (exit 2), and of `qfalab --help` and `qfalab simulate --help`.
+The temporary directory the calls read and write is spelled `<tmp>` in
+their output.  The library and
 the generator are imported from the checkout that holds this script, so
 running it in two checkouts and comparing the outputs with `diff` shows
 whether a change moved any output.
@@ -45,6 +51,7 @@ import sys
 import tempfile
 from itertools import chain
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -59,12 +66,15 @@ from qfalab.qfa import qfa_to_json, sweep  # noqa: E402
 from qfalab.synthesis import SynthesisError, plan, reversible_qfa, synthesize  # noqa: E402
 
 import classify_random  # noqa: E402
+import cli_session  # noqa: E402
+from tracing import NULL  # noqa: E402
 
 RANDOM_SEEDS = (11, 12)
 RANDOM_DFAS = 436  # four cycles of the classify-random mix
 CAPS = (12, 500)  # classify-random again, on capped monoids
 COMPONENT_DFAS = 1_000  # per seed, for the plan digest
 SWEEP_LEN = 4  # longest word of the behaviour digest
+CLI_SEED = 11  # cli-session seed of the CLI output digest
 DECOMPOSE_WORDS = (("a",), ("b",), ("ab",), ("ba",), ("a", "b"), ("b", "a"), ("a", "aa"), ("ab", "ba"), ("b", "ab"))
 
 
@@ -185,6 +195,46 @@ def decompose_record(path: Path, dimension: int, words: tuple[str, ...]) -> str:
     return repr((code, payload["isometric_dimension"], payload["transient_dimension"], *projectors))
 
 
+def cli_output_record(argv: list[str], tmp: str) -> str:
+    """Exit code, stderr and stdout of `qfalab *argv` with `timing_s` removed
+    from a structured document and `tmp` spelled <tmp>."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # --help and usage errors
+            code = exc.code
+    text = out.getvalue()
+    if text.startswith('{\n  "command"'):
+        doc = json.loads(text)
+        doc.pop("timing_s")
+        text = json.dumps(doc, sort_keys=True)
+    return repr((code, err.getvalue().replace(tmp, "<tmp>"), text.replace(tmp, "<tmp>")))
+
+
+def cli_output_records(tmp: str) -> list[str]:
+    with mock.patch.object(cli_session, "OUT", Path(tmp)):
+        calls = cli_session.build(CLI_SEED, NULL).calls
+    records = [cli_output_record(["--format", "structured", *call.args], tmp) for call in calls]
+    bad = {
+        "bad.dfa": '{"alphabet": ["a"]}',
+        "bad.qfa": qfa_to_json(qfa_fixture("bad_left_marker_qfa")),
+        "bad.witness": '{"witness": {"kind": "none"}}',
+        "good.dfa": dfa_to_json(dfa_fixture("odd_tail")),
+    }
+    for name, text in bad.items():
+        (Path(tmp) / name).write_text(text, encoding="utf-8")
+    malformed = (
+        ["classify", f"{tmp}/bad.dfa"],
+        ["simulate", f"{tmp}/bad.qfa", "ab"],
+        ["verify-witness", f"{tmp}/good.dfa", f"{tmp}/bad.witness"],
+    )
+    records += [cli_output_record(["--format", "structured", *argv], tmp) for argv in malformed]
+    with mock.patch.dict("os.environ", COLUMNS="80"):  # argparse wraps help to the terminal width
+        records += [cli_output_record(argv, tmp) for argv in (["--help"], ["simulate", "--help"])]
+    return records
+
+
 def main() -> None:
     random_dfas = []
     for seed in RANDOM_SEEDS:
@@ -232,6 +282,9 @@ def main() -> None:
             path.write_text(qfa_to_json(qfa), encoding="utf-8")
             records += [decompose_record(path, qfa.dimension, words) for words in DECOMPOSE_WORDS]
         print(f"cli structured decompose ({len(qfas)} machines, {len(DECOMPOSE_WORDS)} cases each): {digest(records)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        records = cli_output_records(tmp)
+        print(f"cli output of every subcommand (cli-session seed {CLI_SEED}, malformed inputs, help; {len(records)} calls): {digest(records)}")
 
 
 if __name__ == "__main__":

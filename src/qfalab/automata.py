@@ -16,10 +16,6 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 DEFAULT_MONOID_CAP = 20_000
 
 
-class DfaParseError(ValueError):
-    """Raised when a DFA file is malformed."""
-
-
 @dataclass(frozen=True)
 class Dfa:
     """A complete deterministic finite automaton over single-character symbols.
@@ -120,7 +116,15 @@ class ParseReport:
     missing_transitions: tuple[tuple[str, str], ...] = ()
 
 
-def load_json(text: str, error: type[ValueError]):
+class ParseError(ValueError):
+    """A malformed input file: the parsers' errors subclass this."""
+
+
+class DfaParseError(ParseError):
+    """Raised when a DFA file is malformed."""
+
+
+def load_json(text: str, error: type[ParseError]):
     """`json.loads(text)`; bad JSON, too deep a nesting and too long an integer raise `error`."""
     try:
         return json.loads(text)
@@ -344,17 +348,13 @@ def minimize(dfa: Dfa) -> Dfa:
 def separating_word(d1: Dfa, s1: str, d2: Dfa, s2: str) -> str | None:
     """Shortest word accepted from s1 in d1 but rejected from s2 in d2, if any.
 
-    Searched by BFS over the product automaton, so "no word" is exact.
+    Searched by BFS over the product automaton, so "no word" is exact: it
+    means s1's language is contained in s2's.
     """
     steps = pair_steps(d1, d2)
     acc1, acc2 = d1._accepting_indices, d2._accepting_indices
     walk = bfs([(d1._index[s1], d2._index[s2])], steps)
     return next((word for (a1, a2), word in walk if a1 in acc1 and a2 not in acc2), None)
-
-
-def language_contains(d1: Dfa, s1: str, d2: Dfa, s2: str) -> bool:
-    """True iff every word accepted from s1 in d1 is accepted from s2 in d2."""
-    return separating_word(d1, s1, d2, s2) is None
 
 
 def shortest_word_between(dfa: Dfa, source: str, targets: Iterable[str]) -> str | None:

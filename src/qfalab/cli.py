@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 domain error, failed check or unwritable output,
 2 parse error (an unreadable or non-UTF-8 input included), 3 inconclusive
 result.  All numeric output is printed with 12 significant digits;
 identical invocations produce identical payloads (timing aside).
+
+The commands that read or build a QFA import the numeric modules in their
+own bodies, so `classify`, `verify-witness` and the DFA fixtures run
+without numpy.
 """
 
 from __future__ import annotations
@@ -13,12 +17,11 @@ import json
 import math
 import sys
 import time
-from typing import Any
+import warnings
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from qfalab import combinators, fragments, spectral, synthesis
-from qfalab.automata import DEFAULT_MONOID_CAP, Dfa, DfaParseError, dfa_to_json, minimize, parse_dfa
+from qfalab import USER_UNITARITY_TOL, fragments
+from qfalab.automata import DEFAULT_MONOID_CAP, Dfa, DfaParseError, ParseError, dfa_to_json, minimize, parse_dfa
 from qfalab.fixtures import (
     LanguageOracle,
     dfa_fixture,
@@ -28,16 +31,12 @@ from qfalab.fixtures import (
     qfa_fixture,
     qfa_fixture_names,
 )
-from qfalab.qfa import (
-    USER_UNITARITY_TOL,
-    Qfa,
-    QfaParseError,
-    parse_qfa,
-    qfa_to_json,
-    run,
-    validate,
-    verify_recognition,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from qfalab.qfa import Qfa
+    from qfalab.synthesis import SynthesisPlan
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -100,7 +99,7 @@ def _print_table(obj: Any, indent: str = "") -> None:
         print(f"{indent}{obj}")
 
 
-def _read_text(path: str, error: type[ValueError]) -> str:
+def _read_text(path: str, error: type[ParseError]) -> str:
     """The file as UTF-8 text; a file that cannot be read or decoded raises `error`."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -131,6 +130,8 @@ def _read_dfa(path: str, complete_with_sink: bool) -> tuple[Dfa, dict]:
 
 
 def _read_qfa(path: str, tol: float) -> Qfa:
+    from qfalab.qfa import QfaParseError, parse_qfa
+
     return parse_qfa(_read_text(path, QfaParseError), validate_tol=tol)
 
 
@@ -149,7 +150,7 @@ def _witness_payload(witness: fragments.FragmentWitness | None, verification=Non
     return doc
 
 
-def _plan_payload(plan: synthesis.SynthesisPlan | None) -> Any:
+def _plan_payload(plan: SynthesisPlan | None) -> Any:
     if plan is None:
         return None
     return {
@@ -221,6 +222,8 @@ def _cmd_simulate(args) -> tuple[str, dict | None]:
         args.usage_error("--all-up-to needs --oracle and --p")
     if not sweeping and (args.oracle is not None or args.p is not None):
         args.usage_error("--oracle and --p need --all-up-to, not a word")
+    from qfalab.qfa import run, verify_recognition
+
     qfa = _read_qfa(args.qfa, args.tol)
     if not sweeping:
         outcome = run(qfa, args.word, with_trace=args.trace)
@@ -262,6 +265,9 @@ def _cmd_simulate(args) -> tuple[str, dict | None]:
 
 
 def _cmd_synthesize(args) -> tuple[str, dict | None]:
+    from qfalab.qfa import qfa_to_json
+    from qfalab.synthesis import synthesize
+
     dfa, note = _read_dfa(args.dfa, args.complete_with_sink)
     verdict = fragments.classify(dfa, monoid_cap=args.monoid_cap)
     if verdict.classification == fragments.INCONCLUSIVE:
@@ -270,7 +276,7 @@ def _cmd_synthesize(args) -> tuple[str, dict | None]:
         raise ValueError(
             f"input is {verdict.classification}; only constructible languages can be compiled"
         )
-    qfa, p = synthesis.synthesize(verdict.minimal_dfa)
+    qfa, p = synthesize(verdict.minimal_dfa)
     _write_text(args.out, qfa_to_json(qfa))
     payload = {
         "out": args.out,
@@ -285,6 +291,9 @@ def _cmd_synthesize(args) -> tuple[str, dict | None]:
 
 
 def _cmd_union(args) -> tuple[str, dict | None]:
+    from qfalab import combinators
+    from qfalab.qfa import qfa_to_json
+
     q1 = _read_qfa(args.qfa1, args.tol)
     q2 = _read_qfa(args.qfa2, args.tol)
     machine, p = combinators.union(q1, args.p1, q2, args.p2)
@@ -300,6 +309,9 @@ def _cmd_union(args) -> tuple[str, dict | None]:
 
 
 def _cmd_complement(args) -> tuple[str, dict | None]:
+    from qfalab import combinators
+    from qfalab.qfa import qfa_to_json
+
     qfa = _read_qfa(args.qfa, args.tol)
     comp = combinators.complement(qfa)
     _write_text(args.out, qfa_to_json(comp))
@@ -310,6 +322,8 @@ def _cmd_complement(args) -> tuple[str, dict | None]:
 def _cmd_decompose(args) -> tuple[str, dict | None]:
     if args.word2 is not None and args.decay_steps is not None:
         args.usage_error("--decay-steps needs the one-word form, not --word2")
+    from qfalab import spectral
+
     qfa = _read_qfa(args.qfa, args.tol)
     words = [args.word] if args.word2 is None else [args.word, args.word2]
     dec = spectral.decompose(qfa, *words)
@@ -335,6 +349,8 @@ def _cmd_decompose(args) -> tuple[str, dict | None]:
 
 
 def _cmd_separability(args) -> tuple[str, dict | None]:
+    from qfalab import combinators
+
     q1 = _read_qfa(args.qfa1, args.tol)
     q2 = _read_qfa(args.qfa2, args.tol)
     lang = _oracle_over(args.oracle, q1.alphabet)
@@ -368,6 +384,8 @@ def _cmd_fixtures(args) -> tuple[str, dict | None]:
     if name in dfa_fixture_names():
         text = dfa_to_json(dfa_fixture(name))
     elif name in qfa_fixture_names():
+        from qfalab.qfa import qfa_to_json
+
         text = qfa_to_json(qfa_fixture(name))
     else:
         raise ValueError(f"unknown fixture {name!r}; try `fixtures list`")
@@ -495,9 +513,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        with np.errstate(all="ignore"):  # overflow and NaN already show in the payload
+        with warnings.catch_warnings():  # numpy's overflow and NaN already show in the payload
+            warnings.simplefilter("ignore", RuntimeWarning)
             status, payload = args.func(args)
-    except (DfaParseError, QfaParseError, fragments.WitnessParseError) as exc:
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, ArithmeticError) as exc:

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from qfalab.qfa import COORDINATE_SNAP_DENOMINATOR, MIXTURE_WEIGHT_TOL
+from qfalab import COORDINATE_SNAP_DENOMINATOR, MIXTURE_WEIGHT_TOL
 from qfalab.qfa import DOLLAR, KAPPA, Qfa, complete_unitary, freeze, sweep
 
 

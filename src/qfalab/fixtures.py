@@ -13,7 +13,9 @@ standard demonstration that QFA-recognizability is not closed under union.
 
 DFA fixtures are built from semantics (parity/phase trackers fed through
 `minimize`), never transcribed from drawings, and the test suite checks each
-one against its oracle exhaustively.
+one against its oracle exhaustively.  The QFA fixtures import numpy and
+`qfa` when one is built, so listing fixtures and building DFA fixtures load
+neither.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from qfalab.automata import Dfa, minimize
-from qfalab.qfa import DOLLAR, KAPPA, Qfa, freeze
+
+if TYPE_CHECKING:
+    from qfalab.qfa import Qfa
 
 
 @dataclass(frozen=True)
@@ -224,6 +226,10 @@ def _pair_qfa(start: int, repaired_kappa: bool) -> Qfa:
     matrix keeps a deliberately inconsistent lower block (columns of norms
     sqrt(4/3) and sqrt(2/3)) and serves as the validator's negative fixture.
     """
+    import numpy as np
+
+    from qfalab.qfa import DOLLAR, KAPPA, Qfa, freeze
+
     s13 = math.sqrt(1.0 / 3.0)
     s23 = math.sqrt(2.0 / 3.0)
     s12 = math.sqrt(0.5)

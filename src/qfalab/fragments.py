@@ -42,6 +42,7 @@ from qfalab.automata import (
     DEFAULT_MONOID_CAP,
     Dfa,
     Monoid,
+    ParseError,
     bfs,
     letter_steps,
     load_json,
@@ -79,7 +80,7 @@ _FORK2_OUTCOMES = (
 )
 
 
-class WitnessParseError(ValueError):
+class WitnessParseError(ParseError):
     """Raised when a witness file is malformed."""
 
 

@@ -34,29 +34,18 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from qfalab.automata import load_json
+from qfalab import FRONTIER_BLOCK, GIVEN_COLUMNS_TOL, RECOGNITION_TOL, RESIDUAL_TOL, USER_UNITARITY_TOL
+from qfalab.automata import ParseError, load_json
 
 KAPPA = "^"
 DOLLAR = "$"
-
-# Tolerances, set here only.  The CLI's --tol defaults to USER_UNITARITY_TOL
-# and serves as both the unitarity and the recognition-margin tolerance.
-USER_UNITARITY_TOL = 1e-9  # max |U^dag U - I| entry for matrices read from files
-RECOGNITION_TOL = 1e-9  # slack below p that verify_recognition still accepts
-RESIDUAL_TOL = 1e-9  # non-halting mass after "$" above which a run is flagged
-GIVEN_COLUMNS_TOL = 1e-9  # max |A^dag A - I| entry for the columns A given to complete_unitary
-MIXTURE_WEIGHT_TOL = 1e-12  # |sum - 1| allowed for the weights and biases of a mixture
-KERNEL_CUTOFF = 2e-8  # singular value at or below which decompose's kernel keeps a direction:
-# about 1 - (1 - 1e-8)^2, so rounding that passes the 1e-9 unitarity audit leaves E1 whole
-COORDINATE_SNAP_DENOMINATOR = 10**9  # largest denominator separability snaps a coordinate to
-FRONTIER_BLOCK = 1024  # words per block of a sweep: bounds the "$" read and measurement temporaries
 
 
 class SymbolError(ValueError):
     """A word uses a symbol outside the machine's alphabet."""
 
 
-class QfaParseError(ValueError):
+class QfaParseError(ParseError):
     """Raised when a QFA file is malformed or fails validation on load."""
 
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qfalab.qfa import KERNEL_CUTOFF, Qfa, nonhalting_operator
+from qfalab import KERNEL_CUTOFF
+from qfalab.qfa import Qfa, nonhalting_operator
 
 
 @dataclass(frozen=True)

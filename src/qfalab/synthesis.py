@@ -23,6 +23,9 @@ transient, and that `reversible_qfa`'s letters permute.  A transient part
 failing it is rejected with a descriptive error instead of being
 restructured; restructuring it into an equivalent reversible automaton is
 out of scope here.
+
+Only `_embedding` computes with numpy, and it imports numpy and `qfa`
+itself, so `plan` (which `classify` calls) loads neither.
 """
 
 from __future__ import annotations
@@ -30,9 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from qfalab.automata import (
     Dfa,
@@ -41,7 +42,9 @@ from qfalab.automata import (
     pair_steps,
     shortest_word_between,
 )
-from qfalab.qfa import DOLLAR, KAPPA, Qfa, complete_unitary, freeze
+
+if TYPE_CHECKING:
+    from qfalab.qfa import Qfa
 
 
 class SynthesisError(ValueError):
@@ -236,6 +239,10 @@ def _embedding(
     reject state.  "^" maps the start state to `init` (amplitudes by basis
     index); "$" sends each state to its own accept or reject state.
     """
+    import numpy as np
+
+    from qfalab.qfa import DOLLAR, KAPPA, Qfa, complete_unitary, freeze
+
     n, dim = len(order), 3 * len(order)
     index = {q: i for i, q in enumerate(order)}
 

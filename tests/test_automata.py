@@ -16,7 +16,6 @@ from qfalab.automata import (
     DfaParseError,
     closed_sccs,
     dfa_to_json,
-    language_contains,
     minimize,
     parse_dfa,
     recurrent_states,
@@ -25,6 +24,11 @@ from qfalab.automata import (
     transition_monoid,
 )
 from qfalab.fixtures import dfa_fixture
+
+
+def language_contains(d1: Dfa, s1: str, d2: Dfa, s2: str) -> bool:
+    """True iff every word accepted from s1 in d1 is accepted from s2 in d2."""
+    return separating_word(d1, s1, d2, s2) is None
 
 
 def one_state_all_accepting():

@@ -15,12 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_qfa
+from qfalab import FRONTIER_BLOCK, RECOGNITION_TOL
 from qfalab import qfa as qfa_module
 from qfalab.combinators import CloudPoint, _max_margin_line, _snap, separability
 from qfalab.fixtures import oracle, qfa_fixture
 from qfalab.qfa import (
-    FRONTIER_BLOCK,
-    RECOGNITION_TOL,
     RecognitionReport,
     _measure,
     all_words,

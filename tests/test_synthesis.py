@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dfas, make_dfa, permutation_component_dfas
-from qfalab.automata import Dfa, closed_sccs, language_contains, minimize
+from qfalab.automata import Dfa, closed_sccs, minimize, separating_word
 from qfalab.fixtures import dfa_fixture, oracle
 from qfalab.qfa import all_words, run, sweep, validate, verify_recognition
 from qfalab.synthesis import (
@@ -64,7 +64,7 @@ class TestPlan:
         p = plan(g2)
         for pos, i in enumerate(p.chain):
             for j in p.chain[pos + 1 :]:
-                assert language_contains(g2, p.entry_states[i], g2, p.entry_states[j])
+                assert separating_word(g2, p.entry_states[i], g2, p.entry_states[j]) is None
 
     def test_one_state_all_accepting(self):
         dfa = make_dfa(1, [0, 0], [True])
@@ -114,7 +114,7 @@ class TestPlan:
 @given(permutation_component_dfas())
 def test_plan_chain_equals_language_containment(dfa):
     """The plan's containment counts, chain and ChainViolation agree with
-    pairwise `language_contains` walks between the entry states."""
+    pairwise `separating_word` walks between the entry states."""
     components = [tuple(sorted(c, key=dfa.states.index)) for c in closed_sccs(dfa)]
     try:
         entries = [_certified_entry_state(dfa, comp, ci) for ci, comp in enumerate(components)]
@@ -123,7 +123,7 @@ def test_plan_chain_equals_language_containment(dfa):
             plan(dfa)
         return
     n = len(entries)
-    contains = [[language_contains(dfa, e, dfa, f) for f in entries] for e in entries]
+    contains = [[separating_word(dfa, e, dfa, f) is None for f in entries] for e in entries]
     if any(not contains[i][j] and not contains[j][i] for i in range(n) for j in range(i)):
         with pytest.raises(ChainViolation):
             plan(dfa)
