@@ -34,7 +34,12 @@ stderr and stdout (a structured document with `timing_s` removed) of the
 cli-session calls of seed `CLI_SEED` in order, of a malformed DFA, QFA and
 witness file (exit 2), and of `qfalab --help` and `qfalab simulate --help`.
 The temporary directory the calls read and write is spelled `<tmp>` in
-their output.  The library and
+their output.  An eleventh digest covers exhaustive checks against the
+named oracles: the `repr` of `verify_recognition` of each machine of the
+ninth digest against each oracle over the machine's alphabet, at each p of
+`RECOGNITION_PS` up to length `RECOGNITION_LEN`, and of `separability` of
+each pair of those machines against each such oracle up to length
+`SEPARABILITY_LEN`.  The library and
 the generator are imported from the checkout that holds this script, so
 running it in two checkouts and comparing the outputs with `diff` shows
 whether a change moved any output.
@@ -49,7 +54,7 @@ import json
 import random
 import sys
 import tempfile
-from itertools import chain
+from itertools import chain, combinations
 from pathlib import Path
 from unittest import mock
 
@@ -60,9 +65,17 @@ import numpy as np  # noqa: E402
 
 from qfalab.automata import Dfa, dfa_to_json, minimize, parse_dfa  # noqa: E402
 from qfalab.cli import main as cli_main  # noqa: E402
-from qfalab.fixtures import dfa_fixture, dfa_fixture_names, qfa_fixture, qfa_fixture_names  # noqa: E402
+from qfalab.combinators import separability  # noqa: E402
+from qfalab.fixtures import (  # noqa: E402
+    dfa_fixture,
+    dfa_fixture_names,
+    oracle,
+    oracle_names,
+    qfa_fixture,
+    qfa_fixture_names,
+)
 from qfalab.fragments import CONSTRUCTIBLE, classify, verify_witness, witness_to_json  # noqa: E402
-from qfalab.qfa import qfa_to_json, sweep  # noqa: E402
+from qfalab.qfa import qfa_to_json, sweep, verify_recognition  # noqa: E402
 from qfalab.synthesis import SynthesisError, plan, reversible_qfa, synthesize  # noqa: E402
 
 import classify_random  # noqa: E402
@@ -75,6 +88,9 @@ CAPS = (12, 500)  # classify-random again, on capped monoids
 COMPONENT_DFAS = 1_000  # per seed, for the plan digest
 SWEEP_LEN = 4  # longest word of the behaviour digest
 CLI_SEED = 11  # cli-session seed of the CLI output digest
+RECOGNITION_PS = (0.6, 2 / 3 - 1e-9, 0.9)  # probabilities of the oracle digest
+RECOGNITION_LEN = 10  # longest word of the oracle digest's recognition checks
+SEPARABILITY_LEN = 8  # longest word of the oracle digest's separability checks
 DECOMPOSE_WORDS = (("a",), ("b",), ("ab",), ("ba",), ("a", "b"), ("b", "a"), ("a", "aa"), ("ab", "ba"), ("b", "ab"))
 
 
@@ -195,6 +211,17 @@ def decompose_record(path: Path, dimension: int, words: tuple[str, ...]) -> str:
     return repr((code, payload["isometric_dimension"], payload["transient_dimension"], *projectors))
 
 
+def oracle_records(qfas) -> list[str]:
+    """`repr` of every recognition and separability check of the oracle digest."""
+
+    def over(qfa):
+        return [oracle(name) for name in oracle_names() if set(oracle(name).alphabet) == set(qfa.alphabet)]
+
+    records = [repr(verify_recognition(q, lang, p, RECOGNITION_LEN)) for q in qfas for lang in over(q) for p in RECOGNITION_PS]
+    records += [repr(separability(q1, q2, lang, SEPARABILITY_LEN)) for q1, q2 in combinations(qfas, 2) for lang in over(q1)]
+    return records
+
+
 def cli_output_record(argv: list[str], tmp: str) -> str:
     """Exit code, stderr and stdout of `qfalab *argv` with `timing_s` removed
     from a structured document and `tmp` spelled <tmp>."""
@@ -285,6 +312,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         records = cli_output_records(tmp)
         print(f"cli output of every subcommand (cli-session seed {CLI_SEED}, malformed inputs, help; {len(records)} calls): {digest(records)}")
+    records = oracle_records(qfas)
+    print(f"exhaustive checks of those {len(qfas)} machines against the oracles ({len(records)} checks): {digest(records)}")
 
 
 if __name__ == "__main__":

@@ -97,6 +97,8 @@ class Dfa:
     def accepts(self, word: str) -> bool:
         return self.run(word) in self.accepting
 
+    __call__ = accepts  # a DFA is a membership predicate
+
     def complement(self) -> Dfa:
         return Dfa(
             states=self.states,

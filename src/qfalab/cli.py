@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Any
 from qfalab import USER_UNITARITY_TOL, fragments
 from qfalab.automata import DEFAULT_MONOID_CAP, Dfa, DfaParseError, ParseError, dfa_to_json, minimize, parse_dfa
 from qfalab.fixtures import (
-    LanguageOracle,
     dfa_fixture,
     dfa_fixture_names,
     oracle,
@@ -200,8 +199,8 @@ def _cmd_verify_witness(args) -> tuple[str, dict | None]:
     return "pass" if report.passed else "fail", payload
 
 
-def _oracle_over(name: str, alphabet: tuple[str, ...]) -> LanguageOracle:
-    """The named oracle; one over another alphabet would label the machine's
+def _oracle_over(name: str, alphabet: tuple[str, ...]) -> Dfa:
+    """The named oracle's DFA; one over another alphabet would label the machine's
     words meaninglessly, so that is an error."""
     lang = oracle(name)
     if set(lang.alphabet) != set(alphabet):

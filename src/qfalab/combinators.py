@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from qfalab import COORDINATE_SNAP_DENOMINATOR, MIXTURE_WEIGHT_TOL
-from qfalab.qfa import DOLLAR, KAPPA, Qfa, complete_unitary, freeze, sweep
+from qfalab.qfa import DOLLAR, KAPPA, Qfa, complete_unitary, freeze, labelled_sweep
 
 
 class LimitConditionError(ValueError):
@@ -263,14 +263,15 @@ def separability(
     The line (a, b, c) satisfies a*x + b*y >= c on the in-language points
     and <= c on the others.  A zero margin means the hulls touch (the limit
     case: only non-strict separation exists); `separable=False` with no line
-    means the hulls properly overlap.
+    means the hulls properly overlap.  A `Dfa` oracle labels each length at
+    once (`labelled_sweep`).
     """
     if q1.alphabet != q2.alphabet:
         raise ValueError("machines must share an alphabet")
     cloud = []
-    for lvl1, lvl2 in zip(sweep(q1, max_len), sweep(q2, max_len)):
-        for w, a1, a2 in zip(lvl1.words, lvl1.p_accept.tolist(), lvl2.p_accept.tolist()):
-            cloud.append(CloudPoint(w, a1, a2, bool(oracle(w))))
+    for (lvl1, lvl2), labels in labelled_sweep((q1, q2), oracle, max_len):
+        for w, a1, a2, label in zip(lvl1.words, lvl1.p_accept.tolist(), lvl2.p_accept.tolist(), labels.tolist()):
+            cloud.append(CloudPoint(w, a1, a2, label))
     # clouds repeat few probabilities: snap each distinct one once
     snapped = {v: _snap(v) for v in {v for pt in cloud for v in (pt.p1, pt.p2)}}
     inside: list[Point] = []

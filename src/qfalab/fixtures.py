@@ -13,55 +13,24 @@ standard demonstration that QFA-recognizability is not closed under union.
 
 DFA fixtures are built from semantics (parity/phase trackers fed through
 `minimize`), never transcribed from drawings, and the test suite checks each
-one against its oracle exhaustively.  The QFA fixtures import numpy and
-`qfa` when one is built, so listing fixtures and building DFA fixtures load
-neither.
+one exhaustively against a hand-written membership predicate.  The oracle
+`name`, the language an exhaustive check labels words with, is the DFA
+fixture `name` itself: `verify_recognition` and `separability` label a
+whole word length from one DFA-state frontier.  The QFA fixtures import
+numpy and `qfa` when one is built, so listing fixtures and building DFA
+fixtures load neither.
 """
 
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING, Callable
 
 from qfalab.automata import Dfa, minimize
 
 if TYPE_CHECKING:
     from qfalab.qfa import Qfa
-
-
-@dataclass(frozen=True)
-class LanguageOracle:
-    name: str
-    predicate: Callable[[str], bool]
-    alphabet: tuple[str, ...]
-
-    def __call__(self, word: str) -> bool:
-        return self.predicate(word)
-
-
-def _head_tail(word: str) -> tuple[int, int, bool]:
-    """(# a's before first b, # a's after first b, word contains b)."""
-    first_b = word.find("b")
-    if first_b < 0:
-        return word.count("a"), 0, False
-    return word[:first_b].count("a"), word[first_b:].count("a"), True
-
-
-def _odd_tail(word: str) -> bool:
-    _, tail, has_b = _head_tail(word)
-    return tail % 2 == 1 if has_b else True
-
-
-def _even_head_odd_tail(word: str) -> bool:
-    head, tail, has_b = _head_tail(word)
-    return head % 2 == 0 and (tail % 2 == 1 if has_b else True)
-
-
-def _odd_head_odd_tail(word: str) -> bool:
-    head, tail, has_b = _head_tail(word)
-    return head % 2 == 1 and (tail % 2 == 1 if has_b else True)
 
 
 # Membership table of the layered fixture: which final letters are accepted
@@ -80,35 +49,6 @@ LAYERED_TABLE: dict[tuple[str, str], frozenset[str]] = {
     ("c", "e"): frozenset("ghi"),
     ("c", "f"): frozenset(),
 }
-
-_LAYERED_RE = re.compile(r"^([abc])[abc]*([def])[def]*([ghi])$")
-
-
-def _layered(word: str) -> bool:
-    m = _LAYERED_RE.match(word)
-    if m is None:
-        return False
-    x, y, z = m.group(1), m.group(2), m.group(3)
-    return z in LAYERED_TABLE[(x, y)]
-
-
-_ORACLES = {
-    "odd_tail": LanguageOracle("odd_tail", _odd_tail, ("a", "b")),
-    "even_head_odd_tail": LanguageOracle("even_head_odd_tail", _even_head_odd_tail, ("a", "b")),
-    "odd_head_odd_tail": LanguageOracle("odd_head_odd_tail", _odd_head_odd_tail, ("a", "b")),
-    "layered": LanguageOracle("layered", _layered, tuple("abcdefghi")),
-}
-
-
-def oracle(name: str) -> LanguageOracle:
-    try:
-        return _ORACLES[name]
-    except KeyError:
-        raise KeyError(f"unknown oracle {name!r}; known: {sorted(_ORACLES)}") from None
-
-
-def oracle_names() -> tuple[str, ...]:
-    return tuple(sorted(_ORACLES))
 
 
 def _tracker_dfa(accept: Callable[[str, int, int], bool]) -> Dfa:
@@ -215,6 +155,21 @@ def dfa_fixture(name: str) -> Dfa:
 
 def dfa_fixture_names() -> tuple[str, ...]:
     return tuple(sorted(_DFA_BUILDERS))
+
+
+_ORACLE_NAMES = ("even_head_odd_tail", "layered", "odd_head_odd_tail", "odd_tail")
+
+
+@cache
+def oracle(name: str) -> Dfa:
+    """The language `name` as its DFA fixture, built once per process."""
+    if name not in _ORACLE_NAMES:
+        raise KeyError(f"unknown oracle {name!r}; known: {list(_ORACLE_NAMES)}")
+    return dfa_fixture(name)
+
+
+def oracle_names() -> tuple[str, ...]:
+    return _ORACLE_NAMES
 
 
 def _pair_qfa(start: int, repaired_kappa: bool) -> Qfa:

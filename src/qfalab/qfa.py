@@ -30,12 +30,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from qfalab import FRONTIER_BLOCK, GIVEN_COLUMNS_TOL, RECOGNITION_TOL, RESIDUAL_TOL, USER_UNITARITY_TOL
-from qfalab.automata import ParseError, load_json
+from qfalab.automata import Dfa, ParseError, load_json
 
 KAPPA = "^"
 DOLLAR = "$"
@@ -203,20 +203,15 @@ def run(qfa: Qfa, word: str, with_trace: bool = False) -> RunOutcome:
     )
 
 
-def nonhalting_projector(qfa: Qfa) -> np.ndarray:
-    proj = np.zeros((qfa.dimension, qfa.dimension), dtype=np.complex128)
-    for i in qfa.non_halting:
-        proj[i, i] = 1.0
-    return proj
-
-
 def nonhalting_operator(qfa: Qfa, word: str) -> np.ndarray:
     """Composition of (project-to-non-halting o unitary) over the word's symbols.
 
     The word ranges over the working alphabet, so endmarkers are allowed.
     The result is a norm contraction; the empty word gives the identity.
     """
-    proj = nonhalting_projector(qfa)
+    keep = list(qfa.non_halting)
+    proj = np.zeros((qfa.dimension, qfa.dimension), dtype=np.complex128)
+    proj[keep, keep] = 1.0
     op = np.eye(qfa.dimension, dtype=np.complex128)
     for sym in word:
         mat = qfa.unitaries.get(sym)
@@ -293,6 +288,44 @@ def sweep(qfa: Qfa, max_len: int, letters: Iterable[str] | None = None):
             states, p_acc, p_rej = children, child_acc, child_rej
 
 
+def labelled_sweep(
+    qfas: Sequence[Qfa],
+    oracle: Callable[[str], bool],
+    max_len: int,
+    letters: Iterable[str] | None = None,
+) -> Iterator[tuple[tuple[LevelOutcome, ...], np.ndarray]]:
+    """`sweep` every machine of `qfas` over `letters`; yield each length's
+    outcomes, one per machine, with `oracle`'s labels of that length's words.
+
+    `letters` defaults to the first machine's alphabet.  A `Dfa` labels a
+    whole length at once: level n's labels are `accepting[frontier_n]`,
+    where frontier_0 holds the start state and frontier_{n+1} is
+    `table[frontier_n].reshape(-1)`.  The table's columns are `letters` in
+    order, so each frontier is word-major and letter-minor, the sweep's
+    order.  A swept letter that the DFA lacks is an error.  Any other
+    callable is called once per word.
+    """
+    letters = qfas[0].alphabet if letters is None else tuple(letters)
+    levels = zip(*(sweep(qfa, max_len, letters) for qfa in qfas))
+    if not isinstance(oracle, Dfa):
+        for outcomes in levels:
+            words = outcomes[0].words
+            yield outcomes, np.fromiter((bool(oracle(w)) for w in words), dtype=bool, count=len(words))
+        return
+    outcomes = next(levels)  # the sweeps check their arguments first
+    missing = [ch for ch in letters if ch not in oracle.alphabet]
+    if missing:
+        raise ValueError(f"the language's DFA has no letter {missing[0]!r}")
+    index = {q: i for i, q in enumerate(oracle.states)}
+    table = np.array([[index[oracle.transitions[q, ch]] for ch in letters] for q in oracle.states], dtype=np.intp)
+    accepting = np.array([q in oracle.accepting for q in oracle.states])
+    frontier = np.array([index[oracle.start]])
+    yield outcomes, accepting[frontier]
+    for outcomes in levels:
+        frontier = table[frontier].reshape(-1)
+        yield outcomes, accepting[frontier]
+
+
 @dataclass(frozen=True)
 class RecognitionReport:
     passed: bool
@@ -320,6 +353,7 @@ def verify_recognition(
     words must reject with probability >= p - tol.  The report carries the
     worst margins and the offending words, if any.  A NaN probability fails:
     it becomes the worst margin and a counterexample.  p must lie in (1/2, 1].
+    A `Dfa` oracle labels each length at once (`labelled_sweep`).
     """
     if not 0.5 < p <= 1:
         raise ValueError(f"recognition probability must lie in (1/2, 1], not {p}")
@@ -328,8 +362,7 @@ def verify_recognition(
     counterexamples: list[tuple[str, float]] = []
     residual_seen = False
     count = 0
-    for level in sweep(qfa, max_len, alphabet):
-        labels = np.fromiter((bool(oracle(w)) for w in level.words), dtype=bool, count=len(level.words))
+    for (level,), labels in labelled_sweep((qfa,), oracle, max_len, alphabet):
         margins = np.where(labels, level.p_accept, level.p_reject) - p
         # np.minimum and ndarray.min propagate NaN where the builtin min drops it
         if labels.any():

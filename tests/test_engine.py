@@ -4,7 +4,9 @@
 bitwise the accept and reject probabilities of `run(..., with_trace=True)`.
 `verify_recognition` and `separability`, which consume it, must equal the
 per-word loops kept here.  Blocks are shrunk so that short sweeps cross
-block boundaries; one sweep also crosses the real `FRONTIER_BLOCK`.
+block boundaries; one sweep also crosses the real `FRONTIER_BLOCK`.  A
+language given as a `Dfa` is labelled one length at a time from a frontier
+of DFA states; those labels must be the DFA's own `accepts` on every word.
 """
 
 import zlib
@@ -14,15 +16,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_qfa
+from conftest import dfas, random_qfa
 from qfalab import FRONTIER_BLOCK, RECOGNITION_TOL
 from qfalab import qfa as qfa_module
+from qfalab.automata import Dfa
 from qfalab.combinators import CloudPoint, _max_margin_line, _snap, separability
 from qfalab.fixtures import oracle, qfa_fixture
 from qfalab.qfa import (
     RecognitionReport,
     _measure,
     all_words,
+    labelled_sweep,
     run,
     sweep,
     verify_recognition,
@@ -191,3 +195,55 @@ def test_negative_length_is_rejected():
         verify_recognition(k2, lang, 0.6, -1)
     with pytest.raises(ValueError, match="non-negative"):
         separability(k2, k3, lang, -1)
+
+
+@st.composite
+def machines_and_languages(draw):
+    """A machine; a DFA of 1-9 states over the machine's letters in shuffled
+    order; and the swept letters, a shuffled non-empty subset of them."""
+    qfa = draw(machines())
+    dfa = draw(dfas(1, 9, tuple(draw(st.permutations(qfa.alphabet)))))
+    swept = draw(st.permutations(qfa.alphabet))[: draw(st.integers(1, len(qfa.alphabet)))]
+    return qfa, dfa, tuple(swept)
+
+
+@given(machines_and_languages(), st.integers(0, 12))
+@settings(max_examples=60)
+def test_frontier_labels_are_accepts_on_every_word(case, max_len):
+    qfa, dfa, swept = case
+    max_len = min(max_len, MAX_LEN[len(swept)])
+    for (level,), labels in labelled_sweep((qfa,), dfa, max_len, swept):
+        assert labels.tolist() == [dfa.accepts(w) for w in level.words]
+
+
+@given(machines_and_languages(), st.integers(0, 12), st.floats(0.51, 0.99))
+@settings(max_examples=40)
+def test_verify_recognition_with_a_dfa_equals_the_per_word_path(case, max_len, p):
+    qfa, dfa, swept = case
+    max_len = min(max_len, MAX_LEN[len(swept)])
+    got = verify_recognition(qfa, dfa, p, max_len, alphabet=swept)
+    assert got == verify_recognition(qfa, dfa.accepts, p, max_len, alphabet=swept)
+
+
+@given(machines_and_languages(), st.integers(0, 12), st.integers(0, 2**31 - 1))
+@settings(max_examples=25)
+def test_separability_with_a_dfa_equals_the_per_word_path(case, max_len, seed):
+    q1, dfa, _ = case
+    q2 = random_qfa(np.random.default_rng(seed), dim=4, alphabet=q1.alphabet)
+    max_len = min(max_len, MAX_LEN[len(q1.alphabet)])
+    assert separability(q1, q2, dfa, max_len) == separability(q1, q2, dfa.accepts, max_len)
+
+
+@given(machines_and_languages(), st.integers(0, 3))
+@settings(max_examples=20)
+def test_a_dfa_without_a_swept_letter_is_an_error(case, max_len):
+    qfa, dfa, swept = case
+    letters = tuple(ch for ch in dfa.alphabet if ch != swept[0])
+    delta = {(q, ch): t for (q, ch), t in dfa.transitions.items() if ch in letters}
+    lacking = Dfa(dfa.states, letters, dfa.start, dfa.accepting, delta)
+    with pytest.raises(ValueError, match="no letter"):
+        verify_recognition(qfa, lacking, 0.6, max_len, alphabet=swept)
+    with pytest.raises(ValueError, match="no letter"):
+        separability(qfa, qfa, lacking, max_len)
+    with pytest.raises(ValueError, match="non-negative"):
+        verify_recognition(qfa, lacking, 0.6, -1, alphabet=swept)

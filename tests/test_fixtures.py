@@ -1,4 +1,10 @@
-"""Fixture corpus: oracles agree with automata, table constraints hold."""
+"""Fixture corpus: DFA fixtures agree with hand-written predicates, table constraints hold.
+
+The predicates below are the references of the fixture languages: each
+reads membership off a word's letters, independently of any automaton.
+"""
+
+import re
 
 import pytest
 
@@ -8,17 +14,60 @@ from qfalab.fixtures import (
     dfa_fixture,
     dfa_fixture_names,
     oracle,
+    oracle_names,
     qfa_fixture,
     qfa_fixture_names,
 )
 from qfalab.qfa import KAPPA, all_words, run, validate, verify_recognition
 
 
+def _head_tail(word: str) -> tuple[int, int, bool]:
+    """(# a's before first b, # a's after first b, word contains b)."""
+    first_b = word.find("b")
+    if first_b < 0:
+        return word.count("a"), 0, False
+    return word[:first_b].count("a"), word[first_b:].count("a"), True
+
+
+def _odd_tail(word: str) -> bool:
+    _, tail, has_b = _head_tail(word)
+    return tail % 2 == 1 if has_b else True
+
+
+def _even_head_odd_tail(word: str) -> bool:
+    head, tail, has_b = _head_tail(word)
+    return head % 2 == 0 and (tail % 2 == 1 if has_b else True)
+
+
+def _odd_head_odd_tail(word: str) -> bool:
+    head, tail, has_b = _head_tail(word)
+    return head % 2 == 1 and (tail % 2 == 1 if has_b else True)
+
+
+_LAYERED_RE = re.compile(r"^([abc])[abc]*([def])[def]*([ghi])$")
+
+
+def _layered(word: str) -> bool:
+    m = _LAYERED_RE.match(word)
+    if m is None:
+        return False
+    x, y, z = m.group(1), m.group(2), m.group(3)
+    return z in LAYERED_TABLE[(x, y)]
+
+
+REFERENCES = {
+    "odd_tail": _odd_tail,
+    "even_head_odd_tail": _even_head_odd_tail,
+    "odd_head_odd_tail": _odd_head_odd_tail,
+    "layered": _layered,
+}
+
+
 class TestOracles:
     def test_membership_spot_checks(self):
-        l1 = oracle("odd_tail")
-        l2 = oracle("even_head_odd_tail")
-        l3 = oracle("odd_head_odd_tail")
+        l1 = _odd_tail
+        l2 = _even_head_odd_tail
+        l3 = _odd_head_odd_tail
         assert l1("ba") and l2("ba") and not l3("ba")
         assert l1("")  # no b at all, tail condition vacuous; zero-length head is even
         assert l2("") and not l3("")
@@ -26,19 +75,19 @@ class TestOracles:
         assert l3("aba") and l1("aba") and not l2("aba")
 
     def test_union_decomposition_pointwise(self):
-        l1, l2, l3 = (oracle(n) for n in ("odd_tail", "even_head_odd_tail", "odd_head_odd_tail"))
+        l1, l2, l3 = _odd_tail, _even_head_odd_tail, _odd_head_odd_tail
         for w in all_words(("a", "b"), 10):
             assert l1(w) == (l2(w) or l3(w))
             assert not (l2(w) and l3(w))
 
     def test_even_head_is_the_conjunction_with_the_head_parity(self):
-        l1, l2 = oracle("odd_tail"), oracle("even_head_odd_tail")
+        l1, l2 = _odd_tail, _even_head_odd_tail
         for w in all_words(("a", "b"), 10):
             head = len(w) - len(w.lstrip("a"))
             assert l2(w) == (l1(w) and head % 2 == 0)
 
     def test_layered_examples(self):
-        lay = oracle("layered")
+        lay = _layered
         assert lay("adg")
         assert lay("abcadddeg")  # the first second-stage letter d picks the row
         assert lay("aadg")
@@ -52,18 +101,24 @@ class TestOracles:
         with pytest.raises(KeyError):
             oracle("nope")
 
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    def test_oracle_is_the_dfa_fixture_built_once(self, name):
+        assert oracle(name) == dfa_fixture(name)
+        assert oracle(name) is oracle(name)
+        assert oracle_names() == tuple(sorted(REFERENCES))
+
 
 class TestDfaFixtures:
     @pytest.mark.parametrize("name", ["odd_tail", "even_head_odd_tail", "odd_head_odd_tail"])
     def test_fixture_agrees_with_its_oracle(self, name):
         dfa = dfa_fixture(name)
-        lang = oracle(name)
+        lang = REFERENCES[name]
         for w in all_words(("a", "b"), 10):
             assert dfa.accepts(w) == lang(w)
 
     def test_layered_fixture_agrees_with_its_oracle(self):
         dfa = dfa_fixture("layered")
-        lang = oracle("layered")
+        lang = _layered
         for w in all_words(tuple("abcdefghi"), 4):
             assert dfa.accepts(w) == lang(w)
         for w in ("adg", "aadg", "abdddg", "beh", "bfh", "cei", "cfg", "adgh", "gda"):

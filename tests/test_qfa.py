@@ -18,7 +18,6 @@ from qfalab.qfa import (
     all_words,
     complete_unitary,
     nonhalting_operator,
-    nonhalting_projector,
     parse_qfa,
     qfa_to_json,
     run,
@@ -28,6 +27,12 @@ from qfalab.qfa import (
 )
 from qfalab.synthesis import reversible_qfa
 from conftest import make_dfa
+
+
+def nonhalting_projector(qfa: Qfa) -> np.ndarray:
+    """The projection onto the non-halting basis states."""
+    return np.diag([complex(i in qfa.non_halting) for i in range(qfa.dimension)])
+
 
 S13 = math.sqrt(1 / 3)
 S23 = math.sqrt(2 / 3)
