@@ -5,9 +5,11 @@ Exit codes: 0 success, 1 domain error, failed check or unwritable output,
 result.  All numeric output is printed with 12 significant digits;
 identical invocations produce identical payloads (timing aside).
 
-The commands that read or build a QFA import the numeric modules in their
-own bodies, so `classify`, `verify-witness` and the DFA fixtures run
-without numpy.
+Each command imports what it computes with: only those that read or build
+a QFA load numpy, and only `classify`, `verify-witness` and `synthesize` the
+fragment search.  `main` starts BLAS with one thread unless
+`OPENBLAS_NUM_THREADS` is set: matrices of a few dozen rows never use a
+second one, whose idle worker costs about 70 ms of CPU per process.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 import warnings
 from typing import TYPE_CHECKING, Any
 
-from qfalab import USER_UNITARITY_TOL, fragments
+from qfalab import USER_UNITARITY_TOL
 from qfalab.automata import DEFAULT_MONOID_CAP, Dfa, DfaParseError, ParseError, dfa_to_json, minimize, parse_dfa
 from qfalab.fixtures import (
     dfa_fixture,
@@ -34,6 +37,7 @@ from qfalab.fixtures import (
 if TYPE_CHECKING:
     import numpy as np
 
+    from qfalab import fragments
     from qfalab.qfa import Qfa
     from qfalab.synthesis import SynthesisPlan
 
@@ -137,6 +141,8 @@ def _read_qfa(path: str, tol: float) -> Qfa:
 def _witness_payload(witness: fragments.FragmentWitness | None, verification=None) -> Any:
     if witness is None:
         return None
+    from qfalab import fragments
+
     doc = fragments.witness_to_dict(witness)
     if verification is not None:
         doc["verification"] = [
@@ -168,6 +174,8 @@ def _plan_payload(plan: SynthesisPlan | None) -> Any:
 # subcommands
 
 def _cmd_classify(args) -> tuple[str, dict | None]:
+    from qfalab import fragments
+
     dfa, note = _read_dfa(args.dfa, args.complete_with_sink)
     verdict = fragments.classify(dfa, monoid_cap=args.monoid_cap)
     verification = None
@@ -189,6 +197,8 @@ def _cmd_classify(args) -> tuple[str, dict | None]:
 
 
 def _cmd_verify_witness(args) -> tuple[str, dict | None]:
+    from qfalab import fragments
+
     dfa, note = _read_dfa(args.dfa, args.complete_with_sink)
     witness = fragments.parse_witness(_read_text(args.witness, fragments.WitnessParseError))
     # state names are the minimal DFA's, the ones `classify` prints
@@ -264,6 +274,7 @@ def _cmd_simulate(args) -> tuple[str, dict | None]:
 
 
 def _cmd_synthesize(args) -> tuple[str, dict | None]:
+    from qfalab import fragments
     from qfalab.qfa import qfa_to_json
     from qfalab.synthesis import synthesize
 
@@ -408,7 +419,7 @@ def _tolerance(text: str) -> float:
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type of `--decay-steps`: a non-negative int."""
+    """argparse type of `--all-up-to`, `--max-len` and `--decay-steps`: a non-negative int."""
     try:
         value = int(text)
     except ValueError:
@@ -459,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common], help="run a QFA on one word or sweep all words up to a length")
     p.add_argument("qfa")
     p.add_argument("word", nargs="?")
-    p.add_argument("--all-up-to", type=int, metavar="N")
+    p.add_argument("--all-up-to", type=_non_negative_int, metavar="N")
     p.add_argument("--oracle", choices=oracle_names())
     p.add_argument("--p", type=float)
     p.add_argument("--trace", action="store_true")
@@ -495,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("qfa1")
     p.add_argument("qfa2")
     p.add_argument("--oracle", required=True, choices=oracle_names())
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_non_negative_int, required=True)
     p.set_defaults(func=_cmd_separability)
 
     p = sub.add_parser("fixtures", parents=[common], help="list or emit built-in fixtures")
@@ -508,6 +519,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # numpy's scipy-openblas reads this when numpy loads, which no command has
+    # done yet; a value the user set wins.  Only the CLI sets it, so library
+    # users keep their environment.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()

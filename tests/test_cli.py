@@ -355,13 +355,13 @@ class TestSimulateCommand:
         assert [rec["post_norm_sq"] for rec in doc["payload"]["trace"]] == [1.0] * 3
 
     def test_negative_length_is_an_error(self, capsys, paths):
-        code, out, err = run_cli(
-            capsys, "simulate", paths["even_head_odd_tail_qfa"],
-            "--all-up-to", "-1", "--oracle", "even_head_odd_tail", "--p", "0.6",
-        )
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", paths["even_head_odd_tail_qfa"],
+                  "--all-up-to", "-1", "--oracle", "even_head_odd_tail", "--p", "0.6"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
         assert out == ""
-        assert err.startswith("error: ValueError")
+        assert "argument --all-up-to: must be a non-negative integer, not '-1'" in err
 
     def test_oracle_over_another_alphabet_is_an_error(self, capsys, paths):
         code, out, err = run_cli(
@@ -565,6 +565,15 @@ class TestOtherCommands:
         payload = doc["payload"]
         assert payload["limit_case"] is True
         assert payload["margin"] == 0
+
+    def test_separability_negative_length_is_an_error(self, capsys, paths):
+        with pytest.raises(SystemExit) as exc:
+            main(["separability", paths["even_head_odd_tail_qfa"], paths["odd_head_odd_tail_qfa"],
+                  "--oracle", "odd_tail", "--max-len", "-1"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert "argument --max-len: must be a non-negative integer, not '-1'" in err
 
     def test_separability_oracle_over_another_alphabet_is_an_error(self, capsys, paths):
         code, out, err = run_cli(
