@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -55,6 +55,10 @@ class Dfa:
         return {q: i for i, q in enumerate(self.states)}
 
     @cached_property
+    def _symbols(self) -> dict[str, int]:
+        return {a: j for j, a in enumerate(self.alphabet)}
+
+    @cached_property
     def _table(self) -> list[list[int]]:
         """_table[state_index][symbol_index] -> state_index."""
         idx = self._index
@@ -88,10 +92,9 @@ class Dfa:
     def run(self, word: str, start: str | None = None) -> str:
         """State reached from `start` (default: the initial state) on `word`."""
         i = self._index[start if start is not None else self.start]
-        table = self._table
-        sym_index = {a: j for j, a in enumerate(self.alphabet)}
+        table, symbols = self._table, self._symbols
         for ch in word:
-            i = table[i][sym_index[ch]]
+            i = table[i][symbols[ch]]
         return self.states[i]
 
     def accepts(self, word: str) -> bool:
@@ -239,30 +242,52 @@ def dfa_to_json(dfa: Dfa) -> str:
 
 
 def bfs(
-    sources: Iterable[Hashable], successors: Callable[[Hashable], Iterable[tuple[str, Hashable]]]
-) -> Iterator[tuple[Hashable, str]]:
-    """Breadth-first walk yielding `(node, word)` in discovery order.
+    sources: Iterable[Hashable],
+    successors: Callable[[Hashable], Iterable[tuple[str, Hashable]]],
+    links: dict | None = None,
+) -> Iterator[Hashable]:
+    """Breadth-first walk yielding each node once, in discovery order.
 
-    `successors(node)` gives `(symbol, next_node)` pairs; each node is
-    yielded once, with the word of the first path that discovered it, as soon
-    as it is discovered: a caller that stops early leaves the frontier
-    unexpanded.  When successors come in alphabet order, nodes are yielded in
-    shortlex order of their words, so the first yielded node that meets a goal
-    carries the shortlex-least word reaching any goal node.
+    `successors(node)` gives `(symbol, next_node)` pairs.  A node is yielded
+    as soon as it is discovered, so a caller that stops early leaves the
+    frontier unexpanded.  `links`, an empty dict if given, is the visited
+    map: it ends up mapping each discovered node to the `(previous node,
+    symbol)` that discovered it, and each source to None, so `spell` rebuilds
+    a node's word on request.  When successors come in alphabet order, nodes
+    are yielded in shortlex order of their words, so the first yielded node
+    that meets a goal has the shortlex-least word reaching any goal node.
     """
     from collections import deque  # the one queue in src/, see tests/test_one_bfs.py
 
-    seen = dict.fromkeys(sources)
-    queue = deque((node, "") for node in seen)  # (node, word) pairs, yielded as queued
+    links = {} if links is None else links
+    links.update(dict.fromkeys(sources))
+    queue = deque(links)
     yield from queue
     while queue:
-        node, word = queue.popleft()
+        node = queue.popleft()
         for ch, nxt in successors(node):
-            if nxt not in seen:
-                seen[nxt] = None
-                found = nxt, word + ch
-                queue.append(found)
-                yield found
+            if nxt not in links:
+                links[nxt] = node, ch
+                queue.append(nxt)
+                yield nxt
+
+
+def spell(links: Mapping[Hashable, tuple[Hashable, str] | None], node: Hashable) -> str:
+    """The word of the path that discovered `node` in the `bfs` walk that filled `links`."""
+    letters = []
+    while (link := links[node]) is not None:
+        node, ch = link
+        letters.append(ch)
+    return "".join(reversed(letters))
+
+
+def _first_word(
+    sources: Iterable[Hashable], successors: Callable, goal: Callable[[Hashable], bool]
+) -> str | None:
+    """Word of the first node of a `bfs` walk that meets `goal`, or None."""
+    links: dict = {}
+    hit = next((node for node in bfs(sources, successors, links) if goal(node)), None)
+    return None if hit is None else spell(links, hit)
 
 
 def letter_steps(dfa: Dfa) -> Callable[[int], Iterable[tuple[str, int]]]:
@@ -286,7 +311,7 @@ def minimize(dfa: Dfa) -> Dfa:
     is renamed s0, s1, ... by BFS discovery order from the start state with
     alphabet order as tiebreak, so equal languages give equal values.
     """
-    reach = [i for i, _ in bfs([dfa._index[dfa.start]], letter_steps(dfa))]
+    reach = list(bfs([dfa._index[dfa.start]], letter_steps(dfa)))
     reach_set = set(reach)
     table = dfa._table
     acc = dfa._accepting_indices
@@ -329,7 +354,7 @@ def minimize(dfa: Dfa) -> Dfa:
     def quotient_steps(block):
         return zip(dfa.alphabet, (block_of[j] for j in table[min(block)]))
 
-    order = [b for b, _ in bfs([block_of[dfa._index[dfa.start]]], quotient_steps)]
+    order = list(bfs([block_of[dfa._index[dfa.start]]], quotient_steps))
     number = {b: k for k, b in enumerate(order)}
 
     names = [sys.intern(f"s{k}") for k in range(len(order))]  # one shared string per name
@@ -353,17 +378,15 @@ def separating_word(d1: Dfa, s1: str, d2: Dfa, s2: str) -> str | None:
     Searched by BFS over the product automaton, so "no word" is exact: it
     means s1's language is contained in s2's.
     """
-    steps = pair_steps(d1, d2)
     acc1, acc2 = d1._accepting_indices, d2._accepting_indices
-    walk = bfs([(d1._index[s1], d2._index[s2])], steps)
-    return next((word for (a1, a2), word in walk if a1 in acc1 and a2 not in acc2), None)
+    source = (d1._index[s1], d2._index[s2])
+    return _first_word([source], pair_steps(d1, d2), lambda pair: pair[0] in acc1 and pair[1] not in acc2)
 
 
 def shortest_word_between(dfa: Dfa, source: str, targets: Iterable[str]) -> str | None:
     """Shortest word leading from `source` into `targets` (BFS, alphabet order)."""
     goal = {dfa._index[t] for t in targets}
-    walk = bfs([dfa._index[source]], letter_steps(dfa))
-    return next((word for i, word in walk if i in goal), None)
+    return _first_word([dfa._index[source]], letter_steps(dfa), goal.__contains__)
 
 
 def strongly_connected(successors: Iterable[Sequence[int]]) -> list[int]:
@@ -462,22 +485,28 @@ class Monoid:
     """Transition monoid of a DFA, enumerated up to a cap.
 
     `mappings[i]` is the state map of element i (`bytes`, one byte per state,
-    or a tuple of ints above 256 states) and `words[i]` its shortest witness
-    word.  `mappings[0]` is the identity; the generators (letter mappings)
-    follow in BFS order.  `complete` is False iff more than `cap` distinct
-    mappings exist, in which case downstream detectors may only report
-    inconclusively.  An element f pumps q into t when f(q) = t = f(t).
-    Which states some word pumps into which others depends on the DFA alone
-    (`Dfa._pump_targets`); `pumps` lists the pumping elements themselves and
-    is built only by the one search that needs them, `detect_fork`.
+    or a tuple of ints above 256 states).  `mappings[0]` is the identity; the
+    generators (letter mappings) follow in BFS order.  `links` is the visited
+    map of the walk that found them, and `word(i)` spells element i's
+    shortest witness word from it on request.  `complete` is False iff more
+    than `cap` distinct mappings exist, in which case downstream detectors
+    may only report inconclusively.  An element f pumps q into t when
+    f(q) = t = f(t).  Which states some word pumps into which others depends
+    on the DFA alone (`Dfa._pump_targets`); `pumps` lists the pumping
+    elements themselves and is built only by the one search that needs them,
+    `detect_fork`.
     """
 
     mappings: tuple[Sequence[int], ...]
-    words: tuple[str, ...]
+    links: dict = field(compare=False, repr=False)
     complete: bool
 
     def __len__(self) -> int:
         return len(self.mappings)
+
+    def word(self, i: int) -> str:
+        """Shortest witness word of element i (alphabet order tiebreak)."""
+        return spell(self.links, self.mappings[i])
 
     @cached_property
     def pumps(self) -> tuple[dict[int, list[int]], ...]:
@@ -498,6 +527,8 @@ def transition_monoid(dfa: Dfa, cap: int = DEFAULT_MONOID_CAP) -> Monoid:
     """The first `cap` mappings of a `bfs` walk from the identity that composes
     with each letter in alphabet order: elements come in order of shortest
     witness word (alphabet order tiebreak), so their indices are deterministic.
+    The walk's links are kept, and only the words the detectors report are
+    spelled.
 
     A mapping is a `bytes` string, and composing it with a letter is one
     `bytes.translate` through that letter's 256-byte table; a DFA with more
@@ -512,6 +543,7 @@ def transition_monoid(dfa: Dfa, cap: int = DEFAULT_MONOID_CAP) -> Monoid:
     else:
         letters = [column.__getitem__ for column in columns]
         identity, steps = tuple(range(n)), lambda m: zip(alphabet, (tuple(map(f, m)) for f in letters))
-    walk = bfs([identity], steps)
-    mappings, words = zip(*islice(walk, cap))
-    return Monoid(mappings=mappings, words=words, complete=next(walk, None) is None)
+    links: dict = {}
+    walk = bfs([identity], steps, links)
+    mappings = tuple(islice(walk, cap))
+    return Monoid(mappings=mappings, links=links, complete=next(walk, None) is None)

@@ -186,8 +186,7 @@ def parse_witness(text: str) -> FragmentWitness:
 
 def _word_mapping(dfa: Dfa, word: str) -> list[int]:
     """delta_word as a function on state indices."""
-    sym = {a: j for j, a in enumerate(dfa.alphabet)}
-    table = dfa._table
+    sym, table = dfa._symbols, dfa._table
     out = []
     for i in range(len(dfa.states)):
         j = i
@@ -242,7 +241,7 @@ def detect_order_violation(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
     return FragmentWitness(
         kind=ORDER_VIOLATION,
         states={"q1": dfa.states[q1], "q2": dfa.states[q2]},
-        words={"x": monoid.words[index], "y": y},
+        words={"x": monoid.word(index), "y": y},
     )
 
 
@@ -279,7 +278,7 @@ def detect_two_cycles(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
         return FragmentWitness(
             kind=TWO_CYCLES,
             states={"q1": dfa.states[q1], "q2": dfa.states[q2], "q3": dfa.states[q3]},
-            words={"x": monoid.words[index], "y": monoid.words[gi]},
+            words={"x": monoid.word(index), "y": monoid.word(gi)},
         )
     return None
 
@@ -322,8 +321,8 @@ def detect_fork(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
                 kind=FORK,
                 states={"q1": dfa.states[q1], "q2": dfa.states[q2], "q3": dfa.states[q3]},
                 words={
-                    "x": monoid.words[fi],
-                    "y": monoid.words[gi],
+                    "x": monoid.word(fi),
+                    "y": monoid.word(gi),
                     "z1": separating_word(dfa, dfa.states[q2], dfa, dfa.states[q3]),
                     "z2": separating_word(dfa, dfa.states[q3], dfa, dfa.states[q2]),
                 },
@@ -517,7 +516,7 @@ def _verify_multilevel(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
     steps = letter_steps(dfa)
     for j in range(len(levels) - 1):
         for wi, m in enumerate(word_maps[j]):
-            seen = {i for i, _ in bfs((m[q] for q in idx_levels[j]), steps)}
+            seen = set(bfs((m[q] for q in idx_levels[j]), steps))
             if not seen <= all_level_states:
                 notes.append(
                     f"reachable set of word {levels[j].words[wi]!r} at level {j + 1} "

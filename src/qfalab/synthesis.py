@@ -154,7 +154,7 @@ def _certified_entry_state(dfa: Dfa, comp: tuple[str, ...], ci: int) -> str:
 
     comp_set = {dfa._index[q] for q in comp}
     start = (dfa._index[dfa.start], dfa._index[candidate])
-    for (s, t), _ in bfs([start], pair_steps(dfa, dfa)):
+    for s, t in bfs([start], pair_steps(dfa, dfa)):
         if s in comp_set and s != t:
             raise EntryStateAmbiguous(
                 f"component {ci}: entry through {dfa.states[s]!r} disagrees with candidate {candidate!r}"

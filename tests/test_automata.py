@@ -152,7 +152,8 @@ class TestTransitionMonoid:
     @given(dfas(max_states=4))
     def test_witness_words_replay_to_their_mappings(self, dfa):
         monoid = transition_monoid(dfa)
-        for mapping, word in zip(monoid.mappings, monoid.words):
+        for i, mapping in enumerate(monoid.mappings):
+            word = monoid.word(i)
             replayed = tuple(dfa.states.index(dfa.run(word, start=q)) for q in dfa.states)
             assert replayed == tuple(mapping)
 

@@ -1,23 +1,26 @@
 """The monoid walk, the pair closure, the pump relation and the pump index
 against the scans they replace.
 
-`transition_monoid` is a `bfs` walk over byte-string mappings that yields
-each node when it is discovered.  `automata.pair_reach` labels each pair of
-states with the OR of a goal over every pair it reaches in the square
-product; it must equal a `bfs(pair_steps)` walk from each pair.  An element
-f pumps q into t when f(q) = t = f(t).  `Dfa._pump_targets` says, per
-state, which others some word pumps it into, and `Dfa._separable` which
-ordered pairs some suffix separates; both are labellings of that one
-closure, and the second must equal the backward closure over reversed
-product edges kept here.  `detect_order_violation` and `detect_two_cycles`
-test their condition on the pump targets first and then take the first
-qualifying pump of an early-exit element scan.  `Monoid.pumps` lists, per
-state q and target t, every pumping element; only `detect_fork`, which
-visits the element pairs the index offers, builds it.  The dequeue-time
-walk over tuple mappings, a brute-force pump relation and index, the
+`bfs` yields each node when it is discovered and records in its links the
+(previous node, symbol) that discovered it; `spell` rebuilds a node's word
+from them.  `transition_monoid` is a `bfs` walk over byte-string mappings
+that keeps its links, so `Monoid.word(i)` spells element i's word only on
+request.  `automata.pair_reach` labels each pair of states with the OR of a
+goal over every pair it reaches in the square product; it must equal a
+`bfs(pair_steps)` walk from each pair.  An element f pumps q into t when
+f(q) = t = f(t).  `Dfa._pump_targets` says, per state, which others some
+word pumps it into, and `Dfa._separable` which ordered pairs some suffix
+separates; both are labellings of that one closure, and the second must
+equal the backward closure over reversed product edges kept here.
+`detect_order_violation` and `detect_two_cycles` test their condition on the
+pump targets first and then take the first qualifying pump of an early-exit
+element scan.  `Monoid.pumps` lists, per state q and target t, every pumping
+element; only `detect_fork`, which visits the element pairs the index
+offers, builds it.  The dequeue-time walk over tuple mappings (it carries
+each node's word along), a brute-force pump relation and index, the
 shallow detectors' element scans and the fork's scan of all element pairs
-are kept here as references: walks, relations, pumps and witnesses must
-equal them, on capped monoids too.
+are kept here as references: walks, words, relations, pumps and witnesses
+must equal them, on capped monoids too.
 """
 
 from collections import deque
@@ -37,6 +40,7 @@ from qfalab.automata import (
     recurrent_states,
     separating_word,
     shortest_word_between,
+    spell,
     strongly_connected,
     transition_monoid,
 )
@@ -83,14 +87,14 @@ def reference_separability_table(dfa):
             for a, ch in enumerate(dfa.alphabet):
                 reverse.setdefault((table[s][a], table[t][a]), []).append((ch, (s, t)))
     sources = [(s, t) for s in acc for t in range(n) if t not in acc]
-    return {pair for pair, _ in bfs(sources, lambda pair: reverse.get(pair, ()))}
+    return set(bfs(sources, lambda pair: reverse.get(pair, ())))
 
 
 def reference_order_violation(dfa, monoid):
     """The first (element index, q1) whose pump closes back into q1's SCC."""
     n = len(dfa.states)
     scc = strongly_connected(dfa._table)
-    for m, word in zip(monoid.mappings[1:], monoid.words[1:]):
+    for i, m in enumerate(monoid.mappings[1:], 1):
         for q1 in range(n):
             q2 = m[q1]
             if q2 == q1 or m[q2] != q2:
@@ -100,7 +104,7 @@ def reference_order_violation(dfa, monoid):
                 return FragmentWitness(
                     kind=ORDER_VIOLATION,
                     states={"q1": dfa.states[q1], "q2": dfa.states[q2]},
-                    words={"x": word, "y": y},
+                    words={"x": monoid.word(i), "y": y},
                 )
     return None
 
@@ -114,7 +118,7 @@ def reference_two_cycles(dfa, monoid):
             q3 = g[q]
             if q3 != q and g[q3] == q3 and all(t != q3 for _, t in second[q]):
                 second[q].append((gi, q3))
-    for f, word in zip(monoid.mappings[1:], monoid.words[1:]):
+    for fi, f in enumerate(monoid.mappings[1:], 1):
         for q1 in range(n):
             q2 = f[q1]
             if q2 == q1 or f[q2] != q2:
@@ -126,7 +130,7 @@ def reference_two_cycles(dfa, monoid):
             return FragmentWitness(
                 kind=TWO_CYCLES,
                 states={"q1": dfa.states[q1], "q2": dfa.states[q2], "q3": dfa.states[q3]},
-                words={"x": word, "y": monoid.words[gi]},
+                words={"x": monoid.word(fi), "y": monoid.word(gi)},
             )
     return None
 
@@ -211,7 +215,7 @@ def test_pair_reach_equals_the_pair_walks(case):
     for a in range(n):
         for b in range(n):
             expected = 0
-            for (c, d), _ in bfs([(a, b)], steps):
+            for c, d in bfs([(a, b)], steps):
                 expected |= labels[c * n + d]
             assert reach[a * n + b] == expected
 
@@ -245,13 +249,18 @@ def test_pumps_list_every_pumping_element(case):
         assert list(monoid.pumps) == brute_pumps(monoid)
 
 
+def element_words(monoid):
+    """The shortest witness word of every element, in element order."""
+    return [monoid.word(i) for i in range(len(monoid))]
+
+
 @settings(max_examples=200)
 @given(dfas_and_caps())
 def test_capped_monoid_is_a_prefix_of_the_walk(case):
     dfa, cap = case
     full = transition_monoid(dfa, WALK_LIMIT)
     capped = transition_monoid(dfa, cap)
-    assert capped.mappings == full.mappings[:cap] and capped.words == full.words[:cap]
+    assert capped.mappings == full.mappings[:cap] and element_words(capped) == element_words(full)[:cap]
     assert capped.complete == (full.complete and len(full) <= cap)
     size, least_cap = len(full), len(dfa.alphabet) + 1
     if full.complete and size >= least_cap:
@@ -259,7 +268,7 @@ def test_capped_monoid_is_a_prefix_of_the_walk(case):
         if size - 1 >= least_cap:
             below = transition_monoid(dfa, size - 1)
             assert not below.complete
-            assert below.mappings == full.mappings[:-1] and below.words == full.words[:-1]
+            assert below.mappings == full.mappings[:-1] and element_words(below) == element_words(full)[:-1]
 
 
 def reference_walk(dfa, cap):
@@ -281,7 +290,7 @@ def test_walk_equals_the_reference_walk(case):
     monoid = transition_monoid(dfa, cap)
     assert all(isinstance(m, bytes) for m in monoid.mappings)
     mappings = [tuple(m) for m in monoid.mappings]
-    assert (mappings, list(monoid.words), monoid.complete) == reference_walk(dfa, cap)
+    assert (mappings, element_words(monoid), monoid.complete) == reference_walk(dfa, cap)
 
 
 def cycle_with_reset(n):
@@ -303,7 +312,7 @@ def test_walk_above_256_states_keeps_tuples(n, cap):
     monoid = transition_monoid(dfa, cap)
     assert all(isinstance(m, bytes if n <= 256 else tuple) for m in monoid.mappings)
     mappings = [tuple(m) for m in monoid.mappings]
-    assert (mappings, list(monoid.words), monoid.complete) == reference_walk(dfa, cap)
+    assert (mappings, element_words(monoid), monoid.complete) == reference_walk(dfa, cap)
     assert len(monoid) == min(cap, 2 * n) and monoid.complete == (cap >= 2 * n)
 
 
@@ -333,8 +342,8 @@ def reference_fork(dfa, monoid):
                     kind=FORK,
                     states={"q1": dfa.states[q1], "q2": s2, "q3": s3},
                     words={
-                        "x": monoid.words[fi],
-                        "y": monoid.words[gi],
+                        "x": monoid.word(fi),
+                        "y": monoid.word(gi),
                         "z1": separating_word(dfa, s2, dfa, s3),
                         "z2": separating_word(dfa, s3, dfa, s2),
                     },
@@ -393,7 +402,11 @@ def graphs(draw):
 @given(graphs())
 def test_bfs_equals_the_dequeue_time_walk(graph):
     edges, sources = graph
-    assert list(bfs(sources, edges.__getitem__)) == list(reference_bfs(sources, edges.__getitem__))
+    links = {}
+    nodes = list(bfs(sources, edges.__getitem__, links))
+    reference = list(reference_bfs(sources, edges.__getitem__))
+    assert nodes == [node for node, _ in reference]
+    assert [spell(links, node) for node in nodes] == [word for _, word in reference]
 
 
 def test_bfs_stopped_early_expands_no_further():
@@ -403,6 +416,8 @@ def test_bfs_stopped_early_expands_no_further():
         expanded.append(node)
         return [("a", 2 * node + 1), ("b", 2 * node + 2)]
 
-    walk = bfs([0], successors)
-    assert [next(walk) for _ in range(3)] == [(0, ""), (1, "a"), (2, "b")]
+    links = {}
+    walk = bfs([0], successors, links)
+    assert [next(walk) for _ in range(3)] == [0, 1, 2]
+    assert [spell(links, node) for node in (0, 1, 2)] == ["", "a", "b"]
     assert expanded == [0]
