@@ -39,7 +39,12 @@ named oracles: the `repr` of `verify_recognition` of each machine of the
 ninth digest against each oracle over the machine's alphabet, at each p of
 `RECOGNITION_PS` up to length `RECOGNITION_LEN`, and of `separability` of
 each pair of those machines against each such oracle up to length
-`SEPARABILITY_LEN`.  The library and
+`SEPARABILITY_LEN`.  A twelfth digest covers minimization beyond the
+small DFAs the first digest minimizes: `dfa_to_json(minimize(d))` of
+seeded random DFAs of 15-200 states over 1-3 letters (`seeded_dfa`, a
+quarter of them permutation DFAs) and of the `chain` and `cycle_with_reset`
+families at each size of `FAMILY_SIZES`; the three builders are the test
+suite's, from `tests/conftest.py`.  The library, the test builders and
 the generator are imported from the checkout that holds this script, so
 running it in two checkouts and comparing the outputs with `diff` shows
 whether a change moved any output.
@@ -59,7 +64,7 @@ from pathlib import Path
 from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
@@ -80,6 +85,7 @@ from qfalab.synthesis import SynthesisError, plan, reversible_qfa, synthesize  #
 
 import classify_random  # noqa: E402
 import cli_session  # noqa: E402
+from conftest import chain as chain_dfa, cycle_with_reset, seeded_dfa  # noqa: E402
 from tracing import NULL  # noqa: E402
 
 RANDOM_SEEDS = (11, 12)
@@ -91,6 +97,8 @@ CLI_SEED = 11  # cli-session seed of the CLI output digest
 RECOGNITION_PS = (0.6, 2 / 3 - 1e-9, 0.9)  # probabilities of the oracle digest
 RECOGNITION_LEN = 10  # longest word of the oracle digest's recognition checks
 SEPARABILITY_LEN = 8  # longest word of the oracle digest's separability checks
+MINIMIZE_DFAS = 300  # per seed, for the minimization digest
+FAMILY_SIZES = (1, 2, 3, 17, 256, 257, 1000, 3000)
 DECOMPOSE_WORDS = (("a",), ("b",), ("ab",), ("ba",), ("a", "b"), ("b", "a"), ("a", "aa"), ("ab", "ba"), ("b", "ab"))
 
 
@@ -314,6 +322,13 @@ def main() -> None:
         print(f"cli output of every subcommand (cli-session seed {CLI_SEED}, malformed inputs, help; {len(records)} calls): {digest(records)}")
     records = oracle_records(qfas)
     print(f"exhaustive checks of those {len(qfas)} machines against the oracles ({len(records)} checks): {digest(records)}")
+    rngs = [random.Random(seed) for seed in RANDOM_SEEDS]
+    dfas = [seeded_dfa(rng, 15, 200) for rng in rngs for _ in range(MINIMIZE_DFAS)]
+    dfas += [family(n) for family in (chain_dfa, cycle_with_reset) for n in FAMILY_SIZES]
+    print(
+        f"minimize ({len(RANDOM_SEEDS) * MINIMIZE_DFAS} seeded 15-200-state DFAs, chain and cycle_with_reset "
+        f"at {FAMILY_SIZES}): {digest(dfa_to_json(minimize(dfa)) for dfa in dfas)}"
+    )
 
 
 if __name__ == "__main__":

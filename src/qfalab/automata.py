@@ -1,7 +1,10 @@
 """Deterministic automata: representation, minimization, containment, SCCs, monoids.
 
 Everything here is pure and operates on immutable values; the other modules
-query this one for the combinatorial structure of the input language.
+query this one for the combinatorial structure of the input language.  A
+`Dfa` builds its state-index views while it validates, and the algorithms
+here (minimization, walks, SCC labellings, pair closures, monoids) run on
+state indices and name states only in their results.
 """
 
 from __future__ import annotations
@@ -23,6 +26,12 @@ class Dfa:
     `transitions` must be total: every (state, symbol) pair maps to a state.
     State and alphabet order is significant; it fixes iteration order and the
     canonical renaming produced by `minimize`.
+
+    Validation builds the index views the hot loops read, in the one pass
+    that checks every target: `_index` (state -> index), `_symbols`
+    (symbol -> index), `_table` (`_table[state index][symbol index]` ->
+    state index) and `_accepting_indices`.  They are plain attributes, not
+    fields, so equality and the repr stay those of the five fields.
     """
 
     states: tuple[str, ...]
@@ -32,44 +41,35 @@ class Dfa:
     transitions: Mapping[tuple[str, str], str]
 
     def __post_init__(self):
-        if len(set(self.states)) != len(self.states):
+        index = {q: i for i, q in enumerate(self.states)}
+        if len(index) != len(self.states):
             raise ValueError("duplicate state names")
-        if len(set(self.alphabet)) != len(self.alphabet):
+        symbols = {a: j for j, a in enumerate(self.alphabet)}
+        if len(symbols) != len(self.alphabet):
             raise ValueError("duplicate alphabet symbols")
-        state_set = set(self.states)
-        if self.start not in state_set:
+        if self.start not in index:
             raise ValueError(f"start state {self.start!r} not among states")
-        if not self.accepting <= state_set:
+        if not self.accepting <= index.keys():
             raise ValueError("accepting set contains unknown states")
+        target, table = self.transitions.get, []
         for q in self.states:
-            for a in self.alphabet:
-                target = self.transitions.get((q, a))
-                if target is None:
+            row = [index.get(target((q, a))) for a in self.alphabet]
+            if None in row:  # the first bad pair in alphabet order names the error
+                a = self.alphabet[row.index(None)]
+                if target((q, a)) is None:
                     raise ValueError(f"transitions not total: missing ({q!r}, {a!r})")
-                if target not in state_set:
-                    raise ValueError(f"transition ({q!r}, {a!r}) -> unknown state {target!r}")
-
-    # index-based views, built lazily, for the hot loops below
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {q: i for i, q in enumerate(self.states)}
-
-    @cached_property
-    def _symbols(self) -> dict[str, int]:
-        return {a: j for j, a in enumerate(self.alphabet)}
+                raise ValueError(f"transition ({q!r}, {a!r}) -> unknown state {target((q, a))!r}")
+            table.append(row)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_symbols", symbols)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_accepting_indices", frozenset(map(index.__getitem__, self.accepting)))
 
     @cached_property
-    def _table(self) -> list[list[int]]:
-        """_table[state_index][symbol_index] -> state_index."""
-        idx = self._index
-        return [
-            [idx[self.transitions[(q, a)]] for a in self.alphabet]
-            for q in self.states
-        ]
-
-    @cached_property
-    def _accepting_indices(self) -> frozenset[int]:
-        return frozenset(self._index[q] for q in self.accepting)
+    def _scc(self) -> list[int]:
+        """`strongly_connected(self._table)`: the one SCC labelling that
+        `closed_sccs` and the order-violation detector read."""
+        return strongly_connected(self._table)
 
     @cached_property
     def _pump_targets(self) -> tuple[frozenset[int], ...]:
@@ -161,26 +161,28 @@ def parse_dfa(text: str, complete_with_sink: bool = False) -> tuple[Dfa, ParseRe
     states = obj["states"]
     if not isinstance(alphabet, list) or not all(isinstance(a, str) and len(a) == 1 for a in alphabet):
         raise DfaParseError("alphabet must be a list of single-character strings")
-    if len(set(alphabet)) != len(alphabet):
+    symbols = set(alphabet)
+    if len(symbols) != len(alphabet):
         raise DfaParseError("duplicate alphabet symbols")
     if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
         raise DfaParseError("states must be a list of names")
-    if len(set(states)) != len(states):
+    names = set(states)  # membership by hash; a name that is not a str is never known
+    if len(names) != len(states):
         raise DfaParseError("duplicate state names")
     if not states:
         raise DfaParseError("at least one state is required")
 
     accept = obj["accept"]
-    if not isinstance(accept, list) or not all(q in states for q in accept):
+    if not isinstance(accept, list) or not all(isinstance(q, str) and q in names for q in accept):
         raise DfaParseError("accept must be a list of known state names")
     start = obj["start"]
-    if start not in states:
+    if not (isinstance(start, str) and start in names):
         raise DfaParseError(f"unknown start state {start!r}")
 
     delta = obj["delta"]
     if not isinstance(delta, dict):
         raise DfaParseError("delta must be an object")
-    unknown = [q for q in delta if q not in states]
+    unknown = [q for q in delta if q not in names]
     if unknown:
         raise DfaParseError(f"delta has a row for unknown state {unknown[0]!r}")
     transitions: dict[tuple[str, str], str] = {}
@@ -190,14 +192,13 @@ def parse_dfa(text: str, complete_with_sink: bool = False) -> tuple[Dfa, ParseRe
         if not isinstance(row, dict):
             raise DfaParseError(f"delta[{q!r}] must be an object")
         for sym, target in row.items():
-            if sym not in alphabet:
+            if sym not in symbols:
                 raise DfaParseError(f"delta[{q!r}] uses unknown symbol {sym!r}")
-            if target not in states:
+            if not (isinstance(target, str) and target in names):
                 raise DfaParseError(f"delta[{q!r}][{sym!r}] -> unknown state {target!r}")
             transitions[(q, sym)] = target
-        for sym in alphabet:
-            if (q, sym) not in transitions:
-                missing.append((q, sym))
+        if len(row) < len(alphabet):
+            missing += [(q, sym) for sym in alphabet if sym not in row]
 
     report = ParseReport()
     if missing:
@@ -208,7 +209,7 @@ def parse_dfa(text: str, complete_with_sink: bool = False) -> tuple[Dfa, ParseRe
                 "pass --complete-with-sink to add a rejecting sink"
             )
         sink = "__sink__"
-        while sink in states:
+        while sink in names:
             sink += "_"
         states = list(states) + [sink]
         for pair in missing:
@@ -310,59 +311,63 @@ def minimize(dfa: Dfa) -> Dfa:
     Unreachable states are dropped, equivalent states merged, and the result
     is renamed s0, s1, ... by BFS discovery order from the start state with
     alphabet order as tiebreak, so equal languages give equal values.
+
+    Hopcroft's partition refinement on state indices: a block id per state,
+    the members of each block, and per letter the preimage list of each
+    state.  A splitter block is read through its preimages, so only the
+    blocks it touches are split.  A split block keeps its id for its larger
+    half and the smaller half becomes a new block, built at a cost within
+    twice the touched part and queued as a splitter: if the old block is
+    still queued, both halves now are.  Each state then lies in O(log n)
+    splitters per letter, so the cost is O(n |alphabet| log n).  The
+    refinement runs over every state, as the classes of equal futures do not
+    depend on reachability; a BFS over the quotient table from the start's
+    class then meets only the reachable classes, and numbers them.
     """
-    reach = list(bfs([dfa._index[dfa.start]], letter_steps(dfa)))
-    reach_set = set(reach)
-    table = dfa._table
-    acc = dfa._accepting_indices
+    table, alphabet, acc = dfa._table, dfa.alphabet, dfa._accepting_indices
+    preimages: list[list[list[int]]] = [[[] for _ in table] for _ in alphabet]
+    for i, row in enumerate(table):
+        for pre, t in zip(preimages, row):
+            pre[t].append(i)
+    members = sorted((b for b in (set(acc), set(range(len(table))) - acc) if b), key=len, reverse=True)
+    block = [0] * len(table)
+    for b, m in enumerate(members):
+        for i in m:
+            block[i] = b
+    queue = list(range(1, len(members)))  # the smaller of accepting and rejecting
 
-    # Hopcroft-style partition refinement restricted to reachable states.
-    final = frozenset(i for i in reach if i in acc)
-    nonfinal = frozenset(reach_set - final)
-    partition = {b for b in (final, nonfinal) if b}
-    worklist = {min((final, nonfinal), key=len)} if final and nonfinal else set(partition)
-    nsym = len(dfa.alphabet)
-    preimage: list[dict[int, list[int]]] = [dict() for _ in range(nsym)]
-    for i in reach:
-        for s in range(nsym):
-            preimage[s].setdefault(table[i][s], []).append(i)
-
-    while worklist:
-        splitter = worklist.pop()
-        for s in range(nsym):
-            affected: set[int] = set()
+    while queue:
+        splitter = list(members[queue.pop()])
+        for pre in preimages:
+            touched: dict[int, list[int]] = {}
             for t in splitter:
-                affected.update(preimage[s].get(t, ()))
-            if not affected:
-                continue
-            for block in [b for b in partition if affected & b and not b <= affected]:
-                inside = frozenset(block & affected)
-                outside = frozenset(block - affected)
-                partition.remove(block)
-                partition.add(inside)
-                partition.add(outside)
-                if block in worklist:
-                    worklist.remove(block)
-                    worklist.add(inside)
-                    worklist.add(outside)
-                else:
-                    worklist.add(min(inside, outside, key=len))
+                for i in pre[t]:
+                    touched.setdefault(block[i], []).append(i)
+            for b, inside in touched.items():
+                whole = members[b]
+                if len(inside) == len(whole):
+                    continue
+                half = set(inside)
+                if 2 * len(half) > len(whole):
+                    half = whole - half
+                whole -= half
+                new = len(members)
+                for i in half:
+                    block[i] = new
+                queue.append(new)
+                members.append(half)
 
-    block_of = {i: b for b in partition for i in b}
-
-    # canonical BFS order over the quotient
-    def quotient_steps(block):
-        return zip(dfa.alphabet, (block_of[j] for j in table[min(block)]))
-
-    order = list(bfs([block_of[dfa._index[dfa.start]]], quotient_steps))
-    number = {b: k for k, b in enumerate(order)}
-
-    names = [sys.intern(f"s{k}") for k in range(len(order))]  # one shared string per name
-    transitions = {}
+    representatives = [next(iter(m)) for m in members]
+    quotient = [[block[t] for t in table[r]] for r in representatives]
+    order = list(bfs([block[dfa._index[dfa.start]]], lambda b: zip(alphabet, quotient[b])))
+    number = [0] * len(members)
     for k, b in enumerate(order):
-        for a, t in quotient_steps(b):
-            transitions[(names[k], a)] = names[number[t]]
-    accepting = frozenset(names[k] for k, b in enumerate(order) if min(b) in acc)
+        number[b] = k
+    names = [sys.intern(f"s{k}") for k in range(len(order))]  # one shared string per name
+    transitions = {
+        (name, a): names[number[t]] for name, b in zip(names, order) for a, t in zip(alphabet, quotient[b])
+    }
+    accepting = frozenset(names[k] for k, b in enumerate(order) if representatives[b] in acc)
     return Dfa(
         states=tuple(names),
         alphabet=dfa.alphabet,
@@ -458,11 +463,12 @@ def pair_reach(dfa: Dfa, goal: Callable[[int, int], int]) -> list[int]:
     return [reach[c] for c in comp]
 
 
-def recurrent_states(successors: Iterable[Sequence[int]]) -> set[int]:
+def recurrent_states(successors: Iterable[Sequence[int]], scc: Sequence[int] | None = None) -> set[int]:
     """Members of the closed SCCs: the nodes q such that every node reachable
-    from q reaches q back."""
+    from q reaches q back.  `scc` is the graph's `strongly_connected`
+    labelling when the caller has it already."""
     adj = list(successors)
-    scc = strongly_connected(adj)
+    scc = strongly_connected(adj) if scc is None else scc
     leaving = {scc[v] for v, row in enumerate(adj) for w in row if scc[w] != scc[v]}
     return {v for v in range(len(adj)) if scc[v] not in leaving}
 
@@ -472,10 +478,11 @@ def closed_sccs(dfa: Dfa) -> list[frozenset[str]]:
 
     A state q lies in one iff every state reachable from q can reach q back.
     Components are returned with a canonical order (by smallest member index).
+    The SCCs are the DFA's one labelling, `Dfa._scc`.
     """
-    scc = strongly_connected(dfa._table)
+    scc = dfa._scc
     groups: dict[int, list[str]] = {}
-    for i in sorted(recurrent_states(dfa._table)):
+    for i in sorted(recurrent_states(dfa._table, scc)):
         groups.setdefault(scc[i], []).append(dfa.states[i])
     return [frozenset(g) for g in groups.values()]
 

@@ -50,7 +50,6 @@ from qfalab.automata import (
     recurrent_states,
     separating_word,
     shortest_word_between,
-    strongly_connected,
     transition_monoid,
 )
 
@@ -227,11 +226,11 @@ def detect_order_violation(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
     """Element f and states q1 != q2 with f(q1) = q2 = f(q2) and q2 ~> q1.
 
     f already takes q1 to q2, so q2 reaches q1 back exactly when both lie in
-    one SCC.  When no pair of `Dfa._pump_targets` meets that, no element is
+    one SCC of the DFA's one labelling, `Dfa._scc`.  When no pair of `Dfa._pump_targets` meets that, no element is
     read; otherwise the witness is the first (element index, q1) of the
     scan.  Absence is meaningful only when the monoid is complete.
     """
-    scc = strongly_connected(dfa._table)
+    scc = dfa._scc
     wanted = _wanted(dfa, lambda q1, q2: scc[q1] == scc[q2])
     hit = next(_pump_scan(monoid, wanted), None) if wanted else None
     if hit is None:

@@ -7,6 +7,7 @@ the library implementations are checked against a second, independent path.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from itertools import product
 
@@ -85,6 +86,45 @@ def random_dfa(rng: np.random.Generator, n_states: int, alphabet=("a", "b")) -> 
     targets = [int(t) for t in rng.integers(0, n_states, size=n_states * len(alphabet))]
     accepting = [bool(b) for b in rng.integers(0, 2, size=n_states)]
     return make_dfa(n_states, targets, accepting, alphabet)
+
+
+def seeded_dfa(rng: random.Random, min_states: int, max_states: int) -> Dfa:
+    """A DFA of min_states-max_states states over 1-3 letters and a random
+    start; one in four is a permutation DFA, and the share of accepting
+    states is drawn from 0, 0.2, 0.5 and 1."""
+    n, alphabet = rng.randint(min_states, max_states), ("a", "b", "c")[: rng.randint(1, 3)]
+    states = tuple(f"q{i}" for i in range(n))
+    permutation = rng.random() < 0.25
+    transitions = {}
+    for a in alphabet:
+        image = rng.sample(states, n) if permutation else [rng.choice(states) for _ in states]
+        transitions.update(zip(((q, a) for q in states), image))
+    share = rng.choice((0.0, 0.2, 0.5, 1.0))
+    accepting = frozenset(q for q in states if rng.random() < share)
+    return Dfa(states, alphabet, rng.choice(states), accepting, transitions)
+
+
+def chain(n: int) -> Dfa:
+    """`a` steps along a path of n states to its accepting end, which `a`
+    fixes, and `b` fixes every state: n minimal states, told apart only by
+    their distance to the end, so a refinement needs n - 1 splits."""
+    states = tuple(f"c{i}" for i in range(n))
+    transitions = {}
+    for i, q in enumerate(states):
+        transitions[q, "a"] = states[min(i + 1, n - 1)]
+        transitions[q, "b"] = q
+    return Dfa(states, ("a", "b"), states[0], frozenset(states[-1:]), transitions)
+
+
+def cycle_with_reset(n: int) -> Dfa:
+    """`a` steps round an n-cycle, `r` resets to its accepting start: n minimal
+    states, and a monoid of the n rotations and the n constant maps."""
+    states = tuple(f"c{i}" for i in range(n))
+    transitions = {}
+    for i, q in enumerate(states):
+        transitions[q, "a"] = states[(i + 1) % n]
+        transitions[q, "r"] = states[0]
+    return Dfa(states, ("a", "r"), states[0], frozenset(states[:1]), transitions)
 
 
 # ---------------------------------------------------------------------------

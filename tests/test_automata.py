@@ -79,6 +79,26 @@ class TestDfaValidation:
         with pytest.raises(ValueError, match="start"):
             Dfa(("p",), ("a",), "x", frozenset(), {("p", "a"): "p"})
 
+    @pytest.mark.parametrize(
+        "states, alphabet, accepting, transitions, message",
+        [
+            (("p", "p"), ("a",), (), {}, "duplicate state names"),
+            (("p",), ("a", "a"), (), {}, "duplicate alphabet symbols"),
+            (("p",), ("a",), ("x",), {}, "accepting set contains unknown states"),
+            # the first bad (state, letter) pair in state-then-alphabet order names the error
+            (("p", "q"), ("a", "b"), (), {("p", "a"): "x", ("p", "b"): "q"},
+             "transition ('p', 'a') -> unknown state 'x'"),
+            (("p", "q"), ("a", "b"), (), {("p", "a"): "p", ("p", "b"): "x"},
+             "transition ('p', 'b') -> unknown state 'x'"),
+            (("p", "q"), ("a", "b"), (), {("p", "a"): "p", ("p", "b"): "q", ("q", "b"): "x"},
+             "transitions not total: missing ('q', 'a')"),
+        ],
+    )
+    def test_error_names_the_first_fault(self, states, alphabet, accepting, transitions, message):
+        with pytest.raises(ValueError) as caught:
+            Dfa(states, alphabet, "p", frozenset(accepting), transitions)
+        assert str(caught.value) == message
+
 
 class TestParser:
     def test_round_trip(self):

@@ -1,0 +1,129 @@
+"""`minimize` against the frozenset refinement it replaced, and its scaling.
+
+`reference_minimize` is the earlier `minimize`: for each splitter and letter
+it scans every block of the partition, over frozensets, and takes each
+class's representative by `min`.  The Hopcroft refinement on state indices
+must return an equal `Dfa` with an equal `_table` on seeded random DFAs
+(permutation DFAs among them) and on the `chain` and `cycle_with_reset`
+families.  The scaling guard times `minimize` and `parse_dfa` at 1 000 and
+3 000 states: a cost of O(n log n) keeps the ratio near 3.3, and the
+block scans and list lookups they replaced read 7-11.
+"""
+
+import gc
+import random
+import sys
+import time
+
+import pytest
+
+from conftest import chain, cycle_with_reset, seeded_dfa
+from qfalab.automata import Dfa, bfs, dfa_to_json, letter_steps, minimize, parse_dfa
+
+RANDOM_DFAS = 2_000
+SCALING_RATIO = 5  # t(3000) / t(1000); linear is 3, quadratic 9
+
+
+def reference_minimize(dfa: Dfa) -> Dfa:
+    reach = list(bfs([dfa._index[dfa.start]], letter_steps(dfa)))
+    reach_set = set(reach)
+    table = dfa._table
+    acc = dfa._accepting_indices
+
+    final = frozenset(i for i in reach if i in acc)
+    nonfinal = frozenset(reach_set - final)
+    partition = {b for b in (final, nonfinal) if b}
+    worklist = {min((final, nonfinal), key=len)} if final and nonfinal else set(partition)
+    nsym = len(dfa.alphabet)
+    preimage: list[dict[int, list[int]]] = [dict() for _ in range(nsym)]
+    for i in reach:
+        for s in range(nsym):
+            preimage[s].setdefault(table[i][s], []).append(i)
+
+    while worklist:
+        splitter = worklist.pop()
+        for s in range(nsym):
+            affected: set[int] = set()
+            for t in splitter:
+                affected.update(preimage[s].get(t, ()))
+            if not affected:
+                continue
+            for block in [b for b in partition if affected & b and not b <= affected]:
+                inside = frozenset(block & affected)
+                outside = frozenset(block - affected)
+                partition.remove(block)
+                partition.add(inside)
+                partition.add(outside)
+                if block in worklist:
+                    worklist.remove(block)
+                    worklist.add(inside)
+                    worklist.add(outside)
+                else:
+                    worklist.add(min(inside, outside, key=len))
+
+    block_of = {i: b for b in partition for i in b}
+
+    def quotient_steps(block):
+        return zip(dfa.alphabet, (block_of[j] for j in table[min(block)]))
+
+    order = list(bfs([block_of[dfa._index[dfa.start]]], quotient_steps))
+    number = {b: k for k, b in enumerate(order)}
+
+    names = [sys.intern(f"s{k}") for k in range(len(order))]
+    transitions = {}
+    for k, b in enumerate(order):
+        for a, t in quotient_steps(b):
+            transitions[(names[k], a)] = names[number[t]]
+    accepting = frozenset(names[k] for k, b in enumerate(order) if min(b) in acc)
+    return Dfa(
+        states=tuple(names),
+        alphabet=dfa.alphabet,
+        start=names[0],
+        accepting=accepting,
+        transitions=transitions,
+    )
+
+
+def assert_same_minimization(dfa: Dfa) -> None:
+    got, want = minimize(dfa), reference_minimize(dfa)
+    assert got == want
+    assert got._table == want._table
+
+
+def test_random_dfas_match_the_reference():
+    rng = random.Random(21)
+    for _ in range(RANDOM_DFAS):
+        assert_same_minimization(seeded_dfa(rng, 1, 40))
+
+
+@pytest.mark.parametrize("family", [chain, cycle_with_reset])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 257, 1000])
+def test_families_match_the_reference(family, n):
+    assert_same_minimization(family(n))
+
+
+def best_cpu_seconds(call, argument, repeats: int = 3) -> float:
+    """Least CPU time of `repeats` calls, with the collector paused, so that
+    no collection of the rest of the suite's heap lands in one."""
+    times = []
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            started = time.process_time()
+            call(argument)
+            times.append(time.process_time() - started)
+    finally:
+        gc.enable()
+    return min(times)
+
+
+@pytest.mark.parametrize("family", [chain, cycle_with_reset])
+@pytest.mark.parametrize("stage", ["minimize", "parse_dfa"])
+def test_cost_grows_near_linearly(family, stage):
+    def argument(n):
+        return family(n) if stage == "minimize" else dfa_to_json(family(n))
+
+    call = minimize if stage == "minimize" else parse_dfa
+    small, large = argument(1000), argument(3000)
+    ratio = best_cpu_seconds(call, large) / best_cpu_seconds(call, small)
+    assert ratio < SCALING_RATIO, ratio

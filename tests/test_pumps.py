@@ -29,7 +29,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dfas
+from conftest import cycle_with_reset, dfas
 from qfalab import fragments
 from qfalab.automata import (
     Dfa,
@@ -291,17 +291,6 @@ def test_walk_equals_the_reference_walk(case):
     assert all(isinstance(m, bytes) for m in monoid.mappings)
     mappings = [tuple(m) for m in monoid.mappings]
     assert (mappings, element_words(monoid), monoid.complete) == reference_walk(dfa, cap)
-
-
-def cycle_with_reset(n):
-    """`a` steps round an n-cycle, `r` resets to its accepting start: n minimal
-    states, and a monoid of the n rotations and the n constant maps."""
-    states = tuple(f"c{i}" for i in range(n))
-    transitions = {}
-    for i, q in enumerate(states):
-        transitions[q, "a"] = states[(i + 1) % n]
-        transitions[q, "r"] = states[0]
-    return Dfa(states, ("a", "r"), states[0], frozenset(states[:1]), transitions)
 
 
 @pytest.mark.parametrize("n", [256, 257, 300])
