@@ -44,7 +44,12 @@ small DFAs the first digest minimizes: `dfa_to_json(minimize(d))` of
 seeded random DFAs of 15-200 states over 1-3 letters (`seeded_dfa`, a
 quarter of them permutation DFAs) and of the `chain` and `cycle_with_reset`
 families at each size of `FAMILY_SIZES`; the three builders are the test
-suite's, from `tests/conftest.py`.  The library, the test builders and
+suite's, from `tests/conftest.py`.  A thirteenth digest covers the three
+fragment detectors called on their own, not in `classify`'s short-circuit
+order, which the first and fifth digests see: the `repr` of each one's
+witness or None on the classify-random minimal DFAs at the default cap,
+and on seeded random DFAs of 2-9 states (`seeded_dfa`) at caps
+|alphabet|+1 and `DETECTOR_CAPS`.  The library, the test builders and
 the generator are imported from the checkout that holds this script, so
 running it in two checkouts and comparing the outputs with `diff` shows
 whether a change moved any output.
@@ -68,7 +73,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
-from qfalab.automata import Dfa, dfa_to_json, minimize, parse_dfa  # noqa: E402
+from qfalab.automata import DEFAULT_MONOID_CAP, Dfa, dfa_to_json, minimize, parse_dfa, transition_monoid  # noqa: E402
 from qfalab.cli import main as cli_main  # noqa: E402
 from qfalab.combinators import separability  # noqa: E402
 from qfalab.fixtures import (  # noqa: E402
@@ -79,7 +84,15 @@ from qfalab.fixtures import (  # noqa: E402
     qfa_fixture,
     qfa_fixture_names,
 )
-from qfalab.fragments import CONSTRUCTIBLE, classify, verify_witness, witness_to_json  # noqa: E402
+from qfalab.fragments import (  # noqa: E402
+    CONSTRUCTIBLE,
+    classify,
+    detect_fork,
+    detect_order_violation,
+    detect_two_cycles,
+    verify_witness,
+    witness_to_json,
+)
 from qfalab.qfa import qfa_to_json, sweep, verify_recognition  # noqa: E402
 from qfalab.synthesis import SynthesisError, plan, reversible_qfa, synthesize  # noqa: E402
 
@@ -99,6 +112,8 @@ RECOGNITION_LEN = 10  # longest word of the oracle digest's recognition checks
 SEPARABILITY_LEN = 8  # longest word of the oracle digest's separability checks
 MINIMIZE_DFAS = 300  # per seed, for the minimization digest
 FAMILY_SIZES = (1, 2, 3, 17, 256, 257, 1000, 3000)
+DETECTOR_DFAS = 1_000  # per seed, for the detector digest
+DETECTOR_CAPS = (12, 500, DEFAULT_MONOID_CAP)  # with |alphabet|+1, the detector digest's caps
 DECOMPOSE_WORDS = (("a",), ("b",), ("ab",), ("ba",), ("a", "b"), ("b", "a"), ("a", "aa"), ("ab", "ba"), ("b", "ab"))
 
 
@@ -115,6 +130,12 @@ def verdict_record(dfa, **options) -> str:
         verdict.monoid_size,
         verdict.monoid_complete,
     ))
+
+
+def detector_record(dfa, cap: int = DEFAULT_MONOID_CAP) -> str:
+    """`repr` of each detector's result, called on its own, on the monoid of `dfa` up to `cap`."""
+    monoid = transition_monoid(dfa, cap)
+    return repr([detect(dfa, monoid) for detect in (detect_two_cycles, detect_order_violation, detect_fork)])
 
 
 def component_dfa(rng: random.Random) -> Dfa:
@@ -328,6 +349,16 @@ def main() -> None:
     print(
         f"minimize ({len(RANDOM_SEEDS) * MINIMIZE_DFAS} seeded 15-200-state DFAs, chain and cycle_with_reset "
         f"at {FAMILY_SIZES}): {digest(dfa_to_json(minimize(dfa)) for dfa in dfas)}"
+    )
+    rngs = [random.Random(seed) for seed in RANDOM_SEEDS]
+    dfas = [seeded_dfa(rng, 2, 9) for rng in rngs for _ in range(DETECTOR_DFAS)]
+    records = chain(
+        (detector_record(v.minimal_dfa) for v in verdicts),
+        (detector_record(dfa, cap) for dfa in dfas for cap in (len(dfa.alphabet) + 1, *DETECTOR_CAPS)),
+    )
+    print(
+        f"detectors called alone ({len(verdicts)} classify-random minimal DFAs; {len(dfas)} seeded 2-9-state "
+        f"DFAs at caps |alphabet|+1 and {DETECTOR_CAPS}): {digest(records)}"
     )
 
 

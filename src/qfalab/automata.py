@@ -236,7 +236,7 @@ def dfa_to_json(dfa: Dfa) -> str:
         "alphabet": list(dfa.alphabet),
         "states": list(dfa.states),
         "start": dfa.start,
-        "accept": sorted(dfa.accepting, key=dfa.states.index),
+        "accept": sorted(dfa.accepting, key=dfa._index.__getitem__),
         "delta": delta,
     }
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
@@ -499,9 +499,9 @@ class Monoid:
     than `cap` distinct mappings exist, in which case downstream detectors
     may only report inconclusively.  An element f pumps q into t when
     f(q) = t = f(t).  Which states some word pumps into which others depends
-    on the DFA alone (`Dfa._pump_targets`); `pumps` lists the pumping
-    elements themselves and is built only by the one search that needs them,
-    `detect_fork`.
+    on the DFA alone (`Dfa._pump_targets`); the detectors read the pumping
+    elements themselves by one early-exit scan, and only for the pairs that
+    relation and `Dfa._separable` leave.
     """
 
     mappings: tuple[Sequence[int], ...]
@@ -514,20 +514,6 @@ class Monoid:
     def word(self, i: int) -> str:
         """Shortest witness word of element i (alphabet order tiebreak)."""
         return spell(self.links, self.mappings[i])
-
-    @cached_property
-    def pumps(self) -> tuple[dict[int, list[int]], ...]:
-        """`pumps[q][t]`: the ascending indices i >= 1 of the elements f_i with
-        f_i(q) = t = f_i(t), t = q included; targets with no such element are
-        left out.  This is a pass over every element and state; the shallow
-        detectors use `Dfa._pump_targets` and an early-exit scan instead."""
-        n = len(self.mappings[0])
-        grid: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
-        for index, f in enumerate(self.mappings[1:], 1):
-            for q, t in enumerate(f):
-                if f[t] == t:
-                    grid[q][t].append(index)
-        return tuple({t: hits for t, hits in enumerate(row) if hits} for row in grid)
 
 
 def transition_monoid(dfa: Dfa, cap: int = DEFAULT_MONOID_CAP) -> Monoid:

@@ -7,15 +7,19 @@ fragment conditions are an exact characterization).  Detectors quantify
 over transition-monoid elements instead of raw words, which turns the
 unbounded word quantifiers into finite exact searches; witness words are
 the elements' shortest witness words.  Every pattern is built from pumps
-q -x-> t with x fixing t.  The order violation closes one pump back to q1
-and two-cycles chains two; their conditions on (q1, q2) do not depend on x,
-so both test them on `Dfa._pump_targets` (which pairs some word pumps) and
-then take the first pumping element of an early-exit scan.  The fork takes
-two pumps of one state into separable targets (`Dfa._separable`) and reads
-the pumps from the index `Monoid.pumps`.  Both relations are labellings of
-one closure over the square product, `automata.pair_reach`.  The two-level fork and the
-multilevel form are not searched for: `parse_witness` reads a witness of
-any kind and `verify_witness` replays it.
+q -x-> t with x fixing t, and each detector reads them in two stages.
+First the exact relations `Dfa._pump_targets` (which pairs some word
+pumps) and `Dfa._separable` (which ordered pairs some suffix separates),
+both labellings of one closure over the square product,
+`automata.pair_reach`, leave the pairs (q, t) the pattern could use; when
+none is left, no element is read.  Then one early-exit scan of the elements,
+`_pump_scan`, yields the pumps of those pairs in element order.  The order
+violation closes one pump back to q1 and two-cycles chains two; their
+conditions on (q1, q2) do not depend on x, so each takes the first pump the
+scan yields.  The fork takes two pumps of one state into targets separable
+both ways, and its scan lists every pump of the pairs left.  The two-level
+fork and the multilevel form are not searched for: `parse_witness` reads a
+witness of any kind and `verify_witness` replays it.
 
 Witness kinds:
 
@@ -33,6 +37,7 @@ Witness kinds:
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import merge
 from itertools import islice, repeat
@@ -253,27 +258,19 @@ def detect_two_cycles(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
     element is read.  Otherwise f is the first (element index, q1) of the
     scan whose q2 pumps on to a third state, and g the first such onward
     pump.  On a capped monoid the onward pump that the targets promise may
-    lie past the cap, so the scan confirms it: q2's first two onward targets
-    suffice, as q3 != q1 rules out at most one.
+    lie past the cap, so a second scan, of q2's targets other than q1,
+    confirms it; when it finds none, (q1, q2) leaves the first scan.
     """
     targets = dfa._pump_targets
     wanted = _wanted(dfa, lambda q1, q2: bool(targets[q2] - {q1}))
     if not wanted:
         return None
-    onward: dict[int, list[tuple[int, int]]] = {}  # q2 -> its first two (g index, q3)
     for index, q1, q2 in _pump_scan(monoid, wanted):
-        if q2 not in onward:
-            onward[q2], good = [], set(targets[q2])
-            for gi, _, q3 in _pump_scan(monoid, {q2: good}):
-                onward[q2].append((gi, q3))
-                good.discard(q3)
-                if len(onward[q2]) == 2 or not good:
-                    break
-        g = next((g for g in onward[q2] if g[1] != q1), None)
+        g = next(_pump_scan(monoid, {q2: targets[q2] - {q1}}), None)
         if g is None:  # no onward pump of q2 to a third state lies within the cap
             wanted[q1].discard(q2)
             continue
-        gi, q3 = g
+        gi, _, q3 = g
         return FragmentWitness(
             kind=TWO_CYCLES,
             states={"q1": dfa.states[q1], "q2": dfa.states[q2], "q3": dfa.states[q3]},
@@ -288,20 +285,34 @@ def detect_fork(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
     Conditions on (f, g, q1): q2 = f(q1) fixed by f, q3 = g(q1) fixed by g,
     q2 != q3; every state reachable from q2 (resp. q3) in the two-edge graph
     {f, g} can return to it; and suffixes z1, z2 separate (q2, q3) both ways.
-    The separability prefilter `Dfa._separable` is exact.  For each f, the
-    g's that `Monoid.pumps` lists for (q1, q3), over f's fixed-point pairs
-    (q1, q2) and q2's separable partners q3, are visited in (g, q1) order,
-    so the witness is the least (f, g, q1), the one a scan of all pairs
-    would find.
+    Both targets lie in q1's set T: `Dfa._pump_targets[q1]`, exact over all
+    words, with q1 itself when q1 lies on a cycle (a word fixing q1 is
+    nonempty); and the exact `Dfa._separable` separates them both ways.  So
+    q1's row keeps only the states of T separable both ways from another
+    state of T, and when no row is left no element is read.  Otherwise one
+    scan lists, per q1 and t of its row, the ascending indices of the
+    elements pumping q1 into t.  For each f, the g's listed for (q1, q3),
+    over f's fixed-point pairs (q1, q2) and q2's separable partners q3, are
+    visited in (g, q1) order, so the witness is the least (f, g, q1), the
+    one a scan of all pairs would find.
     """
     sep = dfa._separable
     partners: dict[int, list[int]] = {}
     for s, t in sep:
         if (t, s) in sep:
             partners.setdefault(s, []).append(t)
-    if not partners:
+    scc, table, rows = dfa._scc, dfa._table, {}
+    for q1, ts in enumerate(dfa._pump_targets):
+        if any(scc[t] == scc[q1] for t in table[q1]):  # q1 lies on a cycle: some f fixes it
+            ts = ts | {q1}
+        if good := {s for s in ts if s in partners and not ts.isdisjoint(partners[s])}:
+            rows[q1] = good
+    if not rows:
         return None
-    mappings, pumps = monoid.mappings, monoid.pumps
+    pumps = [defaultdict(list) for _ in table]  # pumps[q1][t]: element indices, ascending
+    for index, q1, t in _pump_scan(monoid, rows):
+        pumps[q1][t].append(index)
+    mappings = monoid.mappings
     for fi in range(1, len(mappings)):
         f = mappings[fi]
         runs = [

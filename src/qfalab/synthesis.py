@@ -93,7 +93,7 @@ def plan(dfa: Dfa) -> SynthesisPlan:
     (`Dfa._separable`).  Violations indicate a fragment the detectors should
     have caught and raise the corresponding error.
     """
-    components = [tuple(sorted(c, key=dfa.states.index)) for c in closed_sccs(dfa)]
+    components = [tuple(sorted(c, key=dfa._index.__getitem__)) for c in closed_sccs(dfa)]
     in_component = {q: ci for ci, comp in enumerate(components) for q in comp}
     transient = tuple(q for q in dfa.states if q not in in_component)
 

@@ -7,7 +7,10 @@ must return an equal `Dfa` with an equal `_table` on seeded random DFAs
 (permutation DFAs among them) and on the `chain` and `cycle_with_reset`
 families.  The scaling guard times `minimize` and `parse_dfa` at 1 000 and
 3 000 states: a cost of O(n log n) keeps the ratio near 3.3, and the
-block scans and list lookups they replaced read 7-11.
+block scans and list lookups they replaced read 7-11.  It times
+`dfa_to_json` at 3 000 and 9 000 states, all but one of them accepting:
+ordering the accepting states by `Dfa._index` keeps the ratio near 3, and
+the `states.index` key it replaced read about 9.
 """
 
 import gc
@@ -21,7 +24,7 @@ from conftest import chain, cycle_with_reset, seeded_dfa
 from qfalab.automata import Dfa, bfs, dfa_to_json, letter_steps, minimize, parse_dfa
 
 RANDOM_DFAS = 2_000
-SCALING_RATIO = 5  # t(3000) / t(1000); linear is 3, quadratic 9
+SCALING_RATIO = 5  # t(3n) / t(n); linear is 3, quadratic 9
 
 
 def reference_minimize(dfa: Dfa) -> Dfa:
@@ -117,13 +120,24 @@ def best_cpu_seconds(call, argument, repeats: int = 3) -> float:
     return min(times)
 
 
-@pytest.mark.parametrize("family", [chain, cycle_with_reset])
-@pytest.mark.parametrize("stage", ["minimize", "parse_dfa"])
-def test_cost_grows_near_linearly(family, stage):
-    def argument(n):
-        return family(n) if stage == "minimize" else dfa_to_json(family(n))
+def accepting_chain(n: int) -> Dfa:
+    """`chain(n)` with every state but its end accepting."""
+    return chain(n).complement()
 
-    call = minimize if stage == "minimize" else parse_dfa
-    small, large = argument(1000), argument(3000)
-    ratio = best_cpu_seconds(call, large) / best_cpu_seconds(call, small)
+
+STAGES = {  # stage -> (call, its argument from a DFA, the two sizes timed)
+    "minimize": (minimize, lambda dfa: dfa, (1000, 3000)),
+    "parse_dfa": (parse_dfa, dfa_to_json, (1000, 3000)),
+    "dfa_to_json": (dfa_to_json, lambda dfa: dfa, (3000, 9000)),
+}
+
+
+@pytest.mark.parametrize(
+    "stage, family",
+    [(stage, family) for stage in ("minimize", "parse_dfa") for family in (chain, cycle_with_reset)]
+    + [("dfa_to_json", accepting_chain)],
+)
+def test_cost_grows_near_linearly(stage, family):
+    call, argument, (small, large) = STAGES[stage]
+    ratio = best_cpu_seconds(call, argument(family(large))) / best_cpu_seconds(call, argument(family(small)))
     assert ratio < SCALING_RATIO, ratio

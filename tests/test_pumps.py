@@ -1,4 +1,4 @@
-"""The monoid walk, the pair closure, the pump relation and the pump index
+"""The monoid walk, the pair closure, the pump relation and the detectors
 against the scans they replace.
 
 `bfs` yields each node when it is discovered and records in its links the
@@ -11,25 +11,25 @@ goal over every pair it reaches in the square product; it must equal a
 f(q) = t = f(t).  `Dfa._pump_targets` says, per state, which others some
 word pumps it into, and `Dfa._separable` which ordered pairs some suffix
 separates; both are labellings of that one closure, and the second must
-equal the backward closure over reversed product edges kept here.
-`detect_order_violation` and `detect_two_cycles` test their condition on the
-pump targets first and then take the first qualifying pump of an early-exit
-element scan.  `Monoid.pumps` lists, per state q and target t, every pumping
-element; only `detect_fork`, which visits the element pairs the index
-offers, builds it.  The dequeue-time walk over tuple mappings (it carries
-each node's word along), a brute-force pump relation and index, the
-shallow detectors' element scans and the fork's scan of all element pairs
-are kept here as references: walks, words, relations, pumps and witnesses
-must equal them, on capped monoids too.
+equal the backward closure over reversed product edges kept here.  Each
+detector tests its condition on those relations first and reads the
+pumping elements of the pairs left by one early-exit element scan; a fork
+search that the relations rule out reads no element at all.  The
+dequeue-time walk over tuple mappings (it carries each node's word along),
+a brute-force pump relation, the shallow detectors' element scans and the
+fork's scan of all element pairs are kept here as references: walks,
+words, relations and witnesses must equal them, on capped monoids and on
+the tuple mappings of DFAs above 256 states too.
 """
 
 from collections import deque
+from dataclasses import replace
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import cycle_with_reset, dfas
+from conftest import cycle_with_reset, dfas, permutation_component_dfas
 from qfalab import fragments
 from qfalab.automata import (
     Dfa,
@@ -135,21 +135,6 @@ def reference_two_cycles(dfa, monoid):
     return None
 
 
-def brute_pumps(monoid):
-    """Per state q, each target t with the ascending indices i >= 1 of every
-    element f_i with f_i(q) = t = f_i(t), t = q included."""
-    n = len(monoid.mappings[0])
-    rows = []
-    for q in range(n):
-        row = {}
-        for t in range(n):
-            hits = [i for i in range(1, len(monoid)) if monoid.mappings[i][q] == t and monoid.mappings[i][t] == t]
-            if hits:
-                row[t] = hits
-        rows.append(row)
-    return rows
-
-
 @st.composite
 def dfas_and_caps(draw):
     """Random DFAs with 2-9 states over 1-3 letters, with a cap that is often
@@ -226,29 +211,6 @@ def test_separable_equals_the_backward_closure(dfa):
     assert dfa._separable == reference_separability_table(dfa)
 
 
-@pytest.mark.parametrize("name", ["a_star_b_star", "layered"])
-def test_shallow_detectors_leave_the_pump_index_unbuilt(monkeypatch, name):
-    built = []
-
-    def recording_monoid(*args):
-        built.append(transition_monoid(*args))
-        return built[-1]
-
-    monkeypatch.setattr(fragments, "transition_monoid", recording_monoid)
-    verdict = classify(dfa_fixture(name))
-    assert verdict.classification == OUTSIDE_CHARACTERIZED_CLASS
-    (monoid,) = built
-    assert "pumps" not in monoid.__dict__
-
-
-@settings(max_examples=150)
-@given(dfas_and_caps())
-def test_pumps_list_every_pumping_element(case):
-    dfa, cap = case
-    for monoid in (transition_monoid(dfa, cap), transition_monoid(dfa, WALK_LIMIT)):
-        assert list(monoid.pumps) == brute_pumps(monoid)
-
-
 def element_words(monoid):
     """The shortest witness word of every element, in element order."""
     return [monoid.word(i) for i in range(len(monoid))]
@@ -305,6 +267,16 @@ def test_walk_above_256_states_keeps_tuples(n, cap):
     assert len(monoid) == min(cap, 2 * n) and monoid.complete == (cap >= 2 * n)
 
 
+def test_detectors_on_tuple_mappings_equal_the_scans():
+    dfa = minimize(cycle_with_reset(257))
+    for cap in (3, 40):  # below and above the least cap with two-cycles and a fork
+        monoid = transition_monoid(dfa, cap)
+        assert all(isinstance(m, tuple) for m in monoid.mappings)
+        assert detect_two_cycles(dfa, monoid) == reference_two_cycles(dfa, monoid)
+        assert detect_order_violation(dfa, monoid) == reference_order_violation(dfa, monoid)
+        assert detect_fork(dfa, monoid) == reference_fork(dfa, monoid)
+
+
 def reference_fork(dfa, monoid):
     """The first (f, g, q1) in element order that meets the fork's conditions,
     by a scan of all element pairs."""
@@ -342,19 +314,34 @@ def reference_fork(dfa, monoid):
 
 @st.composite
 def fork_cases(draw):
-    """Random DFAs with 2-7 states over 1-3 letters, with a cap that is often
-    below the monoid's size."""
+    """Random DFAs with 2-7 states over 1-3 letters or permutation-component
+    DFAs, with a cap that is often below the monoid's size."""
     alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
-    cap = draw(st.one_of(st.integers(len(alphabet) + 1, 12), st.integers(len(alphabet) + 1, 300)))
-    return draw(dfas(min_states=2, max_states=7, alphabet=alphabet)), cap
+    dfa = draw(st.one_of(dfas(min_states=2, max_states=7, alphabet=alphabet), permutation_component_dfas()))
+    least = len(dfa.alphabet) + 1
+    return dfa, draw(st.one_of(st.integers(least, 12), st.integers(least, 300)))
 
 
 @settings(max_examples=300)
 @given(fork_cases())
-def test_fork_index_equals_the_pair_scan(case):
+def test_fork_equals_the_pair_scan(case):
     dfa, cap = case
     monoid = transition_monoid(dfa, cap)
     assert detect_fork(dfa, monoid) == reference_fork(dfa, monoid)
+
+
+class CountingTuple(tuple):
+    """A tuple that counts the reads of its items and its iterations."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
 
 
 def symmetric_group_dfa(n):
@@ -365,6 +352,22 @@ def symmetric_group_dfa(n):
         transitions[q, "a"] = states[(i + 1) % n]
         transitions[q, "b"] = states[{0: 1, 1: 0}.get(i, i)]
     return Dfa(states, ("a", "b"), states[0], frozenset(states[:1]), transitions)
+
+
+@settings(max_examples=200)
+@example(symmetric_group_dfa(7))
+@given(permutation_component_dfas())
+def test_fork_search_without_a_fork_reads_no_element(dfa):
+    """In a permutation DFA or a permutation-component DFA no word pumps a
+    state of a closed component into another, and a transient state lies on
+    no cycle, so each row of the fork search holds pump targets in closed
+    components only.  Those are recurrent under any two elements, so two of
+    them separable both ways make a fork: without one, no row is left and
+    no element is read."""
+    monoid = transition_monoid(dfa)
+    mappings = CountingTuple(monoid.mappings)
+    witness = detect_fork(dfa, replace(monoid, mappings=mappings))
+    assert witness is not None or mappings.reads == 0
 
 
 @pytest.mark.parametrize(
