@@ -49,7 +49,12 @@ fragment detectors called on their own, not in `classify`'s short-circuit
 order, which the first and fifth digests see: the `repr` of each one's
 witness or None on the classify-random minimal DFAs at the default cap,
 and on seeded random DFAs of 2-9 states (`seeded_dfa`) at caps
-|alphabet|+1 and `DETECTOR_CAPS`.  The library, the test builders and
+|alphabet|+1 and `DETECTOR_CAPS`.  A fourteenth digest covers how
+element words are spelled, of which the witness digests see at most four
+per verdict: `Monoid.word(i)` of every element of the monoid of each
+classify-random minimal DFA at cap `WORD_CAP`, and of the tuple mappings
+of `minimize(cycle_with_reset(257))` at cap `TUPLE_WORD_CAP`, which holds
+its whole monoid.  The library, the test builders and
 the generator are imported from the checkout that holds this script, so
 running it in two checkouts and comparing the outputs with `diff` shows
 whether a change moved any output.
@@ -114,6 +119,8 @@ MINIMIZE_DFAS = 300  # per seed, for the minimization digest
 FAMILY_SIZES = (1, 2, 3, 17, 256, 257, 1000, 3000)
 DETECTOR_DFAS = 1_000  # per seed, for the detector digest
 DETECTOR_CAPS = (12, 500, DEFAULT_MONOID_CAP)  # with |alphabet|+1, the detector digest's caps
+WORD_CAP = 500  # cap of the element-word digest's classify-random monoids
+TUPLE_WORD_CAP = 2_000  # cap of the element-word digest's monoid over tuple mappings
 DECOMPOSE_WORDS = (("a",), ("b",), ("ab",), ("ba",), ("a", "b"), ("b", "a"), ("a", "aa"), ("ab", "ba"), ("b", "ab"))
 
 
@@ -136,6 +143,12 @@ def detector_record(dfa, cap: int = DEFAULT_MONOID_CAP) -> str:
     """`repr` of each detector's result, called on its own, on the monoid of `dfa` up to `cap`."""
     monoid = transition_monoid(dfa, cap)
     return repr([detect(dfa, monoid) for detect in (detect_two_cycles, detect_order_violation, detect_fork)])
+
+
+def words_record(dfa, cap: int) -> str:
+    """`repr` of the word of every element of the monoid of `dfa` up to `cap`."""
+    monoid = transition_monoid(dfa, cap)
+    return repr([monoid.word(i) for i in range(len(monoid))])
 
 
 def component_dfa(rng: random.Random) -> Dfa:
@@ -359,6 +372,14 @@ def main() -> None:
     print(
         f"detectors called alone ({len(verdicts)} classify-random minimal DFAs; {len(dfas)} seeded 2-9-state "
         f"DFAs at caps |alphabet|+1 and {DETECTOR_CAPS}): {digest(records)}"
+    )
+    records = chain(
+        (words_record(v.minimal_dfa, WORD_CAP) for v in verdicts),
+        [words_record(minimize(cycle_with_reset(257)), TUPLE_WORD_CAP)],
+    )
+    print(
+        f"element words ({len(verdicts)} classify-random minimal DFAs at cap {WORD_CAP}; "
+        f"minimize(cycle_with_reset(257)) at cap {TUPLE_WORD_CAP}): {digest(records)}"
     )
 
 

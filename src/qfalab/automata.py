@@ -249,14 +249,17 @@ def bfs(
 ) -> Iterator[Hashable]:
     """Breadth-first walk yielding each node once, in discovery order.
 
-    `successors(node)` gives `(symbol, next_node)` pairs.  A node is yielded
-    as soon as it is discovered, so a caller that stops early leaves the
-    frontier unexpanded.  `links`, an empty dict if given, is the visited
-    map: it ends up mapping each discovered node to the `(previous node,
-    symbol)` that discovered it, and each source to None, so `spell` rebuilds
-    a node's word on request.  When successors come in alphabet order, nodes
-    are yielded in shortlex order of their words, so the first yielded node
-    that meets a goal has the shortlex-least word reaching any goal node.
+    `successors(node)` gives `(symbol, next_node)` pairs, and must give the
+    same pairs in the same order each time it is called on a node.  A node
+    is yielded as soon as it is discovered, so a caller that stops early
+    leaves the frontier unexpanded.  `links`, an empty dict if given, is the
+    visited map: it ends up mapping each discovered node to the node that
+    discovered it, and each source to None, so `spell` rebuilds a node's
+    word on request.  Keeping no per-node tuple leaves the walk nothing for
+    the garbage collector to track.  When successors come in alphabet
+    order, nodes are yielded in shortlex order of their words, so the first
+    yielded node that meets a goal has the shortlex-least word reaching any
+    goal node.
     """
     from collections import deque  # the one queue in src/, see tests/test_one_bfs.py
 
@@ -266,19 +269,22 @@ def bfs(
     yield from queue
     while queue:
         node = queue.popleft()
-        for ch, nxt in successors(node):
+        for _, nxt in successors(node):
             if nxt not in links:
-                links[nxt] = node, ch
+                links[nxt] = node
                 queue.append(nxt)
                 yield nxt
 
 
-def spell(links: Mapping[Hashable, tuple[Hashable, str] | None], node: Hashable) -> str:
-    """The word of the path that discovered `node` in the `bfs` walk that filled `links`."""
+def spell(links: Mapping[Hashable, Hashable | None], node: Hashable, successors: Callable) -> str:
+    """The word of the path that discovered `node` in the `bfs` walk over
+    `successors` that filled `links`.  Each letter is the first symbol of
+    its parent's successors that leads to the child: `bfs` took that one,
+    since the child was unvisited when the parent was expanded."""
     letters = []
-    while (link := links[node]) is not None:
-        node, ch = link
-        letters.append(ch)
+    while (parent := links[node]) is not None:
+        letters.append(next(ch for ch, nxt in successors(parent) if nxt == node))
+        node = parent
     return "".join(reversed(letters))
 
 
@@ -288,7 +294,7 @@ def _first_word(
     """Word of the first node of a `bfs` walk that meets `goal`, or None."""
     links: dict = {}
     hit = next((node for node in bfs(sources, successors, links) if goal(node)), None)
-    return None if hit is None else spell(links, hit)
+    return None if hit is None else spell(links, hit, successors)
 
 
 def letter_steps(dfa: Dfa) -> Callable[[int], Iterable[tuple[str, int]]]:
@@ -494,10 +500,11 @@ class Monoid:
     `mappings[i]` is the state map of element i (`bytes`, one byte per state,
     or a tuple of ints above 256 states).  `mappings[0]` is the identity; the
     generators (letter mappings) follow in BFS order.  `links` is the visited
-    map of the walk that found them, and `word(i)` spells element i's
-    shortest witness word from it on request.  `complete` is False iff more
-    than `cap` distinct mappings exist, in which case downstream detectors
-    may only report inconclusively.  An element f pumps q into t when
+    map of the walk that found them, each element's parent, and `steps` is
+    that walk's successor function, so `word(i)` spells element i's
+    shortest witness word on request.  `complete` is False iff more than
+    `cap` distinct mappings exist, in which case downstream detectors may
+    only report inconclusively.  An element f pumps q into t when
     f(q) = t = f(t).  Which states some word pumps into which others depends
     on the DFA alone (`Dfa._pump_targets`); the detectors read the pumping
     elements themselves by one early-exit scan, and only for the pairs that
@@ -506,6 +513,7 @@ class Monoid:
 
     mappings: tuple[Sequence[int], ...]
     links: dict = field(compare=False, repr=False)
+    steps: Callable = field(compare=False, repr=False)
     complete: bool
 
     def __len__(self) -> int:
@@ -513,15 +521,16 @@ class Monoid:
 
     def word(self, i: int) -> str:
         """Shortest witness word of element i (alphabet order tiebreak)."""
-        return spell(self.links, self.mappings[i])
+        return spell(self.links, self.mappings[i], self.steps)
 
 
 def transition_monoid(dfa: Dfa, cap: int = DEFAULT_MONOID_CAP) -> Monoid:
     """The first `cap` mappings of a `bfs` walk from the identity that composes
     with each letter in alphabet order: elements come in order of shortest
     witness word (alphabet order tiebreak), so their indices are deterministic.
-    The walk's links are kept, and only the words the detectors report are
-    spelled.
+    The walk's links, each element's parent, and its successor function are
+    kept, and only the words the detectors report are spelled, each letter
+    by composing a parent with the letters again.
 
     A mapping is a `bytes` string, and composing it with a letter is one
     `bytes.translate` through that letter's 256-byte table; a DFA with more
@@ -539,4 +548,4 @@ def transition_monoid(dfa: Dfa, cap: int = DEFAULT_MONOID_CAP) -> Monoid:
     links: dict = {}
     walk = bfs([identity], steps, links)
     mappings = tuple(islice(walk, cap))
-    return Monoid(mappings=mappings, links=links, complete=next(walk, None) is None)
+    return Monoid(mappings=mappings, links=links, steps=steps, complete=next(walk, None) is None)

@@ -429,6 +429,18 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _monoid_cap(text: str) -> int:
+    """argparse type of `--monoid-cap`: a positive int no larger than `sys.maxsize`.
+    A cap below |alphabet|+1 depends on the DFA and stays the library's error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if not 0 < value <= sys.maxsize:
+        raise argparse.ArgumentTypeError(f"must be a positive integer no larger than {sys.maxsize}, not {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfalab",
@@ -443,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
             **({"default": USER_UNITARITY_TOL} if not suppress else kw),
         )
         target.add_argument(
-            "--monoid-cap", type=int,
+            "--monoid-cap", type=_monoid_cap,
             help=f"transition monoid enumeration cap (default {DEFAULT_MONOID_CAP})",
             **({"default": DEFAULT_MONOID_CAP} if not suppress else kw),
         )

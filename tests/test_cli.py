@@ -101,6 +101,27 @@ class TestClassifyCommand:
         assert "hit the cap (50)" in doc["payload"]["reason"]
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("cap", ["0", "-5", "99999999999999999999", "x"])
+    @pytest.mark.parametrize("position", ["global", "subcommand"])
+    def test_monoid_cap_out_of_range_is_a_usage_error(self, capsys, paths, cap, position):
+        classify_argv = ["classify", paths["odd_tail"]]
+        argv = ["--monoid-cap", cap, *classify_argv] if position == "global" else [*classify_argv, "--monoid-cap", cap]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert f"argument --monoid-cap: must be a positive integer no larger than {sys.maxsize}, not '{cap}'" in err
+
+    def test_monoid_cap_below_the_alphabet_is_a_domain_error(self, capsys, paths):
+        # whether a cap is too small depends on the DFA's alphabet
+        code, out, err = run_cli(capsys, "--monoid-cap", "2", "classify", paths["odd_tail"])
+        assert code == 1
+        assert out == ""
+        assert "cap must be at least |alphabet|+1 = 3" in err
+        code, doc, _ = run_json(capsys, "--monoid-cap", str(sys.maxsize), "classify", paths["odd_tail"])
+        assert code == 0 and doc["payload"]["monoid"] == {"complete": True, "size": 6}
+
     def test_parse_error_exit_code(self, capsys, paths):
         bad = paths["tmp"] / "bad.dfa"
         bad.write_text("{not json")

@@ -2,10 +2,13 @@
 against the scans they replace.
 
 `bfs` yields each node when it is discovered and records in its links the
-(previous node, symbol) that discovered it; `spell` rebuilds a node's word
-from them.  `transition_monoid` is a `bfs` walk over byte-string mappings
-that keeps its links, so `Monoid.word(i)` spells element i's word only on
-request.  `automata.pair_reach` labels each pair of states with the OR of a
+node that discovered it; `spell` rebuilds a node's word from them, taking
+each letter as the first symbol of the parent's successors that leads to
+the child.  `transition_monoid` is a `bfs` walk over byte-string mappings
+that keeps its links and successor function, so `Monoid.word(i)` spells
+element i's word only on request, and a capped walk allocates no object
+the garbage collector tracks, so it sets off no collection.
+`automata.pair_reach` labels each pair of states with the OR of a
 goal over every pair it reaches in the square product; it must equal a
 `bfs(pair_steps)` walk from each pair.  An element f pumps q into t when
 f(q) = t = f(t).  `Dfa._pump_targets` says, per state, which others some
@@ -22,6 +25,7 @@ words, relations and witnesses must equal them, on capped monoids and on
 the tuple mappings of DFAs above 256 states too.
 """
 
+import gc
 from collections import deque
 from dataclasses import replace
 from itertools import islice
@@ -370,6 +374,27 @@ def test_fork_search_without_a_fork_reads_no_element(dfa):
     assert witness is not None or mappings.reads == 0
 
 
+def test_capped_walk_sets_off_no_collection():
+    """The walk's links hold only the parent node of each element, and
+    mappings are bytes, so enumerating a capped monoid allocates nothing the
+    garbage collector tracks and no collection runs."""
+    dfa = minimize(symmetric_group_dfa(8))
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        monoid = transition_monoid(dfa)
+    finally:
+        gc.callbacks.remove(count)
+    assert not monoid.complete
+    assert collections == []
+
+
 @pytest.mark.parametrize(
     "n, expected",
     [(7, (CONSTRUCTIBLE, 5040, True)), (8, (INCONCLUSIVE, 20_000, False))],
@@ -398,7 +423,7 @@ def test_bfs_equals_the_dequeue_time_walk(graph):
     nodes = list(bfs(sources, edges.__getitem__, links))
     reference = list(reference_bfs(sources, edges.__getitem__))
     assert nodes == [node for node, _ in reference]
-    assert [spell(links, node) for node in nodes] == [word for _, word in reference]
+    assert [spell(links, node, edges.__getitem__) for node in nodes] == [word for _, word in reference]
 
 
 def test_bfs_stopped_early_expands_no_further():
@@ -411,5 +436,5 @@ def test_bfs_stopped_early_expands_no_further():
     links = {}
     walk = bfs([0], successors, links)
     assert [next(walk) for _ in range(3)] == [0, 1, 2]
-    assert [spell(links, node) for node in (0, 1, 2)] == ["", "a", "b"]
     assert expanded == [0]
+    assert [spell(links, node, successors) for node in (0, 1, 2)] == ["", "a", "b"]
