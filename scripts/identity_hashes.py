@@ -54,7 +54,15 @@ element words are spelled, of which the witness digests see at most four
 per verdict: `Monoid.word(i)` of every element of the monoid of each
 classify-random minimal DFA at cap `WORD_CAP`, and of the tuple mappings
 of `minimize(cycle_with_reset(257))` at cap `TUPLE_WORD_CAP`, which holds
-its whole monoid.  The library, the test builders and
+its whole monoid.  A fifteenth digest covers long sweeps, where `sweep`
+meets most configurations again: the bytes of `p_accept`, `p_reject` and
+`p_residual` of every `sweep` level up to length `LONG_SWEEP_LEN` of the
+ninth digest's machines (the QFA fixtures and the compiled fixtures), of
+verify-exhaustive's 6/11 union of two 3/4 toys, and of one random
+6-dimensional machine (`random_qfa`, seed `RANDOM_QFA_SEED`) whose
+configurations hardly repeat, so that its sweep outgrows the table of
+`FRONTIER_BLOCK` configurations and goes on with one row per word.  The
+library, the test builders and
 the generator are imported from the checkout that holds this script, so
 running it in two checkouts and comparing the outputs with `diff` shows
 whether a change moved any output.
@@ -80,7 +88,7 @@ import numpy as np  # noqa: E402
 
 from qfalab.automata import DEFAULT_MONOID_CAP, Dfa, dfa_to_json, minimize, parse_dfa, transition_monoid  # noqa: E402
 from qfalab.cli import main as cli_main  # noqa: E402
-from qfalab.combinators import separability  # noqa: E402
+from qfalab.combinators import separability, union  # noqa: E402
 from qfalab.fixtures import (  # noqa: E402
     dfa_fixture,
     dfa_fixture_names,
@@ -103,7 +111,8 @@ from qfalab.synthesis import SynthesisError, plan, reversible_qfa, synthesize  #
 
 import classify_random  # noqa: E402
 import cli_session  # noqa: E402
-from conftest import chain as chain_dfa, cycle_with_reset, seeded_dfa  # noqa: E402
+import verify_exhaustive  # noqa: E402
+from conftest import chain as chain_dfa, cycle_with_reset, random_qfa, seeded_dfa  # noqa: E402
 from tracing import NULL  # noqa: E402
 
 RANDOM_SEEDS = (11, 12)
@@ -111,6 +120,8 @@ RANDOM_DFAS = 436  # four cycles of the classify-random mix
 CAPS = (12, 500)  # classify-random again, on capped monoids
 COMPONENT_DFAS = 1_000  # per seed, for the plan digest
 SWEEP_LEN = 4  # longest word of the behaviour digest
+LONG_SWEEP_LEN = 12  # longest word of the long-sweep digest
+RANDOM_QFA_SEED = 7  # seed of the long-sweep digest's random machine
 CLI_SEED = 11  # cli-session seed of the CLI output digest
 RECOGNITION_PS = (0.6, 2 / 3 - 1e-9, 0.9)  # probabilities of the oracle digest
 RECOGNITION_LEN = 10  # longest word of the oracle digest's recognition checks
@@ -206,9 +217,9 @@ def built(build, dfa):
         return repr((type(exc).__name__, str(exc))), None
 
 
-def sweep_record(qfa) -> str:
-    """The bytes of p_accept, p_reject and p_residual of every `sweep` level up to SWEEP_LEN, in hex."""
-    levels = sweep(qfa, SWEEP_LEN)
+def sweep_record(qfa, max_len: int = SWEEP_LEN) -> str:
+    """The bytes of p_accept, p_reject and p_residual of every `sweep` level up to max_len, in hex."""
+    levels = sweep(qfa, max_len)
     return b"".join(a.tobytes() for lv in levels for a in (lv.p_accept, lv.p_reject, lv.p_residual)).hex()
 
 
@@ -380,6 +391,14 @@ def main() -> None:
     print(
         f"element words ({len(verdicts)} classify-random minimal DFAs at cap {WORD_CAP}; "
         f"minimize(cycle_with_reset(257)) at cap {TUPLE_WORD_CAP}): {digest(records)}"
+    )
+    toys = verify_exhaustive.mixtures(verify_exhaustive.parity_machines(), NULL)
+    long_swept = [*qfas, union(toys[0], verify_exhaustive.TOY_P, toys[1], verify_exhaustive.TOY_P)[0]]
+    long_swept.append(random_qfa(np.random.default_rng(RANDOM_QFA_SEED)))
+    records = (sweep_record(qfa, LONG_SWEEP_LEN) for qfa in long_swept)
+    print(
+        f"sweep up to length {LONG_SWEEP_LEN} of the {len(qfas)} decompose machines, the 6/11 union and a random "
+        f"6-dimensional machine: {digest(records)}"
     )
 
 

@@ -21,4 +21,5 @@ MIXTURE_WEIGHT_TOL = 1e-12  # |sum - 1| allowed for the weights and biases of a 
 KERNEL_CUTOFF = 2e-8  # singular value at or below which decompose's kernel keeps a direction:
 # about 1 - (1 - 1e-8)^2, so rounding that passes the 1e-9 unitarity audit leaves E1 whole
 COORDINATE_SNAP_DENOMINATOR = 10**9  # largest denominator separability snaps a coordinate to
-FRONTIER_BLOCK = 1024  # words per block of a sweep: bounds the "$" read and measurement temporaries
+FRONTIER_BLOCK = 1024  # rows per block of a sweep, and configurations its table holds: bounds
+# the "$" read, the measurement temporaries and the table

@@ -535,8 +535,16 @@ def main(argv: list[str] | None = None) -> int:
     # done yet; a value the user set wins.  Only the CLI sets it, so library
     # users keep their environment.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        return _run(_build_parser().parse_args(argv))
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): the output ends here.  stdout
+        # now writes to devnull, so the interpreter's last flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_DOMAIN
+
+
+def _run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
         with warnings.catch_warnings():  # numpy's overflow and NaN already show in the payload
@@ -550,6 +558,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DOMAIN
     if payload is not None:  # None: the command wrote its whole output itself
         _emit(args.command, status, payload, time.perf_counter() - started, args.format)
+    sys.stdout.flush()  # a closed pipe shows here, not at the interpreter's exit
     return EXIT_CODES[status]
 
 

@@ -8,21 +8,32 @@ Residual non-halting mass left after "$" counts as neither accept nor
 reject.
 
 `sweep` simulates every word up to a length at once, one length per step.
-Its frontier holds the non-halting state after ^w for every word w of the
-current length, one row of `dimension` amplitudes per word, rows in
-`all_words` order.  The next length's frontier has one row per (w, letter),
-w-major and letter-minor, so its order is `all_words` order again; each
-level also reads "$" once for all its words.  Every state is multiplied by
-its unitary as its own BLAS matrix-vector product, as `run` does, because
-a matrix-matrix product rounds a column differently depending on where it
-falls in the kernel's tiles; with `_measure` shared too, `sweep` gives
-bitwise the accept and reject probabilities of `run`.  Products and
-measurements go through the frontier in blocks of `FRONTIER_BLOCK` words,
-so the "$" read and the measurement temporaries never exceed one block.
-Memory peaks while the last length is built: two frontiers, one row of
-16 * dimension bytes per word of each of the last two lengths, plus those
-words' strings.  At dimension 15 over two letters up to length 16 the
-frontiers take 24 MB; each further length doubles that.
+A word's future is fixed by its configuration: the non-halting state after
+^w and the masses accepted and rejected so far.  The sweep keeps a table of
+the distinct configurations it meets, keyed by the bytes of the row and
+the two masses; each entry holds its "$" outcome and, once expanded, the
+entry of each of its children.  A length is one entry id per word in
+`all_words` order; the next length is `children[index].reshape(-1)`,
+w-major and letter-minor, so its order is `all_words` order again.  Only
+entries not yet expanded are read by a letter, and each new entry reads
+"$" once.  Every state is multiplied by its unitary as its own BLAS
+matrix-vector product, as `run` does, because a matrix-matrix product
+rounds a column differently depending on where it falls in the kernel's
+tiles; with `_measure` shared too, byte-equal configurations have bitwise
+equal outcomes on every extension, and `sweep` gives bitwise the accept
+and reject probabilities of `run`.  Products and measurements go in blocks
+of `FRONTIER_BLOCK` rows, so the "$" read and the measurement temporaries
+never exceed one block.
+
+The table holds at most `FRONTIER_BLOCK` configurations.  The compiled
+machines, the two pair fixtures and the 6/11 union of two 3/4 toys meet at
+most 8, so their sweeps hold only the table, one id per word of the last
+two lengths and the words' strings.  A length whose children could overflow the table
+drops it, and from then on each word keeps its own row: memory peaks while
+the last length is built, at one row of 16 * dimension bytes per word of
+each of the last two lengths, plus those words' strings.  At dimension 15
+over two letters up to length 16 those rows take 24 MB; each further
+length doubles that.
 """
 
 from __future__ import annotations
@@ -246,46 +257,97 @@ class LevelOutcome:
     p_residual: np.ndarray
 
 
+def _blocks(n: int) -> Iterator[tuple[int, int]]:
+    """The bounds of rows 0..n in blocks of `FRONTIER_BLOCK`."""
+    for lo in range(0, n, FRONTIER_BLOCK):
+        yield lo, min(lo + FRONTIER_BLOCK, n)
+
+
+def _children(qfa: Qfa, mats, states: np.ndarray, p_acc: np.ndarray, p_rej: np.ndarray):
+    """Each row of `states` read by each of `mats` and measured: the children,
+    row-major and letter-minor, with the masses accepted and rejected so far."""
+    k = len(mats)
+    kids = np.empty((len(states) * k, qfa.dimension), dtype=np.complex128)
+    kid_acc, kid_rej = np.empty(len(kids)), np.empty(len(kids))
+    for lo, hi in _blocks(len(states)):
+        block = kids[lo * k : hi * k]
+        for j, mat in enumerate(mats):
+            _apply(mat, states[lo:hi], out=block[j::k])
+        acc_inc, rej_inc = _measure(qfa, block)
+        kid_acc[lo * k : hi * k] = np.repeat(p_acc[lo:hi], k) + acc_inc
+        kid_rej[lo * k : hi * k] = np.repeat(p_rej[lo:hi], k) + rej_inc
+    return kids, kid_acc, kid_rej
+
+
+def _ends(qfa: Qfa, states: np.ndarray, p_acc: np.ndarray, p_rej: np.ndarray):
+    """The "$" outcome of each row of `states`: accept, reject and residual mass."""
+    end = qfa.unitaries[DOLLAR]
+    acc, rej, residual = np.empty(len(states)), np.empty(len(states)), np.empty(len(states))
+    for lo, hi in _blocks(len(states)):
+        post = _apply(end, states[lo:hi])
+        acc_inc, rej_inc = _measure(qfa, post)
+        acc[lo:hi] = p_acc[lo:hi] + acc_inc
+        rej[lo:hi] = p_rej[lo:hi] + rej_inc
+        residual[lo:hi] = np.einsum("ij,ij->i", post.conj(), post).real
+    return acc, rej, residual
+
+
+def _keys(states: np.ndarray, p_acc: np.ndarray, p_rej: np.ndarray) -> Iterator[bytes]:
+    """Each configuration's table key: the bytes of its row and of its two masses."""
+    return map(bytes, np.concatenate((states.view(np.float64), p_acc[:, None], p_rej[:, None]), axis=1))
+
+
 def sweep(qfa: Qfa, max_len: int, letters: Iterable[str] | None = None):
     """Yield a LevelOutcome for each length 0..max_len: every word over `letters`.
 
     `letters` defaults to the machine's alphabet.  Accept and reject
     probabilities are bitwise those of `run`; residuals agree to rounding.
+    Each distinct configuration (non-halting row and masses) is simulated
+    once, through a table of at most `FRONTIER_BLOCK` of them; a length
+    whose children could overflow the table drops it, and from then on
+    each word keeps its own row.
     """
     if max_len < 0:
         raise ValueError(f"maximum word length must be non-negative, got {max_len}")
     letters = qfa.alphabet if letters is None else tuple(letters)
     _check_letters(qfa, letters)
     mats = [qfa.unitaries[ch] for ch in letters]
-    end = qfa.unitaries[DOLLAR]
     k = len(letters)
+    # the table: configuration i is (states[i], p_acc[i], p_rej[i]) with "$"
+    # outcome ends[*][i]; the first len(children) are expanded, children[i]
+    # holding their ids per letter; ids maps keys to ids, None once full
     states = _apply(qfa.unitaries[KAPPA], qfa.initial_state()[None, :])
     p_acc, p_rej = _measure(qfa, states)
+    ends = _ends(qfa, states, p_acc, p_rej)
+    ids: dict[bytes, int] | None = dict.fromkeys(_keys(states, p_acc, p_rej), 0)
+    children = np.empty((0, k), dtype=np.intp)
+    index = np.zeros(1, dtype=np.intp)  # the configuration of each word of the length
     for n, words in enumerate(_word_levels(letters, max_len)):
-        width = len(words)
-        grow = n < max_len
-        acc, rej, residual = np.empty(width), np.empty(width), np.empty(width)
-        if grow:
-            children = np.empty((width * k, qfa.dimension), dtype=np.complex128)
-            child_acc, child_rej = np.empty(width * k), np.empty(width * k)
-        for lo in range(0, width, FRONTIER_BLOCK):
-            hi = min(lo + FRONTIER_BLOCK, width)
-            block = states[lo:hi]
-            post = _apply(end, block)
-            acc_inc, rej_inc = _measure(qfa, post)
-            acc[lo:hi] = p_acc[lo:hi] + acc_inc
-            rej[lo:hi] = p_rej[lo:hi] + rej_inc
-            residual[lo:hi] = np.einsum("ij,ij->i", post.conj(), post).real
-            if grow:
-                kids = children[lo * k : hi * k]
-                for j, mat in enumerate(mats):
-                    _apply(mat, block, out=kids[j::k])
-                acc_inc, rej_inc = _measure(qfa, kids)
-                child_acc[lo * k : hi * k] = np.repeat(p_acc[lo:hi], k) + acc_inc
-                child_rej[lo * k : hi * k] = np.repeat(p_rej[lo:hi], k) + rej_inc
-        yield LevelOutcome(words, acc, rej, residual)
-        if grow:
-            states, p_acc, p_rej = children, child_acc, child_rej
+        yield LevelOutcome(words, *(outcome[index] for outcome in ends))
+        if n == max_len:
+            return
+        done = len(children)
+        if ids is not None and len(states) + (len(states) - done) * k > FRONTIER_BLOCK:
+            ids = None  # the table is full: from here on each word keeps its own row
+            states, p_acc, p_rej = states[index], p_acc[index], p_rej[index]
+        if ids is None:
+            states, p_acc, p_rej = _children(qfa, mats, states, p_acc, p_rej)
+            ends = _ends(qfa, states, p_acc, p_rej)
+            index = slice(None)  # row i is word i's
+            continue
+        if done < len(states):
+            kids, kid_acc, kid_rej = _children(qfa, mats, states[done:], p_acc[done:], p_rej[done:])
+            fresh, kid_ids = [], []
+            for i, key in enumerate(_keys(kids, kid_acc, kid_rej)):
+                if key not in ids:
+                    ids[key] = len(ids)
+                    fresh.append(i)
+                kid_ids.append(ids[key])
+            children = np.concatenate((children, np.array(kid_ids, dtype=np.intp).reshape(len(states) - done, k)))
+            added = kids[fresh], kid_acc[fresh], kid_rej[fresh]
+            ends = tuple(map(np.concatenate, zip(ends, _ends(qfa, *added))))
+            states, p_acc, p_rej = map(np.concatenate, zip((states, p_acc, p_rej), added))
+        index = children[index].reshape(-1)
 
 
 def labelled_sweep(
@@ -316,10 +378,10 @@ def labelled_sweep(
     missing = [ch for ch in letters if ch not in oracle.alphabet]
     if missing:
         raise ValueError(f"the language's DFA has no letter {missing[0]!r}")
-    index = {q: i for i, q in enumerate(oracle.states)}
-    table = np.array([[index[oracle.transitions[q, ch]] for ch in letters] for q in oracle.states], dtype=np.intp)
-    accepting = np.array([q in oracle.accepting for q in oracle.states])
-    frontier = np.array([index[oracle.start]])
+    table = np.array(oracle._table, dtype=np.intp)[:, [oracle._symbols[ch] for ch in letters]]
+    accepting = np.zeros(len(oracle.states), dtype=bool)
+    accepting[list(oracle._accepting_indices)] = True
+    frontier = np.array([oracle._index[oracle.start]])
     yield outcomes, accepting[frontier]
     for outcomes in levels:
         frontier = table[frontier].reshape(-1)

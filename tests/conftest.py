@@ -15,7 +15,9 @@ import numpy as np
 from hypothesis import HealthCheck, settings, strategies as st
 
 from qfalab.automata import Dfa
+from qfalab.combinators import MixtureSpec, mix
 from qfalab.qfa import DOLLAR, KAPPA, Qfa, freeze, nonhalting_operator
+from qfalab.synthesis import reversible_qfa
 
 settings.register_profile(
     "qfalab",
@@ -237,6 +239,18 @@ def random_qfa(rng: np.random.Generator, dim: int = 6, alphabet=("a", "b"),
     start = int(indices[-1])
     return freeze(Qfa(dimension=dim, alphabet=tuple(alphabet), unitaries=unitaries,
                       start=start, acc=acc, rej=rej))
+
+
+def three_quarter_machine(even_letter: str):
+    """Recognizes 'even number of even_letter' with probability exactly 3/4."""
+    dfa = (
+        make_dfa(2, [1, 0, 0, 1], [True, False])
+        if even_letter == "a"
+        else make_dfa(2, [0, 1, 1, 0], [True, False])
+    )
+    return mix(
+        MixtureSpec(parts=((reversible_qfa(dfa), 0.5),), accept_bias=0.25, reject_bias=0.25)
+    )
 
 
 # ---------------------------------------------------------------------------

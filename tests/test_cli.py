@@ -628,6 +628,25 @@ class TestOtherCommands:
         assert err.startswith("usage: qfalab fixtures")
         assert "error: fixtures emit needs a fixture name" in err
 
+    def test_a_closed_stdout_ends_the_output_quietly(self, paths):
+        # the table of 2 047 cloud points outgrows the pipe's buffer, so the
+        # CLI is still writing when the reader closes its end
+        src = str(Path(qfalab.__file__).resolve().parents[1])
+        argv = ["separability", paths["even_head_odd_tail_qfa"], paths["odd_head_odd_tail_qfa"]]
+        argv += ["--oracle", "odd_tail", "--max-len", "10"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "qfalab.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        ) as proc:
+            assert proc.stdout.read(10) == b"[pass] sep"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=120)
+        assert "Traceback" not in err
+        assert err == ""
+        assert code == 1
+
 
 class TestDeterminism:
     def test_identical_invocations_identical_payloads(self, capsys, paths):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_dfa, random_qfa
+from conftest import make_dfa, random_qfa, three_quarter_machine
 from qfalab.combinators import (
     LimitConditionError,
     MixtureError,
@@ -29,18 +29,6 @@ def k2():
 @pytest.fixture(scope="module")
 def k3():
     return qfa_fixture("odd_head_odd_tail_qfa")
-
-
-def three_quarter_machine(even_letter: str):
-    """Recognizes 'even number of even_letter' with probability exactly 3/4."""
-    dfa = (
-        make_dfa(2, [1, 0, 0, 1], [True, False])
-        if even_letter == "a"
-        else make_dfa(2, [0, 1, 1, 0], [True, False])
-    )
-    return mix(
-        MixtureSpec(parts=((reversible_qfa(dfa), 0.5),), accept_bias=0.25, reject_bias=0.25)
-    )
 
 
 class TestComplement:

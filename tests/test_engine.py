@@ -4,26 +4,34 @@
 bitwise the accept and reject probabilities of `run(..., with_trace=True)`.
 `verify_recognition` and `separability`, which consume it, must equal the
 per-word loops kept here.  Blocks are shrunk so that short sweeps cross
-block boundaries; one sweep also crosses the real `FRONTIER_BLOCK`.  A
+block boundaries and outgrow the table of configurations; one sweep also
+crosses the real `FRONTIER_BLOCK`.  Machines whose configurations repeat
+(the pair fixtures, a union, compiled and embedded DFAs) run through the
+table, and each of their configurations is read once per letter.  A
 language given as a `Dfa` is labelled one length at a time from a frontier
 of DFA states; those labels must be the DFA's own `accepts` on every word.
 """
 
+import random
 import zlib
+from functools import cache
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dfas, random_qfa
+from conftest import dfas, make_dfa, random_qfa, seeded_dfa, three_quarter_machine
 from qfalab import FRONTIER_BLOCK, RECOGNITION_TOL
 from qfalab import qfa as qfa_module
 from qfalab.automata import Dfa
-from qfalab.combinators import CloudPoint, _max_margin_line, _snap, separability
-from qfalab.fixtures import oracle, qfa_fixture
+from qfalab.combinators import CloudPoint, _max_margin_line, _snap, separability, union
+from qfalab.fixtures import dfa_fixture, oracle, qfa_fixture
+from qfalab.fragments import CONSTRUCTIBLE, classify
 from qfalab.qfa import (
+    KAPPA,
     RecognitionReport,
+    _apply,
     _measure,
     all_words,
     labelled_sweep,
@@ -31,6 +39,7 @@ from qfalab.qfa import (
     sweep,
     verify_recognition,
 )
+from qfalab.synthesis import reversible_qfa, synthesize
 
 # longest words per alphabet size, so that a sweep stays near 100 words
 MAX_LEN = {1: 12, 2: 6, 3: 4}
@@ -137,6 +146,122 @@ def test_sweep_crosses_the_real_block():
     max_len = 11  # 2**11 words at the last length: two blocks
     assert 2**max_len > FRONTIER_BLOCK
     assert_sweep_matches_run(qfa, max_len)
+
+
+# Machines whose configurations repeat: each distinct configuration is one
+# entry of `sweep`'s table, and a block of 3 or 7 fills the table mid-sweep,
+# after which every word keeps its own row.
+
+LONG_LEN = {1: 16, 2: 9, 3: 6}  # longest words per alphabet size: about 1 000 words over 2 or 3 letters
+CLOSING = (
+    "even_head_odd_tail_qfa",
+    "odd_head_odd_tail_qfa",
+    "union",
+    *(f"compiled {i}" for i in range(4)),
+    *(f"reversible {i}" for i in range(4)),
+)
+
+
+def permutation_dfa(rng: random.Random) -> Dfa:
+    """2-5 states over {a, b}, each letter a random permutation."""
+    n = rng.randint(2, 5)
+    perms = [rng.sample(range(n), n) for _ in "ab"]
+    return make_dfa(n, [perm[i] for i in range(n) for perm in perms], [rng.random() < 0.5 for _ in range(n)])
+
+
+@cache
+def closing_machines() -> dict[str, tuple]:
+    """`CLOSING` name -> (machine, language): the two pair fixtures, the 6/11
+    union of the 3/4 toys, the compiled machines of the first four seeded
+    constructible DFAs with more than one minimal state, and the embeddings
+    of four seeded permutation DFAs."""
+    cases = {name: (qfa_fixture(name), oracle(name[: -len("_qfa")])) for name in CLOSING[:2]}
+    machine, _ = union(three_quarter_machine("a"), 0.75, three_quarter_machine("b"), 0.75)
+    cases["union"] = (machine, lambda w: w.count("a") % 2 == 0 or w.count("b") % 2 == 0)
+    rng = random.Random(5)
+    while len(cases) < 7:
+        verdict = classify(seeded_dfa(rng, 2, 6))
+        if verdict.classification == CONSTRUCTIBLE and len(verdict.minimal_dfa.states) > 1:
+            cases[f"compiled {len(cases) - 3}"] = (synthesize(verdict.minimal_dfa)[0], verdict.minimal_dfa)
+    for i in range(4):
+        dfa = permutation_dfa(rng)
+        cases[f"reversible {i}"] = (reversible_qfa(dfa), dfa)
+    return cases
+
+
+def configurations(qfa, max_len: int) -> set[bytes]:
+    """The distinct configurations after ^w over the words w up to max_len,
+    each found once by `run`'s product and measurement; a configuration is
+    the bytes of its row and of its accepted and rejected masses."""
+    def key_of(config) -> bytes:
+        return b"".join(part.tobytes() for part in config)
+
+    psi = _apply(qfa.unitaries[KAPPA], qfa.initial_state()[None, :])
+    root = (psi, *_measure(qfa, psi))
+    level = {key_of(root): root}
+    seen = set(level)
+    for _ in range(max_len):
+        found = {}
+        for psi, acc, rej in level.values():
+            for ch in qfa.alphabet:
+                child = _apply(qfa.unitaries[ch], psi)
+                acc_inc, rej_inc = _measure(qfa, child)
+                config = (child, acc + acc_inc, rej + rej_inc)
+                found.setdefault(key_of(config), config)
+        level = {key: config for key, config in found.items() if key not in seen}
+        seen.update(level)
+    return seen
+
+
+@pytest.mark.parametrize("block", [3, 7, FRONTIER_BLOCK])
+@pytest.mark.parametrize("name", CLOSING)
+def test_sweep_is_run_on_machines_whose_configurations_repeat(name, block):
+    qfa, _ = closing_machines()[name]
+    with mock.patch.object(qfa_module, "FRONTIER_BLOCK", block):
+        assert_sweep_matches_run(qfa, LONG_LEN[len(qfa.alphabet)])
+
+
+@pytest.mark.parametrize("p", [0.52, 0.95])
+@pytest.mark.parametrize("name", CLOSING)
+def test_verify_recognition_on_machines_whose_configurations_repeat(name, p):
+    # every machine recognizes its language at 0.52; at 0.95 all but the
+    # reversible ones fail, so the first five counterexamples are compared
+    qfa, lang = closing_machines()[name]
+    max_len = LONG_LEN[len(qfa.alphabet)]
+    expected = reference_verify(qfa, lang, p, max_len)
+    assert expected.passed == (p < 0.9 or name.startswith("reversible"))
+    for block in (3, 7, FRONTIER_BLOCK):
+        with mock.patch.object(qfa_module, "FRONTIER_BLOCK", block):
+            assert verify_recognition(qfa, lang, p, max_len) == expected
+
+
+@pytest.mark.parametrize("block", [3, 7, 100])
+def test_the_table_holds_at_most_a_block_of_configurations(block):
+    # a random machine meets a new configuration with almost every word, so
+    # its sweep outgrows the table and goes on with one row per word; each
+    # configuration of the table is expanded once, so the keys taken bound it
+    qfa = random_qfa(np.random.default_rng(3), dim=4)
+    with (
+        mock.patch.object(qfa_module, "FRONTIER_BLOCK", block),
+        mock.patch.object(qfa_module, "_keys", wraps=qfa_module._keys) as spy,
+    ):
+        assert_sweep_matches_run(qfa, 10)
+    keyed = sum(len(call.args[0]) for call in spy.call_args_list)
+    assert keyed <= 1 + block * len(qfa.alphabet)
+
+
+def test_each_configuration_is_expanded_once():
+    # the compiled chain machine meets a handful of configurations up to
+    # length 11, and only they are read by a letter: not every word up to 11
+    qfa = synthesize(dfa_fixture("even_head_odd_tail"))[0]
+    letters = [qfa.unitaries[ch] for ch in qfa.alphabet]
+    with mock.patch.object(qfa_module, "_apply", wraps=_apply) as spy:
+        words = sum(len(level.words) for level in sweep(qfa, 12))
+    rows = sum(len(call.args[1]) for call in spy.call_args_list if any(call.args[0] is mat for mat in letters))
+    expanded = configurations(qfa, 11)
+    assert words == 2**13 - 1
+    assert len(expanded) <= 8
+    assert rows <= len(expanded) * len(qfa.alphabet)
 
 
 @given(
