@@ -90,11 +90,15 @@ class Dfa:
         return frozenset(divmod(v, len(self.states)) for v, hit in enumerate(reach) if hit)
 
     def run(self, word: str, start: str | None = None) -> str:
-        """State reached from `start` (default: the initial state) on `word`."""
+        """State reached from `start` (default: the initial state) on `word`;
+        a letter outside the alphabet raises ValueError."""
         i = self._index[start if start is not None else self.start]
         table, symbols = self._table, self._symbols
-        for ch in word:
-            i = table[i][symbols[ch]]
+        try:
+            for ch in word:
+                i = table[i][symbols[ch]]
+        except KeyError:
+            raise ValueError(f"the DFA has no letter {ch!r}") from None
         return self.states[i]
 
     def accepts(self, word: str) -> bool:

@@ -150,8 +150,6 @@ def _witness_payload(witness: fragments.FragmentWitness | None, verification=Non
             for c in verification.conditions
         ]
         doc["verified"] = verification.passed
-        if verification.notes:
-            doc["notes"] = list(verification.notes)
     return doc
 
 
@@ -407,38 +405,29 @@ def _cmd_fixtures(args) -> tuple[str, dict | None]:
     return "pass", None
 
 
-def _tolerance(text: str) -> float:
-    """argparse type of `--tol`: a finite, non-negative float."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite, non-negative number, not {text!r}")
-    return value
+def _checked(convert, fallback, ok, message: str):
+    """An argparse type: `convert` the text (`fallback` when it cannot), and
+    raise ArgumentTypeError with `message` unless `ok` holds of the value."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = fallback
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{message}, not {text!r}")
+        return value
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type of `--all-up-to`, `--max-len` and `--decay-steps`: a non-negative int."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
-    return value
-
-
-def _monoid_cap(text: str) -> int:
-    """argparse type of `--monoid-cap`: a positive int no larger than `sys.maxsize`.
-    A cap below |alphabet|+1 depends on the DFA and stays the library's error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if not 0 < value <= sys.maxsize:
-        raise argparse.ArgumentTypeError(f"must be a positive integer no larger than {sys.maxsize}, not {text!r}")
-    return value
+# `--tol`: a finite, non-negative float
+_tolerance = _checked(float, math.nan, lambda v: math.isfinite(v) and v >= 0, "must be a finite, non-negative number")
+# `--all-up-to`, `--max-len` and `--decay-steps`: a non-negative int
+_non_negative_int = _checked(int, -1, lambda v: v >= 0, "must be a non-negative integer")
+# `--monoid-cap`: a positive int no larger than `sys.maxsize`; a cap below
+# |alphabet|+1 depends on the DFA and stays the library's error
+_monoid_cap = _checked(
+    int, 0, lambda v: 0 < v <= sys.maxsize, f"must be a positive integer no larger than {sys.maxsize}"
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -18,8 +18,8 @@ violation closes one pump back to q1 and two-cycles chains two; their
 conditions on (q1, q2) do not depend on x, so each takes the first pump the
 scan yields.  The fork takes two pumps of one state into targets separable
 both ways, and its scan lists every pump of the pairs left.  The two-level
-fork and the multilevel form are not searched for: `parse_witness` reads a
-witness of any kind and `verify_witness` replays it.
+fork is not searched for: `parse_witness` reads a witness of any kind and
+`verify_witness` replays it.
 
 Witness kinds:
 
@@ -31,7 +31,9 @@ Witness kinds:
   two-level-fork            three branches, each splitting into two of three
                             second-stage cycles, with a 3-accept/3-reject
                             suffix assignment; verification only
-  multilevel                the general layered form; verification only
+
+A sound check of the general k-level form needs the paper's exact statement,
+so that form is not a witness kind.
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ from qfalab.automata import (
     Dfa,
     Monoid,
     ParseError,
-    bfs,
-    letter_steps,
     load_json,
     minimize,
     recurrent_states,
@@ -62,17 +62,17 @@ ORDER_VIOLATION = "partial-order-violation"
 TWO_CYCLES = "two-cycles"
 FORK = "fork"
 TWO_LEVEL_FORK = "two-level-fork"
-MULTILEVEL = "multilevel"
 
-WITNESS_KINDS = (ORDER_VIOLATION, TWO_CYCLES, FORK, TWO_LEVEL_FORK, MULTILEVEL)
+WITNESS_KINDS = (ORDER_VIOLATION, TWO_CYCLES, FORK, TWO_LEVEL_FORK)
 
 NOT_RECOGNIZABLE = "not-recognizable"
 CONSTRUCTIBLE = "constructible"
 OUTSIDE_CHARACTERIZED_CLASS = "outside-characterized-class"
 INCONCLUSIVE = "inconclusive"
 
-# two-level-fork shape: defined (branch, stage) pairs and the suffix
-# outcome table (suffix index, branch, stage, accepting?)
+# two-level-fork shape: its words, the defined (branch, stage) pairs and the
+# suffix outcome table (suffix index, branch, stage, accepting?)
+_FORK2_WORDS = ("u1", "u2", "u3", "v1", "v2", "v3", "s1", "s2", "s3")
 _FORK2_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 3))
 _FORK2_OUTCOMES = (
     ("s1", 1, 1, True),
@@ -89,19 +89,12 @@ class WitnessParseError(ParseError):
 
 
 @dataclass(frozen=True, slots=True)
-class WitnessLevel:
-    states: tuple[str, ...]
-    words: tuple[str, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class FragmentWitness:
     """States and words instantiating one forbidden construction."""
 
     kind: str
     states: Mapping[str, str] = field(default_factory=dict)
     words: Mapping[str, str] = field(default_factory=dict)
-    levels: tuple[WitnessLevel, ...] = ()
 
     def __post_init__(self):
         if self.kind not in WITNESS_KINDS:
@@ -120,10 +113,6 @@ class VerificationReport:
     kind: str
     conditions: tuple[ConditionCheck, ...]
     passed: bool
-    notes: tuple[str, ...] = ()
-
-    def failed_labels(self) -> tuple[str, ...]:
-        return tuple(c.label for c in self.conditions if not c.passed)
 
 
 def witness_to_dict(witness: FragmentWitness) -> dict:
@@ -133,10 +122,6 @@ def witness_to_dict(witness: FragmentWitness) -> dict:
         obj["states"] = dict(witness.states)
     if witness.words:
         obj["words"] = dict(witness.words)
-    if witness.levels:
-        obj["levels"] = [
-            {"states": list(lv.states), "words": list(lv.words)} for lv in witness.levels
-        ]
     return obj
 
 
@@ -148,12 +133,6 @@ def _string_map(value, what: str) -> dict[str, str]:
     if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
         raise WitnessParseError(f"{what} must be an object of strings")
     return dict(value)
-
-
-def _string_list(value, what: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise WitnessParseError(f"{what} must be a list of strings")
-    return tuple(value)
 
 
 def parse_witness(text: str) -> FragmentWitness:
@@ -168,38 +147,11 @@ def parse_witness(text: str) -> FragmentWitness:
         raise WitnessParseError('expected an object with a "witness" object naming its "kind"')
     if body["kind"] not in WITNESS_KINDS:
         raise WitnessParseError(f"unknown witness kind {body['kind']!r}")
-    levels = body.get("levels", [])
-    if not isinstance(levels, list) or not all(isinstance(lv, dict) for lv in levels):
-        raise WitnessParseError("witness levels must be a list of objects")
     return FragmentWitness(
         kind=body["kind"],
         states=_string_map(body.get("states", {}), "witness states"),
         words=_string_map(body.get("words", {}), "witness words"),
-        levels=tuple(
-            WitnessLevel(
-                _string_list(lv.get("states"), "level states"),
-                _string_list(lv.get("words", []), "level words"),
-            )
-            for lv in levels
-        ),
     )
-
-
-# ---------------------------------------------------------------------------
-# shared machinery
-
-def _word_mapping(dfa: Dfa, word: str) -> list[int]:
-    """delta_word as a function on state indices."""
-    sym, table = dfa._symbols, dfa._table
-    out = []
-    for i in range(len(dfa.states)):
-        j = i
-        for ch in word:
-            if ch not in sym:
-                raise ValueError(f"word {word!r} uses symbol {ch!r} outside the alphabet")
-            j = table[j][sym[ch]]
-        out.append(j)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -343,60 +295,45 @@ def detect_fork(dfa: Dfa, monoid: Monoid) -> FragmentWitness | None:
 # ---------------------------------------------------------------------------
 # verification
 
-def _require(witness: FragmentWitness, state_names: Sequence[str], word_names: Sequence[str]):
-    missing = [k for k in state_names if k not in witness.states]
-    missing += [k for k in word_names if k not in witness.words]
+def _bind(dfa: Dfa, w: FragmentWitness, state_names: Sequence[str], word_names: Sequence[str]):
+    """The witness's named states as indices and its named words as maps on
+    state indices; a missing binding or an unknown state raises ValueError."""
+    missing = [k for k in state_names if k not in w.states]
+    missing += [k for k in word_names if k not in w.words]
     if missing:
         raise ValueError(f"witness is missing bindings: {missing}")
-
-
-def verify_witness(dfa: Dfa, witness: FragmentWitness) -> VerificationReport:
-    """Replay every condition of the witness kind literally against the DFA.
-
-    State equations are checked by word replay, recurrence conditions by
-    the closed SCCs of the words' graph, and outcome conditions by
-    membership of the reached state in the accepting set.
-    """
-    if witness.kind == ORDER_VIOLATION:
-        return _verify_order_violation(dfa, witness)
-    if witness.kind == TWO_CYCLES:
-        return _verify_two_cycles(dfa, witness)
-    if witness.kind == FORK:
-        return _verify_fork(dfa, witness)
-    if witness.kind == TWO_LEVEL_FORK:
-        return _verify_two_level_fork(dfa, witness)
-    if witness.kind == MULTILEVEL:
-        return _verify_multilevel(dfa, witness)
-    raise ValueError(f"unknown witness kind {witness.kind!r}")
-
-
-def _state_index(dfa: Dfa, name: str) -> int:
     try:
-        return dfa._index[name]
-    except KeyError:
-        raise ValueError(f"witness references unknown state {name!r}") from None
+        states = [dfa._index[w.states[k]] for k in state_names]
+    except KeyError as exc:
+        raise ValueError(f"witness references unknown state {exc.args[0]!r}") from None
+    return states, [_word_mapping(dfa, w.words[k]) for k in word_names]
 
 
-def _verify_order_violation(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
-    _require(w, ("q1", "q2"), ("x", "y"))
-    q1, q2 = _state_index(dfa, w.states["q1"]), _state_index(dfa, w.states["q2"])
-    mx = _word_mapping(dfa, w.words["x"])
-    my = _word_mapping(dfa, w.words["y"])
-    checks = (
+def _word_mapping(dfa: Dfa, word: str) -> list[int]:
+    """delta_word as a function on state indices."""
+    sym, table = dfa._symbols, dfa._table
+    out = []
+    for i in range(len(dfa.states)):
+        j = i
+        for ch in word:
+            if ch not in sym:
+                raise ValueError(f"word {word!r} uses symbol {ch!r} outside the alphabet")
+            j = table[j][sym[ch]]
+        out.append(j)
+    return out
+
+
+def _order_violation(dfa: Dfa, q1, q2, mx, my) -> tuple[ConditionCheck, ...]:
+    return (
         ConditionCheck("1: q1 != q2", q1 != q2),
         ConditionCheck("2: x sends q1 to q2", mx[q1] == q2),
         ConditionCheck("3: x fixes q2", mx[q2] == q2),
         ConditionCheck("4: y sends q2 to q1", my[q2] == q1),
     )
-    return VerificationReport(w.kind, checks, all(c.passed for c in checks))
 
 
-def _verify_two_cycles(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
-    _require(w, ("q1", "q2", "q3"), ("x", "y"))
-    q1, q2, q3 = (_state_index(dfa, w.states[k]) for k in ("q1", "q2", "q3"))
-    mx = _word_mapping(dfa, w.words["x"])
-    my = _word_mapping(dfa, w.words["y"])
-    checks = (
+def _two_cycles(dfa: Dfa, q1, q2, q3, mx, my) -> tuple[ConditionCheck, ...]:
+    return (
         ConditionCheck("1: q1 != q2", q1 != q2),
         ConditionCheck("2: q2 != q3", q2 != q3),
         ConditionCheck("3: q1 != q3", q1 != q3),
@@ -405,19 +342,12 @@ def _verify_two_cycles(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
         ConditionCheck("6: y sends q2 to q3", my[q2] == q3),
         ConditionCheck("7: y fixes q3", my[q3] == q3),
     )
-    return VerificationReport(w.kind, checks, all(c.passed for c in checks))
 
 
-def _verify_fork(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
-    _require(w, ("q1", "q2", "q3"), ("x", "y", "z1", "z2"))
-    q1, q2, q3 = (_state_index(dfa, w.states[k]) for k in ("q1", "q2", "q3"))
-    mx = _word_mapping(dfa, w.words["x"])
-    my = _word_mapping(dfa, w.words["y"])
-    mz1 = _word_mapping(dfa, w.words["z1"])
-    mz2 = _word_mapping(dfa, w.words["z2"])
+def _fork(dfa: Dfa, q1, q2, q3, mx, my, mz1, mz2) -> tuple[ConditionCheck, ...]:
     acc = dfa._accepting_indices
     rec = recurrent_states(zip(mx, my))
-    checks = (
+    return (
         ConditionCheck("1: q2 != q3", q2 != q3),
         ConditionCheck("2: x sends q1 to q2", mx[q1] == q2),
         ConditionCheck("3: x fixes q2", mx[q2] == q2),
@@ -430,14 +360,10 @@ def _verify_fork(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
         ConditionCheck("10: z1 rejects from q3", mz1[q3] not in acc),
         ConditionCheck("11: z2 accepts from q3", mz2[q3] in acc),
     )
-    return VerificationReport(w.kind, checks, all(c.passed for c in checks))
 
 
-def _verify_two_level_fork(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
-    word_names = ("u1", "u2", "u3", "v1", "v2", "v3", "s1", "s2", "s3")
-    _require(w, ("q0",), word_names)
-    q0 = _state_index(dfa, w.states["q0"])
-    maps = {name: _word_mapping(dfa, w.words[name]) for name in word_names}
+def _two_level_fork(dfa: Dfa, q0, *words) -> tuple[ConditionCheck, ...]:
+    maps = dict(zip(_FORK2_WORDS, words))
     acc = dfa._accepting_indices
 
     branch = {k: maps[f"u{k}"][q0] for k in (1, 2, 3)}
@@ -470,82 +396,29 @@ def _verify_two_level_fork(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
     c7 = ConditionCheck("7: suffix outcomes (three accept, three reject)", not bad7,
                         detail="; ".join(bad7))
 
-    checks = (c1, c2, c3, c4, c5, c6, c7)
-    return VerificationReport(w.kind, checks, all(c.passed for c in checks))
+    return (c1, c2, c3, c4, c5, c6, c7)
 
 
-def _verify_multilevel(dfa: Dfa, w: FragmentWitness) -> VerificationReport:
-    if not w.levels:
-        raise ValueError("multilevel witness carries no levels")
-    acc = dfa._accepting_indices
-    levels = w.levels
-    notes: list[str] = []
-    checks: list[ConditionCheck] = []
+# per kind: the state and word bindings, in the order its conditions take them
+_VERIFIERS = {
+    ORDER_VIOLATION: (("q1", "q2"), ("x", "y"), _order_violation),
+    TWO_CYCLES: (("q1", "q2", "q3"), ("x", "y"), _two_cycles),
+    FORK: (("q1", "q2", "q3"), ("x", "y", "z1", "z2"), _fork),
+    TWO_LEVEL_FORK: (("q0",), _FORK2_WORDS, _two_level_fork),
+}
 
-    idx_levels = [tuple(_state_index(dfa, s) for s in lv.states) for lv in levels]
-    word_maps = [tuple(_word_mapping(dfa, word) for word in lv.words) for lv in levels]
 
-    ok = len(idx_levels[0]) == 1 and len(word_maps[0]) >= 1
-    checks.append(ConditionCheck("level 1 has one state and at least one word", ok))
-    if levels[-1].words:
-        notes.append("final level carries words; they are ignored by the checks")
+def verify_witness(dfa: Dfa, witness: FragmentWitness) -> VerificationReport:
+    """Replay every condition of the witness kind literally against the DFA.
 
-    for j in range(len(levels) - 1):
-        computed = {m[q] for q in idx_levels[j] for m in word_maps[j]}
-        declared = set(idx_levels[j + 1])
-        match = computed == declared
-        checks.append(
-            ConditionCheck(
-                f"level {j + 2} states are exactly the images of level {j + 1}",
-                match,
-                detail="" if match else (
-                    f"computed {sorted(dfa.states[i] for i in computed)} vs "
-                    f"declared {sorted(dfa.states[i] for i in declared)}"
-                ),
-            )
-        )
-
-    # recurrence binds the middle levels only; the final level is where the
-    # suffix outcomes live and needs no return property
-    for j in range(1, len(levels) - 1):
-        if not word_maps[j - 1]:
-            checks.append(ConditionCheck(f"level {j + 1} recurrence", False, "previous level has no words"))
-            continue
-        rec = recurrent_states(zip(*word_maps[j - 1]))
-        bad = [dfa.states[q] for q in idx_levels[j] if q not in rec]
-        checks.append(
-            ConditionCheck(
-                f"level {j + 1} states recurrent under level {j} words",
-                not bad,
-                detail=f"violated for {bad}" if bad else "",
-            )
-        )
-
-    all_level_states = {q for lv in idx_levels for q in lv}
-    final = set(idx_levels[-1])
-    steps = letter_steps(dfa)
-    for j in range(len(levels) - 1):
-        for wi, m in enumerate(word_maps[j]):
-            seen = set(bfs((m[q] for q in idx_levels[j]), steps))
-            if not seen <= all_level_states:
-                notes.append(
-                    f"reachable set of word {levels[j].words[wi]!r} at level {j + 1} "
-                    "leaves the declared levels (ambiguous corner of the layered form)"
-                )
-            dset = seen & final
-            n_acc = sum(1 for q in dset if q in acc)
-            n_rej = len(dset) - n_acc
-            checks.append(
-                ConditionCheck(
-                    f"balanced outcomes for word {levels[j].words[wi]!r} at level {j + 1}",
-                    n_acc == n_rej,
-                    detail=f"{n_acc} accepting vs {n_rej} rejecting in the reachable final set",
-                )
-            )
-
-    return VerificationReport(
-        w.kind, tuple(checks), all(c.passed for c in checks), tuple(notes)
-    )
+    State equations are checked by word replay, recurrence conditions by
+    the closed SCCs of the words' graph, and outcome conditions by
+    membership of the reached state in the accepting set.
+    """
+    state_names, word_names, conditions = _VERIFIERS[witness.kind]
+    states, maps = _bind(dfa, witness, state_names, word_names)
+    checks = conditions(dfa, *states, *maps)
+    return VerificationReport(witness.kind, checks, all(c.passed for c in checks))
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,16 @@ class TestDfaValidation:
         with pytest.raises(ValueError, match="start"):
             Dfa(("p",), ("a",), "x", frozenset(), {("p", "a"): "p"})
 
+    def test_run_names_a_letter_outside_the_alphabet(self):
+        dfa = dfa_fixture("odd_tail")
+        with pytest.raises(ValueError, match="^the DFA has no letter 'c'$"):
+            dfa.run("abcab")
+        with pytest.raises(ValueError, match="no letter 'c'"):
+            dfa.accepts("c")
+        # an unknown start state stays a lookup error of its own
+        with pytest.raises(KeyError, match="nowhere"):
+            dfa.run("c", start="nowhere")
+
     @pytest.mark.parametrize(
         "states, alphabet, accepting, transitions, message",
         [

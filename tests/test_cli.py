@@ -258,30 +258,18 @@ class TestVerifyWitnessCommand:
         assert len(doc["payload"]["verification"]) == 7
         assert doc["payload"]["verified"] is True
 
-    def test_unbalanced_multilevel_witness_fails(self, capsys, tmp_path):
-        dfa = minimize(dfa_fixture("order_violation_demo"))
-        dfa_path = tmp_path / "demo.dfa"
-        dfa_path.write_text(dfa_to_json(dfa))
-        # level 2's one state accepts: the final outcomes cannot balance
-        levels = [{"states": [dfa.start], "words": ["a"]}, {"states": [dfa.run("a")], "words": []}]
-        witness_path = write_witness(tmp_path / "demo.witness", {"kind": "multilevel", "levels": levels})
-        code, doc, _ = run_json(capsys, "verify-witness", str(dfa_path), witness_path)
-        assert (code, doc["status"]) == (1, "fail")
-        assert doc["payload"]["verified"] is False
-        assert [c["condition"] for c in doc["payload"]["verification"] if not c["passed"]] == [
-            "balanced outcomes for word 'a' at level 1"
-        ]
-        assert "notes" not in doc["payload"]
-
-    def test_multilevel_notes_are_shown(self, capsys, tmp_path):
-        dfa = minimize(dfa_fixture("order_violation_demo"))
-        dfa_path = tmp_path / "demo.dfa"
-        dfa_path.write_text(dfa_to_json(dfa))
-        levels = [{"states": [dfa.start], "words": ["a"]}, {"states": [dfa.run("a")], "words": ["b"]}]
-        witness_path = write_witness(tmp_path / "demo.witness", {"kind": "multilevel", "levels": levels})
-        code, doc, _ = run_json(capsys, "verify-witness", str(dfa_path), witness_path)
-        assert code == 1
-        assert doc["payload"]["notes"] == ["final level carries words; they are ignored by the checks"]
+    def test_multilevel_witness_is_a_parse_error(self, capsys, tmp_path):
+        # the general layered form is not a witness kind: its replay verified
+        # this witness on a language that `classify` calls constructible
+        code, text, _ = run_cli(capsys, "fixtures", "emit", "even_head_odd_tail")
+        assert code == 0
+        dfa_path = tmp_path / "even_head_odd_tail.dfa"
+        dfa_path.write_text(text)
+        levels = [{"states": ["s0"], "words": ["b", "ba"]}, {"states": ["s2", "s4"]}]
+        witness_path = write_witness(tmp_path / "layered.witness", {"kind": "multilevel", "levels": levels})
+        code, out, err = run_cli(capsys, "verify-witness", str(dfa_path), witness_path)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: unknown witness kind 'multilevel'")
 
     @pytest.mark.parametrize("witness, message", [
         ({"kind": "fork", "states": {"q1": "s0"}, "words": {}}, "witness is missing bindings"),

@@ -370,5 +370,8 @@ def test_a_dfa_without_a_swept_letter_is_an_error(case, max_len):
         verify_recognition(qfa, lacking, 0.6, max_len, alphabet=swept)
     with pytest.raises(ValueError, match="no letter"):
         separability(qfa, qfa, lacking, max_len)
+    if max_len:  # the per-word path meets the letter at length 1 and names it
+        with pytest.raises(ValueError, match=f"no letter {swept[0]!r}"):
+            verify_recognition(qfa, lacking.accepts, 0.6, max_len, alphabet=swept)
     with pytest.raises(ValueError, match="non-negative"):
         verify_recognition(qfa, lacking, 0.6, -1, alphabet=swept)

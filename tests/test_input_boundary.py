@@ -18,11 +18,9 @@ from qfalab import cli
 from qfalab.automata import Dfa, DfaParseError, dfa_to_json, minimize, parse_dfa
 from qfalab.fixtures import dfa_fixture, qfa_fixture
 from qfalab.fragments import (
-    MULTILEVEL,
     TWO_LEVEL_FORK,
     WITNESS_KINDS,
     FragmentWitness,
-    WitnessLevel,
     WitnessParseError,
     classify,
     parse_witness,
@@ -79,10 +77,10 @@ ONE_DIM_QFA_DOC = {
 }
 WITNESS_DOCS = [
     json.loads(witness_to_json(classify(dfa_fixture("odd_tail")).witness)),
-    json.loads(witness_to_json(FragmentWitness(
-        kind=MULTILEVEL,
-        levels=(WitnessLevel(("s0",), ("a", "b")), WitnessLevel(("s1", "s2"), ())),
-    ))),
+    # the general layered form, no longer a witness kind: a parse error
+    {"witness": {"kind": "multilevel", "levels": [
+        {"states": ["s0"], "words": ["a", "b"]}, {"states": ["s1", "s2"], "words": []},
+    ]}},
     # the layered fixture's two-level fork
     json.loads(witness_to_json(FragmentWitness(
         kind=TWO_LEVEL_FORK,
