@@ -61,7 +61,11 @@ ninth digest's machines (the QFA fixtures and the compiled fixtures), of
 verify-exhaustive's 6/11 union of two 3/4 toys, and of one random
 6-dimensional machine (`random_qfa`, seed `RANDOM_QFA_SEED`) whose
 configurations hardly repeat, so that its sweep outgrows the table of
-`FRONTIER_BLOCK` configurations and goes on with one row per word.  The
+`FRONTIER_BLOCK` configurations and goes on with one row per word.  A
+sixteenth digest covers deeper and mostly failing exhaustive checks: the
+`repr` of `verify_recognition` of each machine of the ninth digest against
+each named oracle over its alphabet, at each p of `DEEP_PS` up to length
+`DEEP_LEN`, so that counterexamples are spelled at many lengths.  The
 library, the test builders and
 the generator are imported from the checkout that holds this script, so
 running it in two checkouts and comparing the outputs with `diff` shows
@@ -126,6 +130,8 @@ CLI_SEED = 11  # cli-session seed of the CLI output digest
 RECOGNITION_PS = (0.6, 2 / 3 - 1e-9, 0.9)  # probabilities of the oracle digest
 RECOGNITION_LEN = 10  # longest word of the oracle digest's recognition checks
 SEPARABILITY_LEN = 8  # longest word of the oracle digest's separability checks
+DEEP_PS = (0.55, 0.6, 2 / 3 - 1e-9, 0.7, 0.9, 0.99)  # probabilities of the deep-check digest
+DEEP_LEN = 13  # longest word of the deep-check digest
 MINIMIZE_DFAS = 300  # per seed, for the minimization digest
 FAMILY_SIZES = (1, 2, 3, 17, 256, 257, 1000, 3000)
 DETECTOR_DFAS = 1_000  # per seed, for the detector digest
@@ -264,13 +270,19 @@ def decompose_record(path: Path, dimension: int, words: tuple[str, ...]) -> str:
     return repr((code, payload["isometric_dimension"], payload["transient_dimension"], *projectors))
 
 
+def over(qfa) -> list[Dfa]:
+    """The named oracles over the machine's alphabet."""
+    return [oracle(name) for name in oracle_names() if set(oracle(name).alphabet) == set(qfa.alphabet)]
+
+
+def recognition_records(qfas, ps, max_len: int) -> list[str]:
+    """`repr` of `verify_recognition` of each machine against each oracle over its alphabet at each p."""
+    return [repr(verify_recognition(q, lang, p, max_len)) for q in qfas for lang in over(q) for p in ps]
+
+
 def oracle_records(qfas) -> list[str]:
     """`repr` of every recognition and separability check of the oracle digest."""
-
-    def over(qfa):
-        return [oracle(name) for name in oracle_names() if set(oracle(name).alphabet) == set(qfa.alphabet)]
-
-    records = [repr(verify_recognition(q, lang, p, RECOGNITION_LEN)) for q in qfas for lang in over(q) for p in RECOGNITION_PS]
+    records = recognition_records(qfas, RECOGNITION_PS, RECOGNITION_LEN)
     records += [repr(separability(q1, q2, lang, SEPARABILITY_LEN)) for q1, q2 in combinations(qfas, 2) for lang in over(q1)]
     return records
 
@@ -400,6 +412,8 @@ def main() -> None:
         f"sweep up to length {LONG_SWEEP_LEN} of the {len(qfas)} decompose machines, the 6/11 union and a random "
         f"6-dimensional machine: {digest(records)}"
     )
+    records = recognition_records(qfas, DEEP_PS, DEEP_LEN)
+    print(f"exhaustive checks of the {len(qfas)} decompose machines up to length {DEEP_LEN} at p in {DEEP_PS} ({len(records)} checks): {digest(records)}")
 
 
 if __name__ == "__main__":

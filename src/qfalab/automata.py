@@ -91,8 +91,11 @@ class Dfa:
 
     def run(self, word: str, start: str | None = None) -> str:
         """State reached from `start` (default: the initial state) on `word`;
-        a letter outside the alphabet raises ValueError."""
-        i = self._index[start if start is not None else self.start]
+        a start state or a letter that the DFA lacks raises ValueError."""
+        try:
+            i = self._index[start if start is not None else self.start]
+        except KeyError:
+            raise ValueError(f"the DFA has no state {start!r}") from None
         table, symbols = self._table, self._symbols
         try:
             for ch in word:

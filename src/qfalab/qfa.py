@@ -9,31 +9,39 @@ reject.
 
 `sweep` simulates every word up to a length at once, one length per step.
 A word's future is fixed by its configuration: the non-halting state after
-^w and the masses accepted and rejected so far.  The sweep keeps a table of
-the distinct configurations it meets, keyed by the bytes of the row and
-the two masses; each entry holds its "$" outcome and, once expanded, the
-entry of each of its children.  A length is one entry id per word in
-`all_words` order; the next length is `children[index].reshape(-1)`,
-w-major and letter-minor, so its order is `all_words` order again.  Only
-entries not yet expanded are read by a letter, and each new entry reads
-"$" once.  Every state is multiplied by its unitary as its own BLAS
-matrix-vector product, as `run` does, because a matrix-matrix product
-rounds a column differently depending on where it falls in the kernel's
-tiles; with `_measure` shared too, byte-equal configurations have bitwise
-equal outcomes on every extension, and `sweep` gives bitwise the accept
-and reject probabilities of `run`.  Products and measurements go in blocks
-of `FRONTIER_BLOCK` rows, so the "$" read and the measurement temporaries
+^w and the masses accepted and rejected so far.  A `_Table` keeps the
+distinct configurations met, keyed by the bytes of the row and the two
+masses; each entry holds its "$" outcome and, once expanded, the entry of
+each of its children.  `sweep` keeps one entry id per word in `all_words`
+order; the next length is `children[index].reshape(-1)`, w-major and
+letter-minor, so its order is `all_words` order again.  Only entries not
+yet expanded are read by a letter, and each new entry reads "$" once.
+Every state is multiplied by its unitary as its own BLAS matrix-vector
+product, as `run` does, because a matrix-matrix product rounds a column
+differently depending on where it falls in the kernel's tiles; with
+`_measure` shared too, byte-equal configurations have bitwise equal
+outcomes on every extension, and `sweep` gives bitwise the accept and
+reject probabilities of `run`.  Products and measurements go in blocks of
+`FRONTIER_BLOCK` rows, so the "$" read and the measurement temporaries
 never exceed one block.
+
+`verify_recognition` against a `Dfa` drives the same table without words:
+a length is the set of distinct (configuration, DFA state) nodes that its
+words reach, and each node's outcome and label are read once.  Its time
+and memory follow the nodes, not the words: compiled machines meet a
+handful, so a check up to length 40 costs about what one up to 10 does.
+A word is spelled, from its position, only as a counterexample.
 
 The table holds at most `FRONTIER_BLOCK` configurations.  The compiled
 machines, the two pair fixtures and the 6/11 union of two 3/4 toys meet at
 most 8, so their sweeps hold only the table, one id per word of the last
-two lengths and the words' strings.  A length whose children could overflow the table
-drops it, and from then on each word keeps its own row: memory peaks while
-the last length is built, at one row of 16 * dimension bytes per word of
-each of the last two lengths, plus those words' strings.  At dimension 15
-over two letters up to length 16 those rows take 24 MB; each further
-length doubles that.
+two lengths and the words' strings.  A length whose children could
+overflow the table drops it, and from then on each word keeps its own row
+(`_Table.rows`, which the check against a DFA enters too): memory peaks
+while the last length is built, at one row of 16 * dimension bytes per
+word of each of the last two lengths, plus the words' strings in a sweep.
+At dimension 15 over two letters up to length 16 those rows take 24 MB;
+each further length doubles that.
 """
 
 from __future__ import annotations
@@ -41,6 +49,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -297,57 +307,109 @@ def _keys(states: np.ndarray, p_acc: np.ndarray, p_rej: np.ndarray) -> Iterator[
     return map(bytes, np.concatenate((states.view(np.float64), p_acc[:, None], p_rej[:, None]), axis=1))
 
 
+class _Table:
+    """The distinct configurations met so far, at most `FRONTIER_BLOCK` of them.
+
+    Configuration i is (states[i], p_acc[i], p_rej[i]), keyed in `ids` by
+    `_keys`, with "$" outcome ends[*][i].  The first len(children) are
+    expanded, children[i] holding their children's ids, one per letter.  It
+    starts with the configuration after "^" alone, as id 0.
+    """
+
+    def __init__(self, qfa: Qfa, mats: list[np.ndarray]):
+        self.qfa, self.mats = qfa, mats
+        self.states = _apply(qfa.unitaries[KAPPA], qfa.initial_state()[None, :])
+        self.p_acc, self.p_rej = _measure(qfa, self.states)
+        self.ends = _ends(qfa, self.states, self.p_acc, self.p_rej)
+        self.ids = dict.fromkeys(_keys(self.states, self.p_acc, self.p_rej), 0)
+        self.children = np.empty((0, len(mats)), dtype=np.intp)
+
+    def grow(self) -> bool:
+        """Expand every configuration not yet expanded; False, with nothing
+        read, when their children could overflow the table."""
+        states, p_acc, p_rej = self.states, self.p_acc, self.p_rej
+        done, k = len(self.children), len(self.mats)
+        if len(states) + (len(states) - done) * k > FRONTIER_BLOCK:
+            return False
+        if done < len(states):
+            kids, kid_acc, kid_rej = _children(self.qfa, self.mats, states[done:], p_acc[done:], p_rej[done:])
+            fresh, kid_ids = [], []
+            for i, key in enumerate(_keys(kids, kid_acc, kid_rej)):
+                if key not in self.ids:
+                    self.ids[key] = len(self.ids)
+                    fresh.append(i)
+                kid_ids.append(self.ids[key])
+            kid_ids = np.array(kid_ids, dtype=np.intp).reshape(len(states) - done, k)
+            self.children = np.concatenate((self.children, kid_ids))
+            added = kids[fresh], kid_acc[fresh], kid_rej[fresh]
+            self.ends = tuple(map(np.concatenate, zip(self.ends, _ends(self.qfa, *added))))
+            self.states, self.p_acc, self.p_rej = map(np.concatenate, zip((states, p_acc, p_rej), added))
+        return True
+
+    def rows(self, index: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """From the words of one length, each at its configuration in `index`,
+        yield the "$" outcomes of every word of each further length, one row
+        per word and no table."""
+        states, p_acc, p_rej = self.states[index], self.p_acc[index], self.p_rej[index]
+        while True:
+            states, p_acc, p_rej = _children(self.qfa, self.mats, states, p_acc, p_rej)
+            yield _ends(self.qfa, states, p_acc, p_rej)
+
+
+def _frontier(table: np.ndarray, start: int, n: int) -> np.ndarray:
+    """The id that each word of length n leads to from `start`, in
+    `all_words` order, where `table` holds one column per letter."""
+    index = np.full(1, start, dtype=np.intp)
+    for _ in range(n):
+        index = table[index].reshape(-1)
+    return index
+
+
+def _swept(qfa: Qfa, max_len: int, letters: Iterable[str] | None) -> tuple[str, ...]:
+    """The letters of a sweep up to max_len, by default the machine's
+    alphabet, once the length and the letters are checked."""
+    if max_len < 0:
+        raise ValueError(f"maximum word length must be non-negative, got {max_len}")
+    letters = qfa.alphabet if letters is None else tuple(letters)
+    _check_letters(qfa, letters)
+    return letters
+
+
 def sweep(qfa: Qfa, max_len: int, letters: Iterable[str] | None = None):
     """Yield a LevelOutcome for each length 0..max_len: every word over `letters`.
 
     `letters` defaults to the machine's alphabet.  Accept and reject
     probabilities are bitwise those of `run`; residuals agree to rounding.
     Each distinct configuration (non-halting row and masses) is simulated
-    once, through a table of at most `FRONTIER_BLOCK` of them; a length
+    once, through a `_Table` of at most `FRONTIER_BLOCK` of them; a length
     whose children could overflow the table drops it, and from then on
     each word keeps its own row.
     """
-    if max_len < 0:
-        raise ValueError(f"maximum word length must be non-negative, got {max_len}")
-    letters = qfa.alphabet if letters is None else tuple(letters)
-    _check_letters(qfa, letters)
-    mats = [qfa.unitaries[ch] for ch in letters]
-    k = len(letters)
-    # the table: configuration i is (states[i], p_acc[i], p_rej[i]) with "$"
-    # outcome ends[*][i]; the first len(children) are expanded, children[i]
-    # holding their ids per letter; ids maps keys to ids, None once full
-    states = _apply(qfa.unitaries[KAPPA], qfa.initial_state()[None, :])
-    p_acc, p_rej = _measure(qfa, states)
-    ends = _ends(qfa, states, p_acc, p_rej)
-    ids: dict[bytes, int] | None = dict.fromkeys(_keys(states, p_acc, p_rej), 0)
-    children = np.empty((0, k), dtype=np.intp)
+    letters = _swept(qfa, max_len, letters)
+    table = _Table(qfa, [qfa.unitaries[ch] for ch in letters])
+    levels = _word_levels(letters, max_len)
     index = np.zeros(1, dtype=np.intp)  # the configuration of each word of the length
-    for n, words in enumerate(_word_levels(letters, max_len)):
-        yield LevelOutcome(words, *(outcome[index] for outcome in ends))
+    for n, words in enumerate(levels):
+        yield LevelOutcome(words, *(outcome[index] for outcome in table.ends))
         if n == max_len:
             return
-        done = len(children)
-        if ids is not None and len(states) + (len(states) - done) * k > FRONTIER_BLOCK:
-            ids = None  # the table is full: from here on each word keeps its own row
-            states, p_acc, p_rej = states[index], p_acc[index], p_rej[index]
-        if ids is None:
-            states, p_acc, p_rej = _children(qfa, mats, states, p_acc, p_rej)
-            ends = _ends(qfa, states, p_acc, p_rej)
-            index = slice(None)  # row i is word i's
-            continue
-        if done < len(states):
-            kids, kid_acc, kid_rej = _children(qfa, mats, states[done:], p_acc[done:], p_rej[done:])
-            fresh, kid_ids = [], []
-            for i, key in enumerate(_keys(kids, kid_acc, kid_rej)):
-                if key not in ids:
-                    ids[key] = len(ids)
-                    fresh.append(i)
-                kid_ids.append(ids[key])
-            children = np.concatenate((children, np.array(kid_ids, dtype=np.intp).reshape(len(states) - done, k)))
-            added = kids[fresh], kid_acc[fresh], kid_rej[fresh]
-            ends = tuple(map(np.concatenate, zip(ends, _ends(qfa, *added))))
-            states, p_acc, p_rej = map(np.concatenate, zip((states, p_acc, p_rej), added))
-        index = children[index].reshape(-1)
+        if not table.grow():
+            break
+        index = table.children[index].reshape(-1)
+    for words, ends in zip(levels, table.rows(index)):
+        yield LevelOutcome(words, *ends)
+
+
+def _dfa_columns(dfa: Dfa, letters: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The DFA's transition table with one column per letter of `letters`, in
+    order, and its accepting states as a mask; a letter it lacks is an error."""
+    missing = [ch for ch in letters if ch not in dfa.alphabet]
+    if missing:
+        raise ValueError(f"the language's DFA has no letter {missing[0]!r}")
+    table = np.array(dfa._table, dtype=np.intp)[:, [dfa._symbols[ch] for ch in letters]]
+    accepting = np.zeros(len(dfa.states), dtype=bool)
+    accepting[list(dfa._accepting_indices)] = True
+    return table, accepting
 
 
 def labelled_sweep(
@@ -375,17 +437,23 @@ def labelled_sweep(
             yield outcomes, np.fromiter((bool(oracle(w)) for w in words), dtype=bool, count=len(words))
         return
     outcomes = next(levels)  # the sweeps check their arguments first
-    missing = [ch for ch in letters if ch not in oracle.alphabet]
-    if missing:
-        raise ValueError(f"the language's DFA has no letter {missing[0]!r}")
-    table = np.array(oracle._table, dtype=np.intp)[:, [oracle._symbols[ch] for ch in letters]]
-    accepting = np.zeros(len(oracle.states), dtype=bool)
-    accepting[list(oracle._accepting_indices)] = True
+    table, accepting = _dfa_columns(oracle, letters)
     frontier = np.array([oracle._index[oracle.start]])
     yield outcomes, accepting[frontier]
     for outcomes in levels:
         frontier = table[frontier].reshape(-1)
         yield outcomes, accepting[frontier]
+
+
+def _word_at(letters: tuple[str, ...], n: int, j) -> str:
+    """Word j of length n over `letters` in `all_words` order: the n
+    base-|letters| digits of j, most significant first."""
+    chars = []
+    j = int(j)
+    for _ in range(n):
+        j, digit = divmod(j, len(letters))
+        chars.append(letters[digit])
+    return "".join(reversed(chars))
 
 
 @dataclass(frozen=True)
@@ -401,6 +469,95 @@ class RecognitionReport:
     residual_flagged: bool
 
 
+class _Tally:
+    """What a check of recognition at p has read so far: the worst margins,
+    the first five counterexamples in `all_words` order and whether some
+    residual was flagged."""
+
+    def __init__(self, p: float, tol: float):
+        self.p, self.tol = p, tol
+        self.worst_acc = self.worst_rej = float("inf")
+        self.counterexamples: list[tuple[str, float]] = []
+        self.residual_seen = False
+
+    def margins(self, labels: np.ndarray, p_accept: np.ndarray, p_reject: np.ndarray):
+        """The margins of units, each a word or a node of words with equal
+        outcomes and labels, and the mask of those that fail."""
+        margins = np.where(labels, p_accept, p_reject) - self.p
+        return margins, ~(margins >= -self.tol)
+
+    def add(self, labels: np.ndarray, p_accept: np.ndarray, p_reject: np.ndarray, p_residual: np.ndarray):
+        """Read units into the worst margins and the residual flag; return
+        their margins and failures."""
+        margins, fail = self.margins(labels, p_accept, p_reject)
+        # np.minimum and ndarray.min propagate NaN where the builtin min drops it
+        if labels.any():
+            self.worst_acc = float(np.minimum(self.worst_acc, margins[labels].min()))
+        if not labels.all():
+            self.worst_rej = float(np.minimum(self.worst_rej, margins[~labels].min()))
+        self.residual_seen = self.residual_seen or bool((p_residual > RESIDUAL_TOL).any())
+        return margins, fail
+
+    def add_words(self, labels, p_accept, p_reject, p_residual, word: Callable[[int], str]) -> None:
+        """Read every word of a length, in `all_words` order; word(j) spells word j."""
+        margins, fail = self.add(labels, p_accept, p_reject, p_residual)
+        for j in np.flatnonzero(fail)[: 5 - len(self.counterexamples)]:
+            self.counterexamples.append((word(j), float(margins[j] + self.p)))
+
+
+def _product_walk(qfa: Qfa, dfa: Dfa, max_len: int, letters: Iterable[str] | None, tally: _Tally) -> int:
+    """Check `qfa` against `dfa` on every word up to max_len into `tally`, one
+    (configuration, DFA state) pair at a time; return the number of words.
+
+    A node is config * |Q| + state: the `_Table` id of a word's configuration
+    and the index of the DFA state it leads to.  The nodes of length n + 1
+    are the children of those of length n.  Each node's margin is read when
+    it is first met, and the worst margins and the residual flag once, over
+    every node met.  No word is built: a length with a failing node, while
+    counterexamples are missing, rebuilds its nodes per word from the
+    table's children and spells the failing words from their positions.  A
+    length whose table could overflow hands its words' configurations to the
+    table's per-word `rows`, with their DFA states, and from then on every
+    word is read.
+    """
+    letters = _swept(qfa, max_len, letters)
+    columns, accepting = _dfa_columns(dfa, letters)
+    k, size, start = len(letters), len(dfa.states), dfa._index[dfa.start]
+    table = _Table(qfa, [qfa.unitaries[ch] for ch in letters])
+    kids: dict[int, list[int]] = {}  # each node read and expanded -> its children, one per letter
+    failing: dict[int, float] = {}  # each failing node read -> its margin
+    read: list[int] = []  # every node read
+    nodes = {start}  # configuration 0 with the start state
+    count = 0
+    for n in range(max_len + 1):
+        fresh = [v for v in nodes if v not in kids]  # met for the first time
+        if fresh:
+            config, state = np.divmod(np.array(fresh), size)
+            margins, fail = tally.margins(accepting[state], table.ends[0][config], table.ends[1][config])
+            failing.update(zip(compress(fresh, fail), margins[fail]))
+            read += fresh
+        missing = 5 - len(tally.counterexamples)
+        if missing and not failing.keys().isdisjoint(nodes):
+            ids = _frontier(table.children, 0, n) * size + _frontier(columns, start, n)
+            for j in np.flatnonzero(np.isin(ids, list(failing)))[:missing]:
+                tally.counterexamples.append((_word_at(letters, n, j), float(failing[ids[j]] + tally.p)))
+        count += k**n
+        if n == max_len or not table.grow():
+            break
+        if fresh:
+            kids.update(zip(fresh, (table.children[config] * size + columns[state]).tolist()))
+        nodes = {kid for v in nodes for kid in kids[v]}
+    config, state = np.divmod(np.array(read), size)
+    tally.add(accepting[state], *(outcome[config] for outcome in table.ends))
+    if n < max_len:  # the table would overflow
+        states = _frontier(columns, start, n)
+        for m, ends in zip(range(n + 1, max_len + 1), table.rows(_frontier(table.children, 0, n))):
+            states = columns[states].reshape(-1)
+            tally.add_words(accepting[states], *ends, partial(_word_at, letters, m))
+            count += k**m
+    return count
+
+
 def verify_recognition(
     qfa: Qfa,
     oracle: Callable[[str], bool],
@@ -413,39 +570,33 @@ def verify_recognition(
 
     In-language words must accept with probability >= p - tol and all other
     words must reject with probability >= p - tol.  The report carries the
-    worst margins and the offending words, if any.  A NaN probability fails:
-    it becomes the worst margin and a counterexample.  p must lie in (1/2, 1].
-    A `Dfa` oracle labels each length at once (`labelled_sweep`).
+    worst margins and the first five offending words in `all_words` order,
+    if any.  A NaN probability fails: it becomes the worst margin and a
+    counterexample.  p must lie in (1/2, 1].  A `Dfa` oracle is checked on
+    the distinct (configuration, DFA state) pairs that each length reaches
+    (`_product_walk`), so that the check costs per pair, not per word; any
+    other callable labels each word (`labelled_sweep`).
     """
     if not 0.5 < p <= 1:
         raise ValueError(f"recognition probability must lie in (1/2, 1], not {p}")
-    worst_acc = float("inf")
-    worst_rej = float("inf")
-    counterexamples: list[tuple[str, float]] = []
-    residual_seen = False
-    count = 0
-    for (level,), labels in labelled_sweep((qfa,), oracle, max_len, alphabet):
-        margins = np.where(labels, level.p_accept, level.p_reject) - p
-        # np.minimum and ndarray.min propagate NaN where the builtin min drops it
-        if labels.any():
-            worst_acc = float(np.minimum(worst_acc, margins[labels].min()))
-        if not labels.all():
-            worst_rej = float(np.minimum(worst_rej, margins[~labels].min()))
-        for j in np.flatnonzero(~(margins >= -tol))[: 5 - len(counterexamples)]:
-            counterexamples.append((level.words[j], float(margins[j] + p)))
-        residual_seen = residual_seen or bool((level.p_residual > RESIDUAL_TOL).any())
-        count += len(level.words)
-    passed = worst_acc >= -tol and worst_rej >= -tol
+    tally = _Tally(p, tol)
+    if isinstance(oracle, Dfa):
+        count = _product_walk(qfa, oracle, max_len, alphabet, tally)
+    else:
+        count = 0
+        for (level,), labels in labelled_sweep((qfa,), oracle, max_len, alphabet):
+            tally.add_words(labels, level.p_accept, level.p_reject, level.p_residual, level.words.__getitem__)
+            count += len(level.words)
     return RecognitionReport(
-        passed=passed,
+        passed=tally.worst_acc >= -tol and tally.worst_rej >= -tol,
         probability=p,
         tol=tol,
         max_len=max_len,
         words_checked=count,
-        worst_accept_margin=worst_acc,
-        worst_reject_margin=worst_rej,
-        counterexamples=tuple(counterexamples),
-        residual_flagged=residual_seen,
+        worst_accept_margin=tally.worst_acc,
+        worst_reject_margin=tally.worst_rej,
+        counterexamples=tuple(tally.counterexamples),
+        residual_flagged=tally.residual_seen,
     )
 
 

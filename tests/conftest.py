@@ -61,7 +61,9 @@ def permutation_component_dfas(draw):
     Transient state i moves to i + 1 on the first letter; its other letters,
     and every letter of the last transient state, lead to later states, the
     first of them (in a random order) into each block in turn, so every
-    state is reachable.
+    transient state and some state of each block are reachable.  The
+    accepting states split the reachable ones, neither none nor all of them,
+    so the minimal DFA has two states at least.
     """
     alphabet = ("a", "b", "c")[: draw(st.integers(2, 3))]
     sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
@@ -80,8 +82,11 @@ def permutation_component_dfas(draw):
     for block in blocks:
         for a in alphabet:
             transitions.update(zip(((q, a) for q in block), draw(st.permutations(block))))
-    accepting = frozenset(q for q in states if draw(st.booleans()))
-    return Dfa(states, alphabet, states[0], accepting, transitions)
+    unlabelled = Dfa(states, alphabet, states[0], frozenset(), transitions)
+    reachable = sorted(reachable_state_names(unlabelled), key=states.index)
+    accepting = draw(st.sets(st.sampled_from(reachable), min_size=1, max_size=len(reachable) - 1))
+    accepting |= {q for q in states if q not in reachable and draw(st.booleans())}
+    return Dfa(states, alphabet, states[0], frozenset(accepting), transitions)
 
 
 def random_dfa(rng: np.random.Generator, n_states: int, alphabet=("a", "b")) -> Dfa:

@@ -85,8 +85,8 @@ class TestDfaValidation:
             dfa.run("abcab")
         with pytest.raises(ValueError, match="no letter 'c'"):
             dfa.accepts("c")
-        # an unknown start state stays a lookup error of its own
-        with pytest.raises(KeyError, match="nowhere"):
+        # an unknown start state is named the same way, before any letter is read
+        with pytest.raises(ValueError, match="^the DFA has no state 'nowhere'$"):
             dfa.run("c", start="nowhere")
 
     @pytest.mark.parametrize(

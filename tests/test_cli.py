@@ -482,6 +482,18 @@ class TestSynthesizeCommand:
         )
         assert code == 0
 
+    def test_compiled_machine_passes_every_word_up_to_length_40(self, capsys, tmp_path):
+        # 2**41 - 1 words: checked on (configuration, DFA state) pairs, not one by one
+        dfa_path, out_path = tmp_path / "odd_head_odd_tail.dfa", str(tmp_path / "compiled.qfa")
+        dfa_path.write_text(dfa_to_json(dfa_fixture("odd_head_odd_tail")))
+        code, doc, _ = run_json(capsys, "synthesize", str(dfa_path), "-o", out_path)
+        assert (code, doc["payload"]["success_probability"]) == (0, "3/5")
+        code, doc, _ = run_json(
+            capsys, "simulate", out_path, "--all-up-to", "40", "--oracle", "odd_head_odd_tail", "--p", "0.6",
+        )
+        assert (code, doc["status"]) == (0, "pass")
+        assert doc["payload"]["words_checked"] == 2**41 - 1
+
     def test_rejects_nonconstructible_input(self, capsys, paths):
         out_path = str(paths["tmp"] / "never.qfa")
         code, out, err = run_cli(capsys, "synthesize", paths["odd_tail"], "-o", out_path)

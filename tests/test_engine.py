@@ -10,9 +10,14 @@ crosses the real `FRONTIER_BLOCK`.  Machines whose configurations repeat
 table, and each of their configurations is read once per letter.  A
 language given as a `Dfa` is labelled one length at a time from a frontier
 of DFA states; those labels must be the DFA's own `accepts` on every word.
+`verify_recognition` against a `Dfa` walks (configuration, DFA state)
+pairs and builds no word; it must equal the per-word path that calls
+`accepts` on each word, on machines that close and on machines that
+outgrow the table.
 """
 
 import random
+import time
 import zlib
 from functools import cache
 from unittest import mock
@@ -250,18 +255,53 @@ def test_the_table_holds_at_most_a_block_of_configurations(block):
     assert keyed <= 1 + block * len(qfa.alphabet)
 
 
+def letter_rows(qfa, spy) -> int:
+    """The rows that the `_apply` spy saw read by a letter, not by "^" or "$"."""
+    letters = [qfa.unitaries[ch] for ch in qfa.alphabet]
+    return sum(len(call.args[1]) for call in spy.call_args_list if any(call.args[0] is mat for mat in letters))
+
+
 def test_each_configuration_is_expanded_once():
     # the compiled chain machine meets a handful of configurations up to
     # length 11, and only they are read by a letter: not every word up to 11
     qfa = synthesize(dfa_fixture("even_head_odd_tail"))[0]
-    letters = [qfa.unitaries[ch] for ch in qfa.alphabet]
     with mock.patch.object(qfa_module, "_apply", wraps=_apply) as spy:
         words = sum(len(level.words) for level in sweep(qfa, 12))
-    rows = sum(len(call.args[1]) for call in spy.call_args_list if any(call.args[0] is mat for mat in letters))
     expanded = configurations(qfa, 11)
     assert words == 2**13 - 1
     assert len(expanded) <= 8
-    assert rows <= len(expanded) * len(qfa.alphabet)
+    assert letter_rows(qfa, spy) <= len(expanded) * len(qfa.alphabet)
+
+
+def test_a_check_against_a_dfa_costs_per_pair_not_per_word():
+    # 2**41 - 1 words, read as a few (configuration, DFA state) pairs
+    qfa, dfa = synthesize(dfa_fixture("odd_head_odd_tail"))[0], oracle("odd_head_odd_tail")
+    started = time.perf_counter()
+    with mock.patch.object(qfa_module, "_apply", wraps=_apply) as spy:
+        report = verify_recognition(qfa, dfa, 0.6 - 1e-9, 40)
+    assert time.perf_counter() - started < 1.0
+    assert report.passed and report.words_checked == 2**41 - 1
+    assert not report.counterexamples and not report.residual_flagged
+    expanded = configurations(qfa, 39)
+    assert len(expanded) <= 8
+    assert letter_rows(qfa, spy) <= len(expanded) * len(qfa.alphabet)
+
+
+@pytest.mark.parametrize("case", ["closing", "outgrowing"])
+def test_a_check_against_a_dfa_builds_no_word(case):
+    # a passing check spells nothing; a failing one spells its counterexamples
+    # from their positions, also once the table is outgrown
+    if case == "closing":
+        qfa, dfa, p, max_len = qfa_fixture("odd_head_odd_tail_qfa"), oracle("odd_head_odd_tail"), 2 / 3 - 1e-9, 10
+    else:
+        qfa, dfa, p, max_len = random_qfa(np.random.default_rng(7)), oracle("odd_tail"), 0.6, 9
+    expected = reference_verify(qfa, dfa, p, max_len)
+    with (
+        mock.patch.object(qfa_module, "FRONTIER_BLOCK", 7),
+        mock.patch.object(qfa_module, "_word_levels", side_effect=AssertionError("a word list was built")),
+    ):
+        assert verify_recognition(qfa, dfa, p, max_len) == expected
+    assert expected.passed == (case == "closing")
 
 
 @given(
@@ -323,10 +363,11 @@ def test_negative_length_is_rejected():
 
 
 @st.composite
-def machines_and_languages(draw):
-    """A machine; a DFA of 1-9 states over the machine's letters in shuffled
-    order; and the swept letters, a shuffled non-empty subset of them."""
-    qfa = draw(machines())
+def machines_and_languages(draw, qfas=machines()):
+    """A machine drawn from `qfas`; a DFA of 1-9 states over the machine's
+    letters in shuffled order; and the swept letters, a shuffled non-empty
+    subset of them."""
+    qfa = draw(qfas)
     dfa = draw(dfas(1, 9, tuple(draw(st.permutations(qfa.alphabet)))))
     swept = draw(st.permutations(qfa.alphabet))[: draw(st.integers(1, len(qfa.alphabet)))]
     return qfa, dfa, tuple(swept)
@@ -341,13 +382,52 @@ def test_frontier_labels_are_accepts_on_every_word(case, max_len):
         assert labels.tolist() == [dfa.accepts(w) for w in level.words]
 
 
-@given(machines_and_languages(), st.integers(0, 12), st.floats(0.51, 0.99))
-@settings(max_examples=40)
+@given(
+    machines_and_languages(st.one_of(machines(), st.sampled_from(CLOSING).map(lambda name: closing_machines()[name][0]))),
+    st.integers(0, 16),
+    st.floats(0.51, 0.99),
+)
+@settings(max_examples=60)
 def test_verify_recognition_with_a_dfa_equals_the_per_word_path(case, max_len, p):
+    # random machines outgrow a table of 3 or 7 and go on per word; most
+    # draws fail, so their counterexamples are compared too
     qfa, dfa, swept = case
-    max_len = min(max_len, MAX_LEN[len(swept)])
-    got = verify_recognition(qfa, dfa, p, max_len, alphabet=swept)
-    assert got == verify_recognition(qfa, dfa.accepts, p, max_len, alphabet=swept)
+    max_len = min(max_len, LONG_LEN[len(swept)])
+    expected = verify_recognition(qfa, dfa.accepts, p, max_len, alphabet=swept)
+    for block in (3, 7, FRONTIER_BLOCK):
+        with mock.patch.object(qfa_module, "FRONTIER_BLOCK", block):
+            got = verify_recognition(qfa, dfa, p, max_len, alphabet=swept)
+        assert got == expected
+        assert repr(got) == repr(expected)
+
+
+def flipped_from(dfa: Dfa, m: int) -> Dfa:
+    """`dfa`'s language on the words shorter than m, its complement on the others."""
+    def name(q, c):
+        return f"{q}/{c}"
+
+    counts = range(m + 1)
+    states = tuple(name(q, c) for q in dfa.states for c in counts)
+    delta = {
+        (name(q, c), a): name(dfa.transitions[q, a], min(c + 1, m)) for q in dfa.states for c in counts for a in dfa.alphabet
+    }
+    accepting = frozenset(name(q, c) for q in dfa.states for c in counts if (q in dfa.accepting) != (c == m))
+    return Dfa(states, dfa.alphabet, name(dfa.start, 0), accepting, delta)
+
+
+@pytest.mark.parametrize("block", [3, 7, FRONTIER_BLOCK])
+@pytest.mark.parametrize("m", [4, 6])
+@pytest.mark.parametrize("name", ["odd_head_odd_tail_qfa", "compiled 0", "compiled 3"])
+def test_counterexamples_are_spelled_at_the_first_failing_length(name, m, block):
+    # the machine recognizes its language at 0.52, so every word fails first at
+    # length m, where the language flips; a table of 3 is outgrown before m
+    qfa, lang = closing_machines()[name]
+    dfa = flipped_from(lang, m)
+    expected = verify_recognition(qfa, dfa.accepts, 0.52, m)
+    with mock.patch.object(qfa_module, "FRONTIER_BLOCK", block):
+        got = verify_recognition(qfa, dfa, 0.52, m)
+    assert got == expected
+    assert [w for w, _ in got.counterexamples] == list(all_words(qfa.alphabet, m))[-len(qfa.alphabet) ** m :][:5]
 
 
 @given(machines_and_languages(), st.integers(0, 12), st.integers(0, 2**31 - 1))
