@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from qfalab import COORDINATE_SNAP_DENOMINATOR, MIXTURE_WEIGHT_TOL
-from qfalab.qfa import DOLLAR, KAPPA, Qfa, complete_unitary, freeze, labelled_sweep
+from qfalab.qfa import DOLLAR, KAPPA, Qfa, complete_unitary, freeze, sweep, word_labels
 
 
 class LimitConditionError(ValueError):
@@ -264,12 +264,14 @@ def separability(
     and <= c on the others.  A zero margin means the hulls touch (the limit
     case: only non-strict separation exists); `separable=False` with no line
     means the hulls properly overlap.  A `Dfa` oracle labels each length at
-    once (`labelled_sweep`).
+    once (`word_labels`).
     """
     if q1.alphabet != q2.alphabet:
         raise ValueError("machines must share an alphabet")
     cloud = []
-    for (lvl1, lvl2), labels in labelled_sweep((q1, q2), oracle, max_len):
+    # the sweeps come first, so that they check the length before the labels are read
+    levels = zip(sweep(q1, max_len), sweep(q2, max_len), word_labels(oracle, q1.alphabet, max_len))
+    for lvl1, lvl2, labels in levels:
         for w, a1, a2, label in zip(lvl1.words, lvl1.p_accept.tolist(), lvl2.p_accept.tolist(), labels.tolist()):
             cloud.append(CloudPoint(w, a1, a2, label))
     # clouds repeat few probabilities: snap each distinct one once

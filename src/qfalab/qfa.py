@@ -12,10 +12,11 @@ A word's future is fixed by its configuration: the non-halting state after
 ^w and the masses accepted and rejected so far.  A `_Table` keeps the
 distinct configurations met, keyed by the bytes of the row and the two
 masses; each entry holds its "$" outcome and, once expanded, the entry of
-each of its children.  `sweep` keeps one entry id per word in `all_words`
-order; the next length is `children[index].reshape(-1)`, w-major and
-letter-minor, so its order is `all_words` order again.  Only entries not
-yet expanded are read by a letter, and each new entry reads "$" once.
+each of its children.  `_Table.levels` keeps one entry id per word in
+`all_words` order; the next length is `children[index].reshape(-1)`,
+w-major and letter-minor, so its order is `all_words` order again, and
+`sweep` pairs each length with its words.  Only entries not yet expanded
+are read by a letter, and each new entry reads "$" once.
 Every state is multiplied by its unitary as its own BLAS matrix-vector
 product, as `run` does, because a matrix-matrix product rounds a column
 differently depending on where it falls in the kernel's tiles; with
@@ -30,16 +31,19 @@ a length is the set of distinct (configuration, DFA state) nodes that its
 words reach, and each node's outcome and label are read once.  Its time
 and memory follow the nodes, not the words: compiled machines meet a
 handful, so a check up to length 40 costs about what one up to 10 does.
-A word is spelled, from its position, only as a counterexample.
+A word is spelled, from its position, only as a counterexample.  Any
+other callable, and a walk that would overflow the table, read every word
+from length 0 through `_Table.levels` over the same table, labelled by
+`word_labels`.
 
 The table holds at most `FRONTIER_BLOCK` configurations.  The compiled
 machines, the two pair fixtures and the 6/11 union of two 3/4 toys meet at
 most 8, so their sweeps hold only the table, one id per word of the last
 two lengths and the words' strings.  A length whose children could
 overflow the table drops it, and from then on each word keeps its own row
-(`_Table.rows`, which the check against a DFA enters too): memory peaks
-while the last length is built, at one row of 16 * dimension bytes per
-word of each of the last two lengths, plus the words' strings in a sweep.
+in `_Table.levels`: memory peaks while the last length is built, at one
+row of 16 * dimension bytes per word of each of the last two lengths, plus
+the words' strings in a sweep.
 At dimension 15 over two letters up to length 16 those rows take 24 MB;
 each further length doubles that.
 """
@@ -49,9 +53,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -316,13 +319,13 @@ class _Table:
     starts with the configuration after "^" alone, as id 0.
     """
 
-    def __init__(self, qfa: Qfa, mats: list[np.ndarray]):
-        self.qfa, self.mats = qfa, mats
+    def __init__(self, qfa: Qfa, letters: tuple[str, ...]):
+        self.qfa, self.mats = qfa, [qfa.unitaries[ch] for ch in letters]
         self.states = _apply(qfa.unitaries[KAPPA], qfa.initial_state()[None, :])
         self.p_acc, self.p_rej = _measure(qfa, self.states)
         self.ends = _ends(qfa, self.states, self.p_acc, self.p_rej)
         self.ids = dict.fromkeys(_keys(self.states, self.p_acc, self.p_rej), 0)
-        self.children = np.empty((0, len(mats)), dtype=np.intp)
+        self.children = np.empty((0, len(letters)), dtype=np.intp)
 
     def grow(self) -> bool:
         """Expand every configuration not yet expanded; False, with nothing
@@ -346,12 +349,21 @@ class _Table:
             self.states, self.p_acc, self.p_rej = map(np.concatenate, zip((states, p_acc, p_rej), added))
         return True
 
-    def rows(self, index: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """From the words of one length, each at its configuration in `index`,
-        yield the "$" outcomes of every word of each further length, one row
-        per word and no table."""
+    def levels(self, max_len: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield the "$" outcomes of every word of each length 0..max_len, in
+        `all_words` order: one configuration id per word, stepped through the
+        children of expanded ids as they are and through `grow` for the rest,
+        then one row per word once the table could overflow."""
+        index = np.zeros(1, dtype=np.intp)  # the configuration of each word of the length
+        for n in range(max_len + 1):
+            yield tuple(outcome[index] for outcome in self.ends)
+            if n == max_len:
+                return
+            if (index >= len(self.children)).any() and not self.grow():
+                break
+            index = self.children[index].reshape(-1)
         states, p_acc, p_rej = self.states[index], self.p_acc[index], self.p_rej[index]
-        while True:
+        for _ in range(n, max_len):
             states, p_acc, p_rej = _children(self.qfa, self.mats, states, p_acc, p_rej)
             yield _ends(self.qfa, states, p_acc, p_rej)
 
@@ -383,20 +395,10 @@ def sweep(qfa: Qfa, max_len: int, letters: Iterable[str] | None = None):
     Each distinct configuration (non-halting row and masses) is simulated
     once, through a `_Table` of at most `FRONTIER_BLOCK` of them; a length
     whose children could overflow the table drops it, and from then on
-    each word keeps its own row.
+    each word keeps its own row (`_Table.levels`).
     """
     letters = _swept(qfa, max_len, letters)
-    table = _Table(qfa, [qfa.unitaries[ch] for ch in letters])
-    levels = _word_levels(letters, max_len)
-    index = np.zeros(1, dtype=np.intp)  # the configuration of each word of the length
-    for n, words in enumerate(levels):
-        yield LevelOutcome(words, *(outcome[index] for outcome in table.ends))
-        if n == max_len:
-            return
-        if not table.grow():
-            break
-        index = table.children[index].reshape(-1)
-    for words, ends in zip(levels, table.rows(index)):
+    for words, ends in zip(_word_levels(letters, max_len), _Table(qfa, letters).levels(max_len)):
         yield LevelOutcome(words, *ends)
 
 
@@ -412,37 +414,27 @@ def _dfa_columns(dfa: Dfa, letters: tuple[str, ...]) -> tuple[np.ndarray, np.nda
     return table, accepting
 
 
-def labelled_sweep(
-    qfas: Sequence[Qfa],
-    oracle: Callable[[str], bool],
-    max_len: int,
-    letters: Iterable[str] | None = None,
-) -> Iterator[tuple[tuple[LevelOutcome, ...], np.ndarray]]:
-    """`sweep` every machine of `qfas` over `letters`; yield each length's
-    outcomes, one per machine, with `oracle`'s labels of that length's words.
+def word_labels(oracle: Callable[[str], bool], letters: tuple[str, ...], max_len: int) -> Iterator[np.ndarray]:
+    """Yield `oracle`'s labels of the words over `letters` of each length
+    0..max_len, in `all_words` order.
 
-    `letters` defaults to the first machine's alphabet.  A `Dfa` labels a
-    whole length at once: level n's labels are `accepting[frontier_n]`,
-    where frontier_0 holds the start state and frontier_{n+1} is
-    `table[frontier_n].reshape(-1)`.  The table's columns are `letters` in
-    order, so each frontier is word-major and letter-minor, the sweep's
-    order.  A swept letter that the DFA lacks is an error.  Any other
-    callable is called once per word.
+    A `Dfa` labels a whole length at once: level n's labels are
+    `accepting[frontier_n]`, where frontier_0 holds the start state and
+    frontier_{n+1} is `table[frontier_n].reshape(-1)`.  The table's columns
+    are `letters` in order, so each frontier is word-major and
+    letter-minor.  A letter that the DFA lacks is an error, raised with the
+    first labels.  Any other callable is called once per word.
     """
-    letters = qfas[0].alphabet if letters is None else tuple(letters)
-    levels = zip(*(sweep(qfa, max_len, letters) for qfa in qfas))
     if not isinstance(oracle, Dfa):
-        for outcomes in levels:
-            words = outcomes[0].words
-            yield outcomes, np.fromiter((bool(oracle(w)) for w in words), dtype=bool, count=len(words))
+        for words in _word_levels(letters, max_len):
+            yield np.fromiter((bool(oracle(w)) for w in words), dtype=bool, count=len(words))
         return
-    outcomes = next(levels)  # the sweeps check their arguments first
     table, accepting = _dfa_columns(oracle, letters)
     frontier = np.array([oracle._index[oracle.start]])
-    yield outcomes, accepting[frontier]
-    for outcomes in levels:
+    yield accepting[frontier]
+    for _ in range(max_len):
         frontier = table[frontier].reshape(-1)
-        yield outcomes, accepting[frontier]
+        yield accepting[frontier]
 
 
 def _word_at(letters: tuple[str, ...], n: int, j) -> str:
@@ -498,16 +490,17 @@ class _Tally:
         self.residual_seen = self.residual_seen or bool((p_residual > RESIDUAL_TOL).any())
         return margins, fail
 
-    def add_words(self, labels, p_accept, p_reject, p_residual, word: Callable[[int], str]) -> None:
-        """Read every word of a length, in `all_words` order; word(j) spells word j."""
+    def add_words(self, letters: tuple[str, ...], n: int, labels, p_accept, p_reject, p_residual) -> None:
+        """Read every word of length n over `letters`, in `all_words` order."""
         margins, fail = self.add(labels, p_accept, p_reject, p_residual)
         for j in np.flatnonzero(fail)[: 5 - len(self.counterexamples)]:
-            self.counterexamples.append((word(j), float(margins[j] + self.p)))
+            self.counterexamples.append((_word_at(letters, n, j), float(margins[j] + self.p)))
 
 
-def _product_walk(qfa: Qfa, dfa: Dfa, max_len: int, letters: Iterable[str] | None, tally: _Tally) -> int:
-    """Check `qfa` against `dfa` on every word up to max_len into `tally`, one
-    (configuration, DFA state) pair at a time; return the number of words.
+def _product_walk(table: _Table, dfa: Dfa, letters: tuple[str, ...], max_len: int, tally: _Tally) -> bool:
+    """Check the machine of `table` against `dfa` on every word over `letters`
+    up to max_len into `tally`, one (configuration, DFA state) pair at a
+    time; False, with the tally part-read, once the table could overflow.
 
     A node is config * |Q| + state: the `_Table` id of a word's configuration
     and the index of the DFA state it leads to.  The nodes of length n + 1
@@ -515,20 +508,14 @@ def _product_walk(qfa: Qfa, dfa: Dfa, max_len: int, letters: Iterable[str] | Non
     it is first met, and the worst margins and the residual flag once, over
     every node met.  No word is built: a length with a failing node, while
     counterexamples are missing, rebuilds its nodes per word from the
-    table's children and spells the failing words from their positions.  A
-    length whose table could overflow hands its words' configurations to the
-    table's per-word `rows`, with their DFA states, and from then on every
-    word is read.
+    table's children and spells the failing words from their positions.
     """
-    letters = _swept(qfa, max_len, letters)
     columns, accepting = _dfa_columns(dfa, letters)
-    k, size, start = len(letters), len(dfa.states), dfa._index[dfa.start]
-    table = _Table(qfa, [qfa.unitaries[ch] for ch in letters])
+    size, start = len(dfa.states), dfa._index[dfa.start]
     kids: dict[int, list[int]] = {}  # each node read and expanded -> its children, one per letter
     failing: dict[int, float] = {}  # each failing node read -> its margin
     read: list[int] = []  # every node read
     nodes = {start}  # configuration 0 with the start state
-    count = 0
     for n in range(max_len + 1):
         fresh = [v for v in nodes if v not in kids]  # met for the first time
         if fresh:
@@ -541,21 +528,16 @@ def _product_walk(qfa: Qfa, dfa: Dfa, max_len: int, letters: Iterable[str] | Non
             ids = _frontier(table.children, 0, n) * size + _frontier(columns, start, n)
             for j in np.flatnonzero(np.isin(ids, list(failing)))[:missing]:
                 tally.counterexamples.append((_word_at(letters, n, j), float(failing[ids[j]] + tally.p)))
-        count += k**n
-        if n == max_len or not table.grow():
+        if n == max_len:
             break
+        if not table.grow():
+            return False
         if fresh:
             kids.update(zip(fresh, (table.children[config] * size + columns[state]).tolist()))
         nodes = {kid for v in nodes for kid in kids[v]}
     config, state = np.divmod(np.array(read), size)
     tally.add(accepting[state], *(outcome[config] for outcome in table.ends))
-    if n < max_len:  # the table would overflow
-        states = _frontier(columns, start, n)
-        for m, ends in zip(range(n + 1, max_len + 1), table.rows(_frontier(table.children, 0, n))):
-            states = columns[states].reshape(-1)
-            tally.add_words(accepting[states], *ends, partial(_word_at, letters, m))
-            count += k**m
-    return count
+    return True
 
 
 def verify_recognition(
@@ -574,25 +556,26 @@ def verify_recognition(
     if any.  A NaN probability fails: it becomes the worst margin and a
     counterexample.  p must lie in (1/2, 1].  A `Dfa` oracle is checked on
     the distinct (configuration, DFA state) pairs that each length reaches
-    (`_product_walk`), so that the check costs per pair, not per word; any
-    other callable labels each word (`labelled_sweep`).
+    (`_product_walk`), so that the check costs per pair, not per word.  Any
+    other callable, and a walk that would overflow the table, read every
+    word from length 0 (`_Table.levels`, over the table the walk grew) with
+    its label (`word_labels`).
     """
     if not 0.5 < p <= 1:
         raise ValueError(f"recognition probability must lie in (1/2, 1], not {p}")
+    letters = _swept(qfa, max_len, alphabet)
+    table = _Table(qfa, letters)
     tally = _Tally(p, tol)
-    if isinstance(oracle, Dfa):
-        count = _product_walk(qfa, oracle, max_len, alphabet, tally)
-    else:
-        count = 0
-        for (level,), labels in labelled_sweep((qfa,), oracle, max_len, alphabet):
-            tally.add_words(labels, level.p_accept, level.p_reject, level.p_residual, level.words.__getitem__)
-            count += len(level.words)
+    if not (isinstance(oracle, Dfa) and _product_walk(table, oracle, letters, max_len, tally)):
+        tally = _Tally(p, tol)  # a walk stopped by the table is read again, word by word
+        for n, ends, labels in zip(range(max_len + 1), table.levels(max_len), word_labels(oracle, letters, max_len)):
+            tally.add_words(letters, n, labels, *ends)
     return RecognitionReport(
         passed=tally.worst_acc >= -tol and tally.worst_rej >= -tol,
         probability=p,
         tol=tol,
         max_len=max_len,
-        words_checked=count,
+        words_checked=sum(len(letters) ** n for n in range(max_len + 1)),
         worst_accept_margin=tally.worst_acc,
         worst_reject_margin=tally.worst_rej,
         counterexamples=tuple(tally.counterexamples),

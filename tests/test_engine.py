@@ -13,9 +13,12 @@ of DFA states; those labels must be the DFA's own `accepts` on every word.
 `verify_recognition` against a `Dfa` walks (configuration, DFA state)
 pairs and builds no word; it must equal the per-word path that calls
 `accepts` on each word, on machines that close and on machines that
-outgrow the table.
+outgrow the table; a walk that outgrows it reads every word over the table
+it grew, and simulates no row twice.  An empty alphabet sweeps the empty
+word alone.
 """
 
+import json
 import random
 import time
 import zlib
@@ -34,15 +37,18 @@ from qfalab.combinators import CloudPoint, _max_margin_line, _snap, separability
 from qfalab.fixtures import dfa_fixture, oracle, qfa_fixture
 from qfalab.fragments import CONSTRUCTIBLE, classify
 from qfalab.qfa import (
+    DOLLAR,
     KAPPA,
     RecognitionReport,
     _apply,
     _measure,
     all_words,
-    labelled_sweep,
+    parse_qfa,
+    qfa_to_json,
     run,
     sweep,
     verify_recognition,
+    word_labels,
 )
 from qfalab.synthesis import reversible_qfa, synthesize
 
@@ -304,6 +310,58 @@ def test_a_check_against_a_dfa_builds_no_word(case):
     assert expected.passed == (case == "closing")
 
 
+def applied_rows(work) -> int:
+    """The rows that `_apply` reads while `work()` runs, by any matrix."""
+    with mock.patch.object(qfa_module, "_apply", wraps=_apply) as spy:
+        work()
+    return sum(len(call.args[1]) for call in spy.call_args_list)
+
+
+@pytest.mark.parametrize("block", [3, 7, FRONTIER_BLOCK])
+def test_the_overflow_hand_off_simulates_nothing_twice(block):
+    # a walk that would overflow the table reads every word from length 0 over
+    # the table it grew: the configurations it expanded are not read again.
+    # Nothing repeats in a random machine, so a sweep up to 9 reads "^" once,
+    # each word of length 1..9 once by its last letter and each word by "$"
+    qfa, dfa = random_qfa(np.random.default_rng(7)), oracle("odd_tail")
+    with mock.patch.object(qfa_module, "FRONTIER_BLOCK", block):
+        rows = applied_rows(lambda: list(sweep(qfa, 9)))
+        for lang in (dfa, dfa.accepts):
+            assert applied_rows(lambda: verify_recognition(qfa, lang, 0.6, 9)) == rows
+    assert rows == 1 + (2**10 - 2) + (2**10 - 1)
+
+
+def letterless(name: str):
+    """The fixture machine parsed with an empty alphabet: only "^" and "$"."""
+    obj = json.loads(qfa_to_json(qfa_fixture(name)))
+    obj["alphabet"] = []
+    obj["unitaries"] = {sym: entries for sym, entries in obj["unitaries"].items() if sym in (KAPPA, DOLLAR)}
+    return parse_qfa(json.dumps(obj))
+
+
+def test_an_empty_swept_alphabet_has_the_empty_word_alone():
+    k2, k3 = letterless("even_head_odd_tail_qfa"), letterless("odd_head_odd_tail_qfa")
+    empty = run(k2, "")
+    levels = list(sweep(k2, 3))
+    assert [level.words for level in levels] == [[""], [], [], []]
+    assert [level.p_accept.tolist() for level in levels] == [[empty.p_accept], [], [], []]
+    assert [level.p_reject.tolist() for level in levels] == [[empty.p_reject], [], [], []]
+    assert all(len(level.p_residual) == len(level.words) for level in levels)
+    nothing = Dfa(("q",), (), "q", frozenset(), {})
+    for lang in (nothing, lambda w: False):
+        report = verify_recognition(k2, lang, 0.6, 3)
+        assert report.words_checked == 1
+        assert report == reference_verify(k2, lang, 0.6, 3)
+        result = separability(k2, k3, lang, 3)
+        assert len(result.cloud) == 1
+        assert result == reference_separability(k2, k3, lang, 3)
+    pair, lang = qfa_fixture("even_head_odd_tail_qfa"), oracle("even_head_odd_tail")
+    for labeller in (lang, lang.accepts):
+        report = verify_recognition(pair, labeller, 0.6, 3, alphabet=())
+        assert report.words_checked == 1
+        assert report == reference_verify(pair, labeller, 0.6, 3, alphabet=())
+
+
 @given(
     machines(),
     st.integers(1, 5),
@@ -376,10 +434,14 @@ def machines_and_languages(draw, qfas=machines()):
 @given(machines_and_languages(), st.integers(0, 12))
 @settings(max_examples=60)
 def test_frontier_labels_are_accepts_on_every_word(case, max_len):
-    qfa, dfa, swept = case
+    # a `Dfa` labels each length from its frontier, its bound `accepts` word by word
+    _, dfa, swept = case
     max_len = min(max_len, MAX_LEN[len(swept)])
-    for (level,), labels in labelled_sweep((qfa,), dfa, max_len, swept):
-        assert labels.tolist() == [dfa.accepts(w) for w in level.words]
+    expected = [dfa.accepts(w) for w in all_words(swept, max_len)]
+    for labeller in (dfa, dfa.accepts):
+        levels = list(word_labels(labeller, swept, max_len))
+        assert [len(labels) for labels in levels] == [len(swept) ** n for n in range(max_len + 1)]
+        assert np.concatenate(levels).tolist() == expected
 
 
 @given(

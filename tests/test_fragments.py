@@ -4,7 +4,7 @@ import json
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import dfas, make_dfa, permutation_component_dfas
 from qfalab.automata import Dfa, minimize, transition_monoid
@@ -324,10 +324,24 @@ class TestClassify:
         assert verdict.classification == NOT_RECOGNIZABLE
         assert verdict.witness.kind == ORDER_VIOLATION
 
-    def test_complement_gets_the_same_classification(self):
-        for name in ("even_head_odd_tail", "odd_tail"):
-            dfa = dfa_fixture(name)
-            assert classify(dfa).classification == classify(dfa.complement()).classification
+    @given(st.one_of(dfas(1, 6), dfas(1, 5, ("a", "b", "c")), permutation_component_dfas()))
+    @example(dfa=dfa_fixture("even_head_odd_tail"))
+    @example(dfa=dfa_fixture("odd_tail"))
+    @settings(max_examples=300)
+    def test_complement_gets_the_same_classification(self, dfa):
+        # a language and its complement share their minimal DFA up to the
+        # accepting set, hence their monoid, fragments and compiled bound
+        def summary(verdict):
+            plan = verdict.plan
+            return (
+                verdict.classification,
+                getattr(verdict.witness, "kind", None),
+                None if plan is None else plan.success_probability,
+                verdict.monoid_size,
+                verdict.monoid_complete,
+            )
+
+        assert summary(classify(dfa)) == summary(classify(dfa.complement()))
 
     def test_complement_swaps_the_fork_suffixes(self):
         dfa = dfa_fixture("odd_tail")
