@@ -268,18 +268,17 @@ def separability(
     """
     if q1.alphabet != q2.alphabet:
         raise ValueError("machines must share an alphabet")
-    cloud = []
+    cloud, distinct = [], set()
     # the sweeps come first, so that they check the length before the labels are read
     levels = zip(sweep(q1, max_len), sweep(q2, max_len), word_labels(oracle, q1.alphabet, max_len))
     for lvl1, lvl2, labels in levels:
-        for w, a1, a2, label in zip(lvl1.words, lvl1.p_accept.tolist(), lvl2.p_accept.tolist(), labels.tolist()):
-            cloud.append(CloudPoint(w, a1, a2, label))
-    # clouds repeat few probabilities: snap each distinct one once
-    snapped = {v: _snap(v) for v in {v for pt in cloud for v in (pt.p1, pt.p2)}}
-    inside: list[Point] = []
-    outside: list[Point] = []
-    for pt in cloud:
-        (inside if pt.in_language else outside).append((snapped[pt.p1], snapped[pt.p2]))
+        points = list(zip(lvl1.p_accept.tolist(), lvl2.p_accept.tolist(), labels.tolist()))
+        cloud += (CloudPoint(w, *pt) for w, pt in zip(lvl1.words, points))
+        distinct.update(points)
+    # clouds repeat few points, and the hulls keep only distinct snapped points
+    # (`_convex_hull` takes a set): snap and hull each distinct (p1, p2, label) once
+    inside = [(_snap(a1), _snap(a2)) for a1, a2, label in distinct if label]
+    outside = [(_snap(a1), _snap(a2)) for a1, a2, label in distinct if not label]
     return _max_margin_line(tuple(cloud), inside, outside)
 
 

@@ -31,10 +31,11 @@ a length is the set of distinct (configuration, DFA state) nodes that its
 words reach, and each node's outcome and label are read once.  Its time
 and memory follow the nodes, not the words: compiled machines meet a
 handful, so a check up to length 40 costs about what one up to 10 does.
-A word is spelled, from its position, only as a counterexample.  Any
-other callable, and a walk that would overflow the table, read every word
-from length 0 through `_Table.levels` over the same table, labelled by
-`word_labels`.
+A word is spelled only as a counterexample, by a descent in letter order
+through the kept node sets, pruned to the nodes that lead to a failure, so
+a first failure at a deep length costs per node too.  Any other callable,
+and a walk that would overflow the table, read every word from length 0
+through `_Table.levels` over the same table, labelled by `word_labels`.
 
 The table holds at most `FRONTIER_BLOCK` configurations.  The compiled
 machines, the two pair fixtures and the 6/11 union of two 3/4 toys meet at
@@ -46,10 +47,17 @@ row of 16 * dimension bytes per word of each of the last two lengths, plus
 the words' strings in a sweep.
 At dimension 15 over two letters up to length 16 those rows take 24 MB;
 each further length doubles that.
+
+`parse_qfa` decodes and converts a machine with the garbage collector
+paused: its JSON tree, one list per matrix entry, is acyclic and freed
+before the collector resumes, so no collection has anything to find in it.
+The pause is process-wide; the collector's prior state is restored on
+every exit.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass
@@ -81,6 +89,11 @@ class Qfa:
     "^"/"$") to a dimension x dimension complex matrix, applied to column
     vectors: column j is the image of basis state j.  `acc` and `rej` are
     disjoint basis-index sets; everything else is non-halting.
+
+    Validation builds `_halting`, the index array of `acc` then `rej` in
+    their iteration order, which `_measure` reads.  It is a plain
+    attribute, not a field, so equality and the repr stay those of the six
+    fields.
     """
 
     dimension: int
@@ -106,6 +119,7 @@ class Qfa:
         for sym, mat in self.unitaries.items():
             if mat.shape != (self.dimension, self.dimension):
                 raise ValueError(f"matrix for {sym!r} has shape {mat.shape}")
+        object.__setattr__(self, "_halting", np.array([*self.acc, *self.rej], dtype=np.intp))
 
     @property
     def non_halting(self) -> tuple[int, ...]:
@@ -150,18 +164,20 @@ def _measure(qfa: Qfa, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Measure each row of `states` in place; return the accept and reject masses.
 
     The accept and reject amplitudes are zeroed, leaving the non-halting
-    projection.  Each mass adds the terms |psi_i|**2 of its set one at a
-    time, in the set's iteration order, each term being hypot then C pow as
-    `abs(z) ** 2` gives for one amplitude: the masses are bitwise those of
-    a scalar sum over the set.
+    projection.  Each term |psi_i|**2 is hypot then C pow, as `abs(z) ** 2`
+    gives for one amplitude.  The terms go into a C-contiguous (index x
+    row) array, and each mass is one axis-0 sum of its set's rows: numpy
+    adds them row by row, in the set's iteration order, so the masses are
+    bitwise those of a scalar sum over the set.  Over a single column numpy
+    would sum pairwise instead, so one row gets a column of zeros beside it.
     """
-    halting = [*qfa.acc, *qfa.rej]
+    halting, rows = qfa._halting, len(states)
     picked = states[:, halting]
     states[:, halting] = 0.0
-    terms = np.float_power(np.hypot(picked.real, picked.imag), 2.0).T  # one row per index
-    start = np.zeros(len(states))
+    terms = np.zeros((len(halting), max(rows, 2)))
+    terms[:, :rows] = np.float_power(np.hypot(picked.real, picked.imag), 2.0).T
     n_acc = len(qfa.acc)
-    return sum(terms[:n_acc], start), sum(terms[n_acc:], start)
+    return terms[:n_acc].sum(axis=0)[:rows], terms[n_acc:].sum(axis=0)[:rows]
 
 
 def _apply(mat: np.ndarray, states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -368,15 +384,6 @@ class _Table:
             yield _ends(self.qfa, states, p_acc, p_rej)
 
 
-def _frontier(table: np.ndarray, start: int, n: int) -> np.ndarray:
-    """The id that each word of length n leads to from `start`, in
-    `all_words` order, where `table` holds one column per letter."""
-    index = np.full(1, start, dtype=np.intp)
-    for _ in range(n):
-        index = table[index].reshape(-1)
-    return index
-
-
 def _swept(qfa: Qfa, max_len: int, letters: Iterable[str] | None) -> tuple[str, ...]:
     """The letters of a sweep up to max_len, by default the machine's
     alphabet, once the length and the letters are checked."""
@@ -504,19 +511,21 @@ def _product_walk(table: _Table, dfa: Dfa, letters: tuple[str, ...], max_len: in
 
     A node is config * |Q| + state: the `_Table` id of a word's configuration
     and the index of the DFA state it leads to.  The nodes of length n + 1
-    are the children of those of length n.  Each node's margin is read when
-    it is first met, and the worst margins and the residual flag once, over
-    every node met.  No word is built: a length with a failing node, while
-    counterexamples are missing, rebuilds its nodes per word from the
-    table's children and spells the failing words from their positions.
+    are the children of those of length n, and each length's node set is
+    kept.  Each node's margin is read when it is first met, and the worst
+    margins and the residual flag once, over every node met.  No word is
+    built but a counterexample: a length with a failing node, while
+    counterexamples are missing, spells its first failing words from the
+    kept node sets (`_first_words`).
     """
     columns, accepting = _dfa_columns(dfa, letters)
     size, start = len(dfa.states), dfa._index[dfa.start]
     kids: dict[int, list[int]] = {}  # each node read and expanded -> its children, one per letter
     failing: dict[int, float] = {}  # each failing node read -> its margin
     read: list[int] = []  # every node read
-    nodes = {start}  # configuration 0 with the start state
+    layers = [{start}]  # the nodes of each length so far; configuration 0 with the start state
     for n in range(max_len + 1):
+        nodes = layers[n]
         fresh = [v for v in nodes if v not in kids]  # met for the first time
         if fresh:
             config, state = np.divmod(np.array(fresh), size)
@@ -525,19 +534,43 @@ def _product_walk(table: _Table, dfa: Dfa, letters: tuple[str, ...], max_len: in
             read += fresh
         missing = 5 - len(tally.counterexamples)
         if missing and not failing.keys().isdisjoint(nodes):
-            ids = _frontier(table.children, 0, n) * size + _frontier(columns, start, n)
-            for j in np.flatnonzero(np.isin(ids, list(failing)))[:missing]:
-                tally.counterexamples.append((_word_at(letters, n, j), float(failing[ids[j]] + tally.p)))
+            for word, v in _first_words(kids, layers, failing, letters, missing):
+                tally.counterexamples.append((word, float(failing[v] + tally.p)))
         if n == max_len:
             break
         if not table.grow():
             return False
         if fresh:
             kids.update(zip(fresh, (table.children[config] * size + columns[state]).tolist()))
-        nodes = {kid for v in nodes for kid in kids[v]}
+        layers.append({kid for v in nodes for kid in kids[v]})
     config, state = np.divmod(np.array(read), size)
     tally.add(accepting[state], *(outcome[config] for outcome in table.ends))
     return True
+
+
+def _first_words(kids: dict[int, list[int]], layers: list[set[int]], targets, letters: tuple[str, ...], count: int):
+    """The first `count` words of length n = len(layers) - 1 in `all_words`
+    order whose node is in `targets`, each with that node.
+
+    Each length's nodes are pruned back to those with a child left at the
+    next length, from the targets at length n down to the start; a descent
+    from the start in letter order then enters only nodes that lead to a
+    target, so each word costs at most n * |letters| steps.
+    """
+    alive = [{v for v in layers[-1] if v in targets}]
+    for nodes in reversed(layers[:-1]):
+        alive.append({v for v in nodes if not alive[-1].isdisjoint(kids[v])})
+    alive.reverse()
+    (start,), n, found = layers[0], len(layers) - 1, []
+    stack = [("", start)]  # (prefix, its node), the next in letter order on top
+    while len(found) < count and stack:
+        word, v = stack.pop()
+        if len(word) == n:
+            found.append((word, v))
+            continue
+        below = alive[len(word) + 1]
+        stack += [(word + ch, kid) for ch, kid in zip(reversed(letters), reversed(kids[v])) if kid in below]
+    return found
 
 
 def verify_recognition(
@@ -635,7 +668,34 @@ def _is_int(value) -> bool:
 
 
 def parse_qfa(text: str, validate_tol: float | None = USER_UNITARITY_TOL) -> Qfa:
-    """Parse the structured-text QFA format; validates unitarity unless tol is None."""
+    """Parse the structured-text QFA format; validates unitarity unless tol is None.
+
+    The text is decoded and converted with the garbage collector paused:
+    its JSON tree, one list per matrix entry (over a thousand at dimension
+    15), would set off collections mid-parse, and being acyclic and freed
+    before the collector resumes, it gives them nothing to free.  The pause
+    is process-wide; the collector's prior state, enabled or disabled, is
+    restored on every exit, an error included.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        qfa = _decode(text)
+    finally:
+        if enabled:
+            gc.enable()
+    if validate_tol is not None:
+        report = validate(qfa, validate_tol)
+        if not report.passed:
+            raise QfaParseError(
+                f"matrix for {report.worst_symbol!r} is not unitary: "
+                f"max Gram deviation {report.worst_deviation:.6g} > {validate_tol:.6g}"
+            )
+    return freeze(qfa)
+
+
+def _decode(text: str) -> Qfa:
+    """The `Qfa` that `text` spells, unvalidated; its JSON tree is freed on return."""
     obj = load_json(text, QfaParseError)
     if not isinstance(obj, dict):
         raise QfaParseError("top-level value must be an object")
@@ -673,7 +733,7 @@ def parse_qfa(text: str, validate_tol: float | None = USER_UNITARITY_TOL) -> Qfa
             raise QfaParseError(f"matrix entries for {sym!r} must be finite")
         unitaries[sym] = flat.reshape(dim, dim)
     try:
-        qfa = Qfa(
+        return Qfa(
             dimension=dim,
             alphabet=tuple(alphabet),
             unitaries=unitaries,
@@ -683,11 +743,3 @@ def parse_qfa(text: str, validate_tol: float | None = USER_UNITARITY_TOL) -> Qfa
         )
     except (TypeError, ValueError) as exc:
         raise QfaParseError(str(exc)) from None
-    if validate_tol is not None:
-        report = validate(qfa, validate_tol)
-        if not report.passed:
-            raise QfaParseError(
-                f"matrix for {report.worst_symbol!r} is not unitary: "
-                f"max Gram deviation {report.worst_deviation:.6g} > {validate_tol:.6g}"
-            )
-    return freeze(qfa)

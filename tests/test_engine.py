@@ -18,9 +18,11 @@ it grew, and simulates no row twice.  An empty alphabet sweeps the empty
 word alone.
 """
 
+import itertools
 import json
 import random
 import time
+import tracemalloc
 import zlib
 from functools import cache
 from unittest import mock
@@ -116,6 +118,17 @@ def machines(draw):
     return random_qfa(rng, dim=dim, alphabet=tuple("abc"[:k]), n_acc=n_acc, n_rej=n_rej)
 
 
+def scalar_masses(qfa, psi) -> tuple[float, float]:
+    """The accept and reject masses of one row: `abs(z) ** 2` added one
+    term at a time, over `acc` and then `rej` in their iteration order."""
+    acc = rej = 0.0
+    for i in qfa.acc:
+        acc += abs(complex(psi[i])) ** 2
+    for i in qfa.rej:
+        rej += abs(complex(psi[i])) ** 2
+    return acc, rej
+
+
 @given(machines(), st.integers(1, 40), st.integers(0, 2**31 - 1))
 @settings(max_examples=40)
 def test_measure_is_the_scalar_sum_over_each_set(qfa, width, seed):
@@ -125,11 +138,36 @@ def test_measure_is_the_scalar_sum_over_each_set(qfa, width, seed):
     before = states.copy()
     acc, rej = _measure(qfa, states)
     for row, psi in enumerate(before):
-        assert acc[row] == float(sum(abs(psi[i]) ** 2 for i in qfa.acc))
-        assert rej[row] == float(sum(abs(psi[i]) ** 2 for i in qfa.rej))
+        assert (acc[row], rej[row]) == scalar_masses(qfa, psi)
         kept = list(qfa.non_halting)
         assert np.array_equal(states[row, kept], psi[kept])
         assert not states[row, [*qfa.acc, *qfa.rej]].any()
+
+
+@pytest.mark.parametrize("rows", [1, 2, FRONTIER_BLOCK])
+@pytest.mark.parametrize(
+    "n_acc, n_rej, nan",
+    [(9, 8, False), (0, 17, False), (17, 0, False), (12, 6, True), (1, 1, False)],
+    ids=["both", "empty acc", "empty rej", "nan amplitude", "one each"],
+)
+def test_measure_is_bitwise_the_scalar_sum(rows, n_acc, n_rej, nan):
+    # sets of 8 or more terms tell a row-by-row sum from numpy's pairwise
+    # one, which a single column would get
+    rng = np.random.default_rng(rows * 100 + n_acc)
+    qfa = random_qfa(rng, dim=20, n_acc=n_acc, n_rej=n_rej)
+    states = rng.normal(size=(rows, qfa.dimension)) + 1j * rng.normal(size=(rows, qfa.dimension))
+    states *= rng.choice([1e-8, 1e-3, 0.3, 1.0], size=(rows, 1))
+    if nan:
+        states[0, next(iter(qfa.acc))] = complex(float("nan"), 1.0)
+    before = states.copy()
+    acc, rej = _measure(qfa, states)
+    expected = np.array([scalar_masses(qfa, psi) for psi in before])
+    assert acc.tobytes() == expected[:, 0].tobytes()
+    assert rej.tobytes() == expected[:, 1].tobytes()
+    assert np.isnan(acc[0]) == nan
+    kept = list(qfa.non_halting)
+    assert states[:, kept].tobytes() == before[:, kept].tobytes()
+    assert not states[:, [*qfa.acc, *qfa.rej]].any()
 
 
 def assert_sweep_matches_run(qfa, max_len):
@@ -403,6 +441,45 @@ def test_separability_equals_the_per_word_loop(seed, k, block, max_len, salt):
     assert got == reference_separability(q1, q2, hashed_oracle(salt), max_len)
 
 
+def hull_case(hulls: str, seed: int):
+    """Two machines, a language and a length whose cloud's hulls are `hulls`."""
+    rng = np.random.default_rng(seed)
+    q1, q2 = random_qfa(rng, dim=4), random_qfa(rng, dim=5)
+    if hulls == "overlapping":
+        return q1, q2, hashed_oracle(seed), 6
+    if hulls == "disjoint":
+        values = sorted(run(q1, w).p_accept for w in all_words(q1.alphabet, 6))
+        cut = values[len(values) // 2]
+        return q1, q2, lambda w: run(q1, w).p_accept >= cut, 6
+    # the 3/4 toys put each word on a corner of [1/4, 3/4]^2, by the parities
+    # of its a's and b's: one side of the square and one word of the other
+    # side make hulls that meet at that word's corner
+    letter, even = "ab"[seed % 2], seed // 2 % 2 == 0
+    moved = letter if even else ""
+    lang = lambda w: (w.count(letter) % 2 == 0) == even or w == moved  # noqa: E731
+    return three_quarter_machine("a"), three_quarter_machine("b"), lang, 6
+
+
+def hulls_of(result) -> str:
+    if not result.separable:
+        return "overlapping"
+    return "touching" if result.limit_case else "disjoint"
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("hulls", ["overlapping", "touching", "disjoint"])
+def test_separability_is_the_hull_geometry_of_every_snapped_point(hulls, seed):
+    # `separability` hulls each distinct point once; the reference snaps and
+    # hulls every point of the cloud, repeats and all
+    q1, q2, lang, max_len = hull_case(hulls, seed)
+    got = separability(q1, q2, lang, max_len)
+    inside = [(_snap(pt.p1), _snap(pt.p2)) for pt in got.cloud if pt.in_language]
+    outside = [(_snap(pt.p1), _snap(pt.p2)) for pt in got.cloud if not pt.in_language]
+    assert got == _max_margin_line(got.cloud, inside, outside)
+    assert got == reference_separability(q1, q2, lang, max_len)
+    assert hulls_of(got) == hulls
+
+
 def test_separability_of_the_fixture_pair_equals_the_per_word_loop():
     k2, k3 = qfa_fixture("even_head_odd_tail_qfa"), qfa_fixture("odd_head_odd_tail_qfa")
     for name in ("odd_tail", "even_head_odd_tail"):
@@ -490,6 +567,24 @@ def test_counterexamples_are_spelled_at_the_first_failing_length(name, m, block)
         got = verify_recognition(qfa, dfa, 0.52, m)
     assert got == expected
     assert [w for w, _ in got.counterexamples] == list(all_words(qfa.alphabet, m))[-len(qfa.alphabet) ** m :][:5]
+
+
+def test_a_first_failure_at_a_deep_length_costs_per_node():
+    # every word fails first at length 20: its first five are spelled from the
+    # walk's node sets, not from the 2**20 per-word ids of that length
+    lang = dfa_fixture("odd_head_odd_tail")
+    qfa, _ = synthesize(lang)
+    dfa = flipped_from(lang, 20)
+    verify_recognition(qfa, dfa, 0.52, 2)  # warm the caches the check reads
+    tracemalloc.start()
+    try:
+        got = verify_recognition(qfa, dfa, 0.52, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert got == verify_recognition(qfa, dfa.accepts, 0.52, 20)
+    assert [w for w, _ in got.counterexamples] == ["a" * 17 + "".join(t) for t in itertools.product("ab", repeat=3)][:5]
 
 
 @given(machines_and_languages(), st.integers(0, 12), st.integers(0, 2**31 - 1))

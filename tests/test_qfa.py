@@ -1,5 +1,7 @@
 """Exact simulation semantics of the measure-many model."""
 
+import gc
+import json
 import math
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_qfa, random_unitary
-from qfalab.fixtures import oracle, qfa_fixture
+from qfalab.fixtures import dfa_fixture, oracle, qfa_fixture
 from qfalab.qfa import (
     DOLLAR,
     KAPPA,
@@ -25,7 +27,7 @@ from qfalab.qfa import (
     validate,
     verify_recognition,
 )
-from qfalab.synthesis import reversible_qfa
+from qfalab.synthesis import reversible_qfa, synthesize
 from conftest import make_dfa
 
 
@@ -288,6 +290,51 @@ class TestSerialization:
         text = qfa_to_json(qfa_fixture("even_head_odd_tail_qfa")).replace('"dimension": 8', '"dimension": 7')
         with pytest.raises(QfaParseError):
             parse_qfa(text)
+
+
+class TestParseCollector:
+    """`parse_qfa` decodes with the garbage collector paused and restores it."""
+
+    @staticmethod
+    def texts() -> dict[str, str]:
+        good = qfa_to_json(qfa_fixture("even_head_odd_tail_qfa"))
+        obj = json.loads(good)
+        obj["unitaries"]["a"][0] = [float("nan"), 0.0]
+        return {"good": good, "bad json": good[:-3], "non-finite": json.dumps(obj)}
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case", ["good", "bad json", "non-finite"])
+    def test_the_collector_is_left_as_it_was_found(self, case, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if case == "good":
+                parse_qfa(self.texts()[case])
+            else:
+                with pytest.raises(QfaParseError):
+                    parse_qfa(self.texts()[case])
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_a_compiled_machine_parses_without_a_collection(self):
+        # its JSON tree holds over a thousand lists, more than a generation-0
+        # threshold, so a running collector would collect during the parse
+        text = qfa_to_json(synthesize(dfa_fixture("odd_head_odd_tail"))[0])
+        generations = []
+
+        def hook(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        assert text.count("[") > gc.get_threshold()[0]
+        gc.callbacks.append(hook)
+        try:
+            qfa = parse_qfa(text)
+        finally:
+            gc.callbacks.remove(hook)
+        assert generations == []
+        assert qfa.dimension == 15
 
 
 class TestCompleteUnitary:
