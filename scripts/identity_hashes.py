@@ -65,11 +65,13 @@ configurations hardly repeat, so that its sweep outgrows the table of
 sixteenth digest covers deeper and mostly failing exhaustive checks: the
 `repr` of `verify_recognition` of each machine of the ninth digest against
 each named oracle over its alphabet, at each p of `DEEP_PS` up to length
-`DEEP_LEN`, so that counterexamples are spelled at many lengths.  The
-library, the test builders and
-the generator are imported from the checkout that holds this script, so
-running it in two checkouts and comparing the outputs with `diff` shows
-whether a change moved any output.
+`DEEP_LEN`, so that counterexamples are spelled at many lengths.  A
+seventeenth digest covers the same checks at each length of `FAR_LENS`,
+far past where every one of those machines' (configuration, DFA state)
+graphs closes, with word counts of hundreds of digits.  The library, the
+test builders and the generator are imported from the checkout that holds
+this script, so running it in two checkouts and comparing the outputs
+with `diff` shows whether a change moved any output.
 """
 
 from __future__ import annotations
@@ -132,6 +134,7 @@ RECOGNITION_LEN = 10  # longest word of the oracle digest's recognition checks
 SEPARABILITY_LEN = 8  # longest word of the oracle digest's separability checks
 DEEP_PS = (0.55, 0.6, 2 / 3 - 1e-9, 0.7, 0.9, 0.99)  # probabilities of the deep-check digest
 DEEP_LEN = 13  # longest word of the deep-check digest
+FAR_LENS = (100, 1000)  # longest words of the far-check digest
 MINIMIZE_DFAS = 300  # per seed, for the minimization digest
 FAMILY_SIZES = (1, 2, 3, 17, 256, 257, 1000, 3000)
 DETECTOR_DFAS = 1_000  # per seed, for the detector digest
@@ -414,6 +417,8 @@ def main() -> None:
     )
     records = recognition_records(qfas, DEEP_PS, DEEP_LEN)
     print(f"exhaustive checks of the {len(qfas)} decompose machines up to length {DEEP_LEN} at p in {DEEP_PS} ({len(records)} checks): {digest(records)}")
+    records = [record for max_len in FAR_LENS for record in recognition_records(qfas, DEEP_PS, max_len)]
+    print(f"exhaustive checks of the {len(qfas)} decompose machines up to lengths {FAR_LENS} at p in {DEEP_PS} ({len(records)} checks): {digest(records)}")
 
 
 if __name__ == "__main__":

@@ -260,7 +260,7 @@ def _cmd_simulate(args) -> tuple[str, dict | None]:
         "oracle": args.oracle,
         "p": args.p,
         "max_len": args.all_up_to,
-        "words_checked": report.words_checked,
+        "words_checked": _word_count(report.words_checked, len(qfa.alphabet), args.all_up_to),
         "worst_accept_margin": report.worst_accept_margin,
         "worst_reject_margin": report.worst_reject_margin,
         "counterexamples": [
@@ -269,6 +269,17 @@ def _cmd_simulate(args) -> tuple[str, dict | None]:
         "residual_flagged": report.residual_flagged,
     }
     return "pass" if report.passed else "fail", payload
+
+
+def _word_count(count: int, k: int, max_len: int) -> int | str:
+    """`count`, the number of words of length 0..max_len over k letters; one
+    too long for the interpreter to print as an int is spelled exactly as
+    the string "(k^(max_len+1) - 1)/(k - 1)", or "2^(max_len+1) - 1"."""
+    try:
+        str(count)
+    except ValueError:
+        return f"({k}^{max_len + 1} - 1)/{k - 1}" if k > 2 else f"2^{max_len + 1} - 1"
+    return count
 
 
 def _cmd_synthesize(args) -> tuple[str, dict | None]:

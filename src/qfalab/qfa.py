@@ -27,15 +27,15 @@ reject probabilities of `run`.  Products and measurements go in blocks of
 never exceed one block.
 
 `verify_recognition` against a `Dfa` drives the same table without words:
-a length is the set of distinct (configuration, DFA state) nodes that its
-words reach, and each node's outcome and label are read once.  Its time
-and memory follow the nodes, not the words: compiled machines meet a
-handful, so a check up to length 40 costs about what one up to 10 does.
-A word is spelled only as a counterexample, by a descent in letter order
-through the kept node sets, pruned to the nodes that lead to a failure, so
-a first failure at a deep length costs per node too.  Any other callable,
-and a walk that would overflow the table, read every word from length 0
-through `_Table.levels` over the same table, labelled by `word_labels`.
+one `bfs`, cut at the length, walks the distinct (configuration, DFA state)
+nodes that its words reach and reads each node's outcome and label once,
+so time and memory follow the nodes, not the words or the length: compiled
+machines meet a handful, and a check up to length 10**6 costs about what
+one up to 10 does.  A word is spelled only as a counterexample, through
+each length's nodes, rebuilt from the walk and pruned to those that lead to
+a failure, so a failure at a deep length costs per node too.  Any other
+callable, and an overflowing walk, read every word from length 0 through
+`_Table.levels` over the same table, labelled by `word_labels`.
 
 The table holds at most `FRONTIER_BLOCK` configurations.  The compiled
 machines, the two pair fixtures and the 6/11 union of two 3/4 toys meet at
@@ -67,7 +67,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from qfalab import FRONTIER_BLOCK, GIVEN_COLUMNS_TOL, RECOGNITION_TOL, RESIDUAL_TOL, USER_UNITARITY_TOL
-from qfalab.automata import Dfa, ParseError, load_json
+from qfalab.automata import Dfa, ParseError, bfs, load_json
 
 KAPPA = "^"
 DOLLAR = "$"
@@ -479,23 +479,18 @@ class _Tally:
         self.counterexamples: list[tuple[str, float]] = []
         self.residual_seen = False
 
-    def margins(self, labels: np.ndarray, p_accept: np.ndarray, p_reject: np.ndarray):
-        """The margins of units, each a word or a node of words with equal
-        outcomes and labels, and the mask of those that fail."""
-        margins = np.where(labels, p_accept, p_reject) - self.p
-        return margins, ~(margins >= -self.tol)
-
     def add(self, labels: np.ndarray, p_accept: np.ndarray, p_reject: np.ndarray, p_residual: np.ndarray):
-        """Read units into the worst margins and the residual flag; return
-        their margins and failures."""
-        margins, fail = self.margins(labels, p_accept, p_reject)
+        """Read units, each a word or a node of words with equal outcomes and
+        labels, into the worst margins and the residual flag; return their
+        margins and the mask of those that fail."""
+        margins = np.where(labels, p_accept, p_reject) - self.p
         # np.minimum and ndarray.min propagate NaN where the builtin min drops it
         if labels.any():
             self.worst_acc = float(np.minimum(self.worst_acc, margins[labels].min()))
         if not labels.all():
             self.worst_rej = float(np.minimum(self.worst_rej, margins[~labels].min()))
         self.residual_seen = self.residual_seen or bool((p_residual > RESIDUAL_TOL).any())
-        return margins, fail
+        return margins, ~(margins >= -self.tol)
 
     def add_words(self, letters: tuple[str, ...], n: int, labels, p_accept, p_reject, p_residual) -> None:
         """Read every word of length n over `letters`, in `all_words` order."""
@@ -506,45 +501,48 @@ class _Tally:
 
 def _product_walk(table: _Table, dfa: Dfa, letters: tuple[str, ...], max_len: int, tally: _Tally) -> bool:
     """Check the machine of `table` against `dfa` on every word over `letters`
-    up to max_len into `tally`, one (configuration, DFA state) pair at a
-    time; False, with the tally part-read, once the table could overflow.
+    up to max_len into `tally`; False, with nothing read, once the table
+    could overflow.
 
     A node is config * |Q| + state: the `_Table` id of a word's configuration
-    and the index of the DFA state it leads to.  The nodes of length n + 1
-    are the children of those of length n, and each length's node set is
-    kept.  Each node's margin is read when it is first met, and the worst
-    margins and the residual flag once, over every node met.  No word is
-    built but a counterexample: a length with a failing node, while
-    counterexamples are missing, spells its first failing words from the
-    kept node sets (`_first_words`).
+    and the index of the DFA state it leads to.  A word of length <= max_len
+    reaches a node exactly when the node's `bfs` depth is <= max_len, so one
+    walk cut at that depth meets every node to read, each once.  A node
+    below the cut has its configuration expanded (`_Table.grow`) when met,
+    so the table never reads a length past max_len.  The worst margins and
+    the residual flag are one read of the nodes met.  No word is built but
+    a counterexample: when a node fails, each length's node set is rebuilt
+    from the walk's children, and `_first_words` spells the failing words
+    of each length from them, up to the fifth counterexample or to a node
+    set met again with no failing one since, after which the sets cycle.
     """
     columns, accepting = _dfa_columns(dfa, letters)
-    size, start = len(dfa.states), dfa._index[dfa.start]
-    kids: dict[int, list[int]] = {}  # each node read and expanded -> its children, one per letter
-    failing: dict[int, float] = {}  # each failing node read -> its margin
-    read: list[int] = []  # every node read
-    layers = [{start}]  # the nodes of each length so far; configuration 0 with the start state
-    for n in range(max_len + 1):
-        nodes = layers[n]
-        fresh = [v for v in nodes if v not in kids]  # met for the first time
-        if fresh:
-            config, state = np.divmod(np.array(fresh), size)
-            margins, fail = tally.margins(accepting[state], table.ends[0][config], table.ends[1][config])
-            failing.update(zip(compress(fresh, fail), margins[fail]))
-            read += fresh
-        missing = 5 - len(tally.counterexamples)
-        if missing and not failing.keys().isdisjoint(nodes):
+    columns, size, start = columns.tolist(), len(dfa.states), dfa._index[dfa.start]
+    links, depth = {}, {}  # depth: each node met, in `bfs` order -> its depth
+    kids: dict[int, list[int]] = {}  # each node below depth max_len -> its children, one per letter
+    for v in bfs([start], lambda v: zip(letters, kids.get(v, ())), links):
+        depth[v] = 0 if links[v] is None else depth[links[v]] + 1
+        if depth[v] < max_len:
+            config, state = divmod(v, size)
+            if config >= len(table.children) and not table.grow():
+                return False
+            kids[v] = [c * size + q for c, q in zip(table.children[config].tolist(), columns[state])]
+    config, state = np.divmod(np.array(list(depth)), size)
+    margins, fail = tally.add(accepting[state], *(outcome[config] for outcome in table.ends))
+    failing = dict(zip(compress(depth, fail), margins[fail]))
+    layers = [frozenset([start])]  # the nodes of each length so far
+    seen = set()  # the node sets of the lengths since the last failing one
+    while failing and len(tally.counterexamples) < 5 and layers[-1] not in seen:
+        if failing.keys().isdisjoint(layers[-1]):
+            seen.add(layers[-1])
+        else:
+            seen.clear()
+            missing = 5 - len(tally.counterexamples)
             for word, v in _first_words(kids, layers, failing, letters, missing):
                 tally.counterexamples.append((word, float(failing[v] + tally.p)))
-        if n == max_len:
+        if len(layers) > max_len:
             break
-        if not table.grow():
-            return False
-        if fresh:
-            kids.update(zip(fresh, (table.children[config] * size + columns[state]).tolist()))
-        layers.append({kid for v in nodes for kid in kids[v]})
-    config, state = np.divmod(np.array(read), size)
-    tally.add(accepting[state], *(outcome[config] for outcome in table.ends))
+        layers.append(frozenset(kid for v in layers[-1] for kid in kids[v]))
     return True
 
 
@@ -588,11 +586,13 @@ def verify_recognition(
     worst margins and the first five offending words in `all_words` order,
     if any.  A NaN probability fails: it becomes the worst margin and a
     counterexample.  p must lie in (1/2, 1].  A `Dfa` oracle is checked on
-    the distinct (configuration, DFA state) pairs that each length reaches
-    (`_product_walk`), so that the check costs per pair, not per word.  Any
-    other callable, and a walk that would overflow the table, read every
-    word from length 0 (`_Table.levels`, over the table the walk grew) with
-    its label (`word_labels`).
+    the distinct (configuration, DFA state) pairs that the words reach, by
+    one `bfs` cut at max_len (`_product_walk`), so that the check costs per
+    pair, not per word or per length.  Any other callable, and a walk that
+    would overflow the table, read every word from length 0
+    (`_Table.levels`, over the table the walk grew) with its label
+    (`word_labels`).  `words_checked`, the sum of k**n over n <= max_len
+    for k letters, is taken in closed form.
     """
     if not 0.5 < p <= 1:
         raise ValueError(f"recognition probability must lie in (1/2, 1], not {p}")
@@ -600,15 +600,15 @@ def verify_recognition(
     table = _Table(qfa, letters)
     tally = _Tally(p, tol)
     if not (isinstance(oracle, Dfa) and _product_walk(table, oracle, letters, max_len, tally)):
-        tally = _Tally(p, tol)  # a walk stopped by the table is read again, word by word
         for n, ends, labels in zip(range(max_len + 1), table.levels(max_len), word_labels(oracle, letters, max_len)):
             tally.add_words(letters, n, labels, *ends)
+    k = len(letters)
     return RecognitionReport(
         passed=tally.worst_acc >= -tol and tally.worst_rej >= -tol,
         probability=p,
         tol=tol,
         max_len=max_len,
-        words_checked=sum(len(letters) ** n for n in range(max_len + 1)),
+        words_checked=(k ** (max_len + 1) - 1) // (k - 1) if k > 1 else max_len + 1 if k else 1,
         worst_accept_margin=tally.worst_acc,
         worst_reject_margin=tally.worst_rej,
         counterexamples=tuple(tally.counterexamples),

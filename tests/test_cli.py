@@ -323,6 +323,16 @@ class TestSimulateCommand:
         assert doc["status"] == "fail"
         assert doc["payload"]["counterexamples"]
 
+    def test_a_count_too_long_to_print_as_an_int_is_spelled_exactly(self, capsys, paths):
+        # 2**15001 - 1 words: 4 516 digits, past the interpreter's 4 300-digit limit on int to str
+        argv = ["simulate", paths["odd_head_odd_tail_qfa"], "--all-up-to", "15000", "--oracle", "odd_head_odd_tail", "--p", "0.6"]
+        code, doc, err = run_json(capsys, *argv)
+        assert (code, err, doc["status"]) == (0, "", "pass")
+        assert doc["payload"]["words_checked"] == "2^15001 - 1"
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert "  words_checked: 2^15001 - 1\n" in out
+
     def test_symbol_error(self, capsys, paths):
         code, out, err = run_cli(capsys, "simulate", paths["even_head_odd_tail_qfa"], "bq")
         assert code == 1

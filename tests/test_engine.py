@@ -14,8 +14,11 @@ of DFA states; those labels must be the DFA's own `accepts` on every word.
 pairs and builds no word; it must equal the per-word path that calls
 `accepts` on each word, on machines that close and on machines that
 outgrow the table; a walk that outgrows it reads every word over the table
-it grew, and simulates no row twice.  An empty alphabet sweeps the empty
-word alone.
+it grew, and simulates no row twice.  Its cost follows the pairs, not the
+length: a check up to 10**6 reads what one up to 40 does, and a check
+with fewer than five failing words stops spelling once the pairs of a
+length repeat.  `words_checked` is the number of words, in closed form.
+An empty alphabet sweeps the empty word alone.
 """
 
 import itertools
@@ -318,17 +321,41 @@ def test_each_configuration_is_expanded_once():
 
 
 def test_a_check_against_a_dfa_costs_per_pair_not_per_word():
-    # 2**41 - 1 words, read as a few (configuration, DFA state) pairs
+    # 2**41 - 1 or 2**1000001 - 1 words, read as the same few (configuration,
+    # DFA state) pairs: every pair is met by length 40
     qfa, dfa = synthesize(dfa_fixture("odd_head_odd_tail"))[0], oracle("odd_head_odd_tail")
-    started = time.perf_counter()
-    with mock.patch.object(qfa_module, "_apply", wraps=_apply) as spy:
-        report = verify_recognition(qfa, dfa, 0.6 - 1e-9, 40)
-    assert time.perf_counter() - started < 1.0
-    assert report.passed and report.words_checked == 2**41 - 1
-    assert not report.counterexamples and not report.residual_flagged
     expanded = configurations(qfa, 39)
     assert len(expanded) <= 8
-    assert letter_rows(qfa, spy) <= len(expanded) * len(qfa.alphabet)
+    worst = []
+    for max_len in (40, 10**6):
+        started = time.perf_counter()
+        with mock.patch.object(qfa_module, "_apply", wraps=_apply) as spy:
+            report = verify_recognition(qfa, dfa, 0.6 - 1e-9, max_len)
+        assert time.perf_counter() - started < 1.0
+        assert report.passed and report.words_checked == 2 ** (max_len + 1) - 1
+        assert not report.counterexamples
+        assert letter_rows(qfa, spy) <= len(expanded) * len(qfa.alphabet)
+        worst.append((report.worst_accept_margin, report.worst_reject_margin, report.residual_flagged))
+    assert worst[0] == worst[1] and not worst[0][2]
+
+
+def test_a_check_against_a_dfa_up_to_length_0_reads_no_letter():
+    qfa, dfa = synthesize(dfa_fixture("odd_head_odd_tail"))[0], oracle("odd_head_odd_tail")
+    with mock.patch.object(qfa_module, "_apply", wraps=_apply) as spy:
+        report = verify_recognition(qfa, dfa, 0.6 - 1e-9, 0)
+    symbols = {id(mat): sym for sym, mat in qfa.unitaries.items()}
+    assert [symbols[id(call.args[0])] for call in spy.call_args_list] == [KAPPA, DOLLAR]
+    assert report.words_checked == 1
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_words_checked_is_the_number_of_words(k):
+    # the count is a closed form; a machine whose pairs close at length 2 keeps each check short
+    dfa = make_dfa(3, [1, 0, 2, 2, 1, 0, 0, 2, 1], [True, False, False], alphabet=("a", "b", "c"))
+    qfa = reversible_qfa(dfa)
+    for max_len in range(41):
+        report = verify_recognition(qfa, dfa, 0.9, max_len, alphabet="abc"[:k])
+        assert report.passed and report.words_checked == sum(k**n for n in range(max_len + 1))
 
 
 @pytest.mark.parametrize("case", ["closing", "outgrowing"])
@@ -585,6 +612,31 @@ def test_a_first_failure_at_a_deep_length_costs_per_node():
     assert peak < 2**20
     assert got == verify_recognition(qfa, dfa.accepts, 0.52, 20)
     assert [w for w, _ in got.counterexamples] == ["a" * 17 + "".join(t) for t in itertools.product("ab", repeat=3)][:5]
+
+
+def test_spelling_stops_once_the_node_sets_cycle_with_no_failure():
+    # only the empty word fails, so fewer than five counterexamples exist:
+    # the node sets of each length are rebuilt until one repeats, not up to N
+    lang = dfa_fixture("odd_head_odd_tail")
+    qfa, _ = synthesize(lang)
+    delta = {**lang.transitions, **{("s", a): lang.transitions[lang.start, a] for a in lang.alphabet}}
+    flipped = {"s"} if lang.start not in lang.accepting else set()
+    dfa = Dfa(("s", *lang.states), lang.alphabet, "s", lang.accepting | flipped, delta)
+    verify_recognition(qfa, dfa, 0.52, 2)  # warm the caches the check reads
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        got = verify_recognition(qfa, dfa, 0.52, 10**5)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 2**20
+    short = verify_recognition(qfa, dfa.accepts, 0.52, 12)
+    assert [w for w, _ in got.counterexamples] == [""]
+    assert (got.worst_accept_margin, got.worst_reject_margin, got.counterexamples, got.residual_flagged) == (
+        short.worst_accept_margin, short.worst_reject_margin, short.counterexamples, short.residual_flagged
+    )
 
 
 @given(machines_and_languages(), st.integers(0, 12), st.integers(0, 2**31 - 1))
