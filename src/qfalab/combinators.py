@@ -11,7 +11,8 @@ accept probability under machine 2) and finds a maximum-margin separating
 line between the in-language and out-of-language point sets.  Coordinates
 are snapped to nearby rationals (within 1e-9) and all hull geometry is
 exact from there, so a margin of exactly zero (touching hulls, the limit
-case) is detected reliably.
+case) is detected reliably.  The geometry is one convex hull, of the
+differences of in- and out-points (`_max_margin_line`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -202,54 +203,18 @@ def _convex_hull(points: Iterable[Point]) -> list[Point]:
     return lower[:-1] + upper[:-1]
 
 
-def _support(hull: Sequence[Point], direction: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    values = [direction[0] * p[0] + direction[1] * p[1] for p in hull]
-    return min(values), max(values)
-
-
-def _axes(h1: Sequence[Point], h2: Sequence[Point]) -> list[tuple[Fraction, Fraction]]:
-    axes = []
-    for hull in (h1, h2):
-        for i in range(len(hull)):
-            x1, y1 = hull[i]
-            x2, y2 = hull[(i + 1) % len(hull)]
-            if (x1, y1) != (x2, y2):
-                axes.append((y2 - y1, x1 - x2))  # edge normal
-    for p in h1:
-        for q in h2:
-            if p != q:
-                axes.append((q[0] - p[0], q[1] - p[1]))
-    return axes
-
-
-def _closest_pair(h1: Sequence[Point], h2: Sequence[Point]) -> tuple[Fraction, Point, Point]:
-    """Min squared distance between two convex hulls plus a realizing pair."""
-    best: tuple[Fraction, Point, Point] | None = None
-
-    def consider(p: Point, a: Point, b: Point, swap: bool):
-        nonlocal best
-        ab = (b[0] - a[0], b[1] - a[1])
-        denom = ab[0] * ab[0] + ab[1] * ab[1]
-        if denom == 0:
-            t = Fraction(0)
-        else:
-            t = (p[0] - a[0]) * ab[0] + (p[1] - a[1]) * ab[1]
-            t = min(Fraction(1), max(Fraction(0), t / denom))
-        foot = (a[0] + t * ab[0], a[1] + t * ab[1])
-        dx, dy = p[0] - foot[0], p[1] - foot[1]
-        d2 = dx * dx + dy * dy
-        pair = (foot, p) if swap else (p, foot)
-        if best is None or d2 < best[0]:
-            best = (d2, pair[0], pair[1])
-
-    for p in h1:
-        for i in range(len(h2)):
-            consider(p, h2[i], h2[(i + 1) % len(h2)], swap=True)
-    for p in h2:
-        for i in range(len(h1)):
-            consider(p, h1[i], h1[(i + 1) % len(h1)], swap=False)
-    assert best is not None
-    return best
+def _nearest(gap: list[Point]) -> tuple[Fraction, Point, Point]:
+    """The point of the polygon `gap`'s boundary nearest the origin: its
+    squared norm, the point, and the direction of an edge it lies on
+    ((0, 0) when `gap` is one point)."""
+    best = []
+    for u, v in zip(gap, gap[1:] + gap[:1]):
+        e = (v[0] - u[0], v[1] - u[1])
+        ee = e[0] * e[0] + e[1] * e[1]
+        t = min(1, max(0, -(u[0] * e[0] + u[1] * e[1]) / ee)) if ee else 0
+        z = (u[0] + t * e[0], u[1] + t * e[1])
+        best.append((z[0] * z[0] + z[1] * z[1], z, e))
+    return min(best)
 
 
 def separability(
@@ -263,7 +228,10 @@ def separability(
     The line (a, b, c) satisfies a*x + b*y >= c on the in-language points
     and <= c on the others.  A zero margin means the hulls touch (the limit
     case: only non-strict separation exists); `separable=False` with no line
-    means the hulls properly overlap.  A `Dfa` oracle labels each length at
+    means the hulls properly overlap, or are one and the same point.  A
+    point with a non-finite coordinate (a machine whose probabilities
+    overflow) has no rational to snap to: the report is then not separable,
+    with no line and a NaN margin.  A `Dfa` oracle labels each length at
     once (`word_labels`).
     """
     if q1.alphabet != q2.alphabet:
@@ -275,6 +243,8 @@ def separability(
         points = list(zip(lvl1.p_accept.tolist(), lvl2.p_accept.tolist(), labels.tolist()))
         cloud += (CloudPoint(w, *pt) for w, pt in zip(lvl1.words, points))
         distinct.update(points)
+    if not all(math.isfinite(a1) and math.isfinite(a2) for a1, a2, _ in distinct):
+        return SeparabilityResult(cloud=tuple(cloud), separable=False, line=None, margin=math.nan)
     # clouds repeat few points, and the hulls keep only distinct snapped points
     # (`_convex_hull` takes a set): snap and hull each distinct (p1, p2, label) once
     inside = [(_snap(a1), _snap(a2)) for a1, a2, label in distinct if label]
@@ -283,46 +253,35 @@ def separability(
 
 
 def _max_margin_line(cloud: tuple[CloudPoint, ...], inside: list[Point], outside: list[Point]) -> SeparabilityResult:
-    """The exact hull geometry of `separability` on the snapped in/out points."""
+    """The exact hull geometry of `separability` on the snapped in/out points.
+
+    A line a*x + b*y = c has the in-points on or above it and the out-points
+    on or below it exactly when a*z >= 0 for every z in the gap
+    G = hull{p - q : p in, q out}.  The origin strictly inside G: the hulls
+    overlap.  On G's boundary: they touch, and the normal (a, b) is the
+    inward normal of a G edge through the origin; when G is the origin alone
+    (both sides one and the same point) there is no edge, and no line.
+    Outside G: the normal is the point z* of G nearest the origin, and the
+    margin is |z*|/2.  Either line's c lies midway between the least a*p of
+    the in-points and the greatest a*q of the out-points.
+    """
     if not inside or not outside:
-        return SeparabilityResult(
-            cloud=cloud, separable=True, line=None, margin=math.inf
-        )
+        return SeparabilityResult(cloud=cloud, separable=True, line=None, margin=math.inf)
 
     hull_in = _convex_hull(inside)
     hull_out = _convex_hull(outside)
+    gap = _convex_hull((p[0] - q[0], p[1] - q[1]) for p in hull_in for q in hull_out)
+    d2, nearest, edge = _nearest(gap)
+    # the hull runs counterclockwise: the origin is strictly inside when it is left of every edge
+    overlap = all(_cross(u, v, (0, 0)) > 0 for u, v in zip(gap, gap[1:] + gap[:1]))
+    if overlap or d2 == 0 and edge == (0, 0):  # G is the origin alone: no edge
+        return SeparabilityResult(cloud=cloud, separable=False, line=None, margin=0.0)
 
-    # exact separating-axis test (non-strict); orient so in-points sit above
-    separating_axis = None
-    for axis in _axes(hull_in, hull_out):
-        in_lo, in_hi = _support(hull_in, axis)
-        out_lo, out_hi = _support(hull_out, axis)
-        if out_hi <= in_lo:
-            separating_axis = (axis, out_hi, in_lo)
-            break
-        if in_hi <= out_lo:
-            separating_axis = ((-axis[0], -axis[1]), -out_lo, -in_hi)
-            break
-    if separating_axis is None:
-        return SeparabilityResult(
-            cloud=cloud, separable=False, line=None, margin=0.0
-        )
-
-    d2, pt_in, pt_out = _closest_pair(hull_in, hull_out)
-    if d2 == 0:
-        axis, out_hi, in_lo = separating_axis
-        norm = math.hypot(float(axis[0]), float(axis[1]))
-        line = (float(axis[0]) / norm, float(axis[1]) / norm, float((out_hi + in_lo) / 2) / norm)
-        return SeparabilityResult(
-            cloud=cloud, separable=True, line=line, margin=0.0, limit_case=True
-        )
-
-    direction = (pt_in[0] - pt_out[0], pt_in[1] - pt_out[1])
-    mid = ((pt_in[0] + pt_out[0]) / 2, (pt_in[1] + pt_out[1]) / 2)
-    c_exact = direction[0] * mid[0] + direction[1] * mid[1]
-    norm = math.hypot(float(direction[0]), float(direction[1]))
-    line = (float(direction[0]) / norm, float(direction[1]) / norm, float(c_exact) / norm)
-    margin = math.sqrt(float(d2)) / 2
+    normal = (-edge[1], edge[0]) if d2 == 0 else nearest
+    in_lo = min(normal[0] * p[0] + normal[1] * p[1] for p in hull_in)
+    out_hi = max(normal[0] * q[0] + normal[1] * q[1] for q in hull_out)
+    norm = math.hypot(float(normal[0]), float(normal[1]))
+    line = (float(normal[0]) / norm, float(normal[1]) / norm, float((in_lo + out_hi) / 2) / norm)
     return SeparabilityResult(
-        cloud=cloud, separable=True, line=line, margin=margin
+        cloud=cloud, separable=True, line=line, margin=math.sqrt(float(d2)) / 2, limit_case=d2 == 0
     )

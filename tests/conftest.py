@@ -7,6 +7,7 @@ the library implementations are checked against a second, independent path.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import deque
 from itertools import product
@@ -244,6 +245,11 @@ def random_qfa(rng: np.random.Generator, dim: int = 6, alphabet=("a", "b"),
     start = int(indices[-1])
     return freeze(Qfa(dimension=dim, alphabet=tuple(alphabet), unitaries=unitaries,
                       start=start, acc=acc, rej=rej))
+
+
+def overflowing(qfa: Qfa) -> Qfa:
+    """`qfa` with its "a" matrix scaled by 1e150: a few a's overflow its probabilities."""
+    return dataclasses.replace(qfa, unitaries={**qfa.unitaries, "a": qfa.unitaries["a"] * 1e150})
 
 
 def three_quarter_machine(even_letter: str):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qfalab
-from conftest import random_dfa
+from conftest import overflowing, random_dfa
 from qfalab.cli import main
 from qfalab.fixtures import dfa_fixture, dfa_fixture_names, qfa_fixture
 from qfalab.automata import dfa_to_json, minimize, parse_dfa
@@ -596,6 +596,32 @@ class TestOtherCommands:
         payload = doc["payload"]
         assert payload["limit_case"] is True
         assert payload["margin"] == 0
+
+    def test_separability_puts_each_cloud_point_on_its_side_of_the_line(self, capsys, paths):
+        code, doc, _ = run_json(
+            capsys, "separability",
+            paths["even_head_odd_tail_qfa"], paths["odd_head_odd_tail_qfa"],
+            "--oracle", "even_head_odd_tail", "--max-len", "5",
+        )
+        assert code == 0
+        payload = doc["payload"]
+        assert payload["separable"] is True and payload["limit_case"] is False
+        a, b, c = payload["line"]
+        for point in payload["cloud"]:
+            side = 1 if point["label"] == "in" else -1
+            assert side * (a * point["p1"] + b * point["p2"] - c) >= payload["margin"] - 1e-9
+
+    def test_separability_of_an_overflowing_machine_reports_a_nan_margin(self, capsys, paths):
+        big = paths["tmp"] / "big.qfa"
+        big.write_text(qfa_to_json(overflowing(qfa_fixture("even_head_odd_tail_qfa"))))
+        code, doc, err = run_json(
+            capsys, "--tol", "1e308", "separability", str(big), paths["even_head_odd_tail_qfa"],
+            "--oracle", "odd_tail", "--max-len", "3",
+        )
+        assert (code, err) == (0, "")
+        payload = doc["payload"]
+        assert (payload["separable"], payload["limit_case"], payload["line"], payload["margin"]) == (False, False, None, "nan")
+        assert len(payload["cloud"]) == 15
 
     def test_separability_negative_length_is_an_error(self, capsys, paths):
         with pytest.raises(SystemExit) as exc:

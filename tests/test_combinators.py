@@ -1,16 +1,18 @@
 """Complement, mixtures, the union construction, and separability geometry."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_dfa, random_qfa, three_quarter_machine
+from conftest import make_dfa, overflowing, random_qfa, three_quarter_machine
 from qfalab.combinators import (
     LimitConditionError,
     MixtureError,
     MixtureSpec,
+    _max_margin_line,
     complement,
     mix,
     separability,
@@ -29,6 +31,35 @@ def k2():
 @pytest.fixture(scope="module")
 def k3():
     return qfa_fixture("odd_head_odd_tail_qfa")
+
+
+def on_its_side(line, in_points, out_points, margin=0.0, tol=1e-9):
+    """Every in-point at least `margin` above the line a*x + b*y = c, every out-point below."""
+    a, b, c = line
+    return (all(a * float(x) + b * float(y) - c >= margin - tol for x, y in in_points)
+            and all(c - a * float(x) - b * float(y) >= margin - tol for x, y in out_points))
+
+
+def segment_distance(p, a, b) -> float:
+    """Distance from point p to the segment [a, b] (a point when a == b)."""
+    ab = (b[0] - a[0], b[1] - a[1])
+    ee = ab[0] * ab[0] + ab[1] * ab[1]
+    t = min(1, max(0, ((p[0] - a[0]) * ab[0] + (p[1] - a[1]) * ab[1]) / ee)) if ee else 0
+    dx, dy = p[0] - a[0] - t * ab[0], p[1] - a[1] - t * ab[1]
+    return math.sqrt(float(dx * dx + dy * dy))
+
+
+def brute_distance(ps, qs) -> float:
+    """Distance between the hulls of two disjoint point sets: the least from a
+    point of one set to a segment between two points of the other."""
+    return min(
+        min(segment_distance(p, a, b) for p in ps for a in qs for b in qs),
+        min(segment_distance(q, a, b) for q in qs for a in ps for b in ps),
+    )
+
+
+coordinate = st.builds(Fraction, st.integers(0, 6), st.sampled_from([2, 3, 4, 6]))
+points = st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=6)
 
 
 class TestComplement:
@@ -144,13 +175,14 @@ class TestSeparability:
         # the touching line is x + y = 2/3 (up to normalization)
         assert a == pytest.approx(b, abs=1e-12)
         assert c / a == pytest.approx(2 / 3, abs=1e-9)
-        # in-points sit on or above, out-points on or below
-        for point in result.cloud:
-            value = a * point.p1 + b * point.p2
-            if point.in_language:
-                assert value >= c - 1e-9
-            else:
-                assert value <= c + 1e-9
+
+    @pytest.mark.parametrize("name", ["odd_tail", "even_head_odd_tail"])
+    def test_fixture_pair_puts_each_point_on_its_side_of_the_line(self, k2, k3, name):
+        result = separability(k2, k3, oracle(name), 6)
+        in_points = [(pt.p1, pt.p2) for pt in result.cloud if pt.in_language]
+        out_points = [(pt.p1, pt.p2) for pt in result.cloud if not pt.in_language]
+        assert in_points and out_points
+        assert on_its_side(result.line, in_points, out_points, result.margin)
 
     def test_same_machine_twice_has_a_clear_gap(self, k2):
         result = separability(k2, k2, oracle("even_head_odd_tail"), 5)
@@ -174,3 +206,58 @@ class TestSeparability:
         other = random_qfa(np.random.default_rng(1), alphabet=("x", "y"))
         with pytest.raises(ValueError, match="alphabet"):
             separability(k2, other, lambda w: True, 3)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_a_non_finite_probability_ends_in_a_nan_report(self, k2):
+        big = overflowing(k2)
+        result = separability(big, k2, oracle("odd_tail"), 3)
+        assert (result.separable, result.line, result.limit_case) == (False, None, False)
+        assert math.isnan(result.margin)
+        assert [pt.word for pt in result.cloud] == list(all_words(("a", "b"), 3))
+        for pt in result.cloud:
+            assert pt.p1 == run(big, pt.word).p_accept or math.isnan(pt.p1)
+            assert pt.p2 == run(k2, pt.word).p_accept
+            assert pt.in_language == oracle("odd_tail")(pt.word)
+        assert not all(math.isfinite(pt.p1) for pt in result.cloud)
+
+    @given(points, points)
+    @settings(max_examples=300)
+    def test_the_line_puts_each_side_on_its_side_at_half_the_hull_distance(self, inside, outside):
+        result = _max_margin_line((), inside, outside)
+        if result.line is None:
+            assert not result.separable
+            return
+        assert result.separable
+        assert on_its_side(result.line, inside, outside, result.margin)
+        assert result.limit_case == (result.margin == 0)
+        if result.margin > 0:
+            assert result.margin == pytest.approx(brute_distance(inside, outside) / 2, abs=1e-12)
+
+
+F = Fraction
+# the snapped points of the fixture pair's cloud against odd_tail
+LIMIT_IN = [(F(0), F(2, 3)), (F(1, 3), F(2, 3)), (F(2, 3), F(0)), (F(2, 3), F(1, 3))]
+LIMIT_OUT = [(F(1, 3), F(1, 3))]
+
+
+@pytest.mark.parametrize(
+    "inside, outside, separable, line",
+    [
+        # one shared point: the gap is the origin alone, with no edge
+        ([(F(1, 2), F(1, 2))], [(F(1, 2), F(1, 2))], False, None),
+        # a shared point plus an edge: the hulls touch, along the edge's line
+        ([(F(1, 2), F(1, 2))], [(F(1, 2), F(1, 2)), (F(1), F(1))],
+         True, (0.7071067811865475, -0.7071067811865475, 0.0)),
+        # collinear, overlapping segments: they touch, along the perpendicular line
+        ([(F(0), F(0)), (F(2), F(0))], [(F(1), F(0)), (F(3), F(0))], True, (0.0, -1.0, 0.0)),
+        # the union limit case: x + y = 2/3
+        (LIMIT_IN, LIMIT_OUT, True, (0.7071067811865475, 0.7071067811865475, 0.4714045207910317)),
+    ],
+    ids=["one-shared-point", "shared-point-and-edge", "collinear-overlap", "union-limit"],
+)
+def test_degenerate_conventions(inside, outside, separable, line):
+    result = _max_margin_line((), inside, outside)
+    assert (result.separable, result.line, result.margin) == (separable, line, 0.0)
+    assert result.limit_case == separable
+    if line is not None:
+        assert on_its_side(line, inside, outside)
