@@ -1,15 +1,18 @@
 """Exact simulation semantics of the measure-many model."""
 
+import dataclasses
 import gc
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_qfa, random_unitary
-from qfalab.fixtures import dfa_fixture, oracle, qfa_fixture
+from conftest import random_qfa, random_unitary, three_quarter_machine
+from qfalab.combinators import MixtureSpec, complement, mix, union
+from qfalab.fixtures import dfa_fixture, oracle, qfa_fixture, qfa_fixture_names
 from qfalab.qfa import (
     DOLLAR,
     KAPPA,
@@ -271,12 +274,135 @@ class TestVerifyRecognition:
         assert not report.passed and report.probability == 1
 
 
+def reference_json(qfa: Qfa) -> str:
+    """The writer `qfa_to_json` replaced: the stdlib's Python encoder at indent 2."""
+    obj = {
+        "dimension": qfa.dimension,
+        "alphabet": list(qfa.alphabet),
+        "start": qfa.start,
+        "acc": sorted(qfa.acc),
+        "rej": sorted(qfa.rej),
+        "unitaries": {
+            sym: [[float(z.real), float(z.imag)] for z in mat.reshape(-1)] for sym, mat in qfa.unitaries.items()
+        },
+    }
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def assert_same_text(text: str, ref: str):
+    """`text == ref`; a failure shows where they first differ, as pytest's
+    diff of two machine files can take minutes."""
+    if text != ref:
+        at = len(os.path.commonprefix([text, ref]))
+        around = slice(max(at - 60, 0), at + 20)
+        pytest.fail(f"first difference at {at}: {text[around]!r} != {ref[around]!r}")
+
+
+def assert_same_machine(again: Qfa, qfa: Qfa):
+    """Every field equal, and every matrix equal in the bytes of its float64 view."""
+    assert (again.dimension, again.alphabet, again.start, again.acc, again.rej) == (
+        qfa.dimension, qfa.alphabet, qfa.start, qfa.acc, qfa.rej
+    )
+    assert again.unitaries.keys() == qfa.unitaries.keys()
+    for sym, mat in qfa.unitaries.items():
+        assert again.unitaries[sym].dtype == np.complex128
+        assert again.unitaries[sym].view(np.float64).tobytes() == mat.view(np.float64).tobytes()
+
+
+@st.composite
+def machines(draw, max_dim: int = 20):
+    """`random_qfa` over a drawn dimension, alphabet, seed and halting sets."""
+    dim = draw(st.integers(1, max_dim))
+    alphabet = draw(st.lists(st.sampled_from('ab"\\é,]'), unique=True, max_size=3))
+    n_acc = draw(st.integers(0, dim))
+    n_rej = draw(st.integers(0, dim - n_acc))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_qfa(rng, dim, tuple(alphabet), n_acc, n_rej)
+
+
+def with_entries(qfa: Qfa, symbol: str, values) -> Qfa:
+    """A copy of `qfa` whose `symbol` matrix starts, row-major, with `values`."""
+    unitaries = {sym: mat.copy() for sym, mat in qfa.unitaries.items()}
+    unitaries[symbol].reshape(-1)[: len(values)] = values
+    return Qfa(qfa.dimension, qfa.alphabet, unitaries, qfa.start, qfa.acc, qfa.rej)
+
+
 class TestSerialization:
     def test_round_trip_preserves_everything(self, k2):
-        again = parse_qfa(qfa_to_json(k2))
-        assert again.start == k2.start and again.acc == k2.acc and again.rej == k2.rej
-        for sym in k2.unitaries:
-            assert np.array_equal(again.unitaries[sym], k2.unitaries[sym])
+        assert_same_machine(parse_qfa(qfa_to_json(k2)), k2)
+
+    @pytest.mark.parametrize(
+        "name", [*qfa_fixture_names(), "compiled even_head_odd_tail", "compiled odd_head_odd_tail"]
+    )
+    def test_fixture_bytes_are_the_reference_writer(self, name):
+        compiled = name.startswith("compiled ")
+        qfa = synthesize(dfa_fixture(name.split()[1]))[0] if compiled else qfa_fixture(name)
+        assert_same_text(qfa_to_json(qfa), reference_json(qfa))
+
+    def test_combinator_bytes_are_the_reference_writer(self, k2, k3):
+        built = [
+            mix(MixtureSpec(parts=((k2, 0.5), (k3, 0.25)), accept_bias=0.125, reject_bias=0.125)),
+            union(three_quarter_machine("a"), 0.75, three_quarter_machine("b"), 0.75)[0],
+            complement(k3),
+        ]
+        for qfa in built:
+            assert_same_text(qfa_to_json(qfa), reference_json(qfa))
+
+    @settings(max_examples=100, deadline=None)
+    @given(machines())
+    def test_random_machine_bytes_are_the_reference_writer(self, qfa):
+        assert_same_text(qfa_to_json(qfa), reference_json(qfa))
+
+    @settings(max_examples=200, deadline=None)
+    @given(machines())
+    def test_round_trip_gives_back_every_field_and_matrix_byte(self, qfa):
+        assert_same_machine(parse_qfa(qfa_to_json(qfa)), qfa)
+
+    def test_extreme_entries_are_the_reference_writer(self, k2):
+        finite = with_entries(k2, "a", [complex(-0.0, -0.0), complex(5e-324, -5e-324), complex(1e308, -1e308)])
+        text = qfa_to_json(finite)
+        assert_same_text(text, reference_json(finite))
+        assert "-0.0" in text and "5e-324" in text and "-1e+308" in text
+        assert_same_machine(parse_qfa(text, validate_tol=None), finite)
+        non_finite = with_entries(k2, "b", [complex(math.nan, math.inf), complex(-math.inf, -0.0)])
+        text = qfa_to_json(non_finite)
+        assert_same_text(text, reference_json(non_finite))
+        assert "NaN" in text and "-Infinity" in text
+        with pytest.raises(QfaParseError, match="must be finite"):
+            parse_qfa(text, validate_tol=None)
+
+    @pytest.mark.parametrize("layout", ["float64", "transposed", "strided"])
+    def test_matrix_layouts_are_the_reference_writer(self, k2, layout):
+        dim = k2.dimension
+        rng = np.random.default_rng(5)
+        mats = {
+            "float64": lambda: np.eye(dim),
+            "transposed": lambda: random_unitary(rng, dim).T,
+            # every other column: row-major, its entries sit at one stride, not contiguous
+            "strided": lambda: random_unitary(rng, 2 * dim)[:dim, ::2],
+        }
+        qfa = dataclasses.replace(k2, unitaries={**k2.unitaries, "a": mats[layout]()})
+        assert_same_text(qfa_to_json(qfa), reference_json(qfa))
+
+    def test_letters_that_json_escapes_are_the_reference_writer(self):
+        qfa = random_qfa(np.random.default_rng(3), 3, ('"', "\\", "é"))
+        text = qfa_to_json(qfa)
+        assert_same_text(text, reference_json(qfa))
+        assert r'"\""' in text and r'"\\"' in text and r'"\u00e9"' in text
+        assert_same_machine(parse_qfa(text), qfa)
+
+    def test_numpy_integer_fields_write_as_plain_numbers(self, k2):
+        numpy_ints = Qfa(
+            np.int64(k2.dimension),
+            k2.alphabet,
+            k2.unitaries,
+            start=np.int64(k2.start),
+            acc=frozenset(np.array(sorted(k2.acc))),
+            rej=frozenset(np.array(sorted(k2.rej), dtype=np.int32)),
+        )
+        text = qfa_to_json(numpy_ints)
+        assert_same_text(text, qfa_to_json(k2))
+        assert_same_machine(parse_qfa(text), k2)
 
     def test_loader_rejects_nonunitary_by_default(self):
         bad = qfa_fixture("bad_left_marker_qfa")
